@@ -1,7 +1,6 @@
 """Exact exponential-twisting Cartier transforms for nilpotent sheaves mod p."""
 
 from .ring import (
-    FOneForm,
     LaurentPoly,
     NilpotencyError,
     NotAUnitError,
@@ -26,12 +25,9 @@ from .atlas import (
     FrobLift,
     Overlap,
     SubstPair,
-    change_chart_form,
-    change_chart_matrix,
     h_pair,
     lift_on_overlap,
     verify_deligne_illusie,
-    zeta_apply,
     zeta_form,
 )
 from .sheaves import (
@@ -41,7 +37,6 @@ from .sheaves import (
     SheafError,
     check_flat,
     check_higgs,
-    check_nilpotent_psi,
     nilpotency_exponent,
     p_curvature,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .atlas import Atlas, FrobLift, verify_deligne_illusie
+from .atlas import Atlas, FrobLift, jacobian_beta_in_alpha, verify_deligne_illusie
 from .gallery import gallery
 from .identities import (
     commuting_nilpotent_family,
@@ -20,10 +20,17 @@ from .identities import (
 )
 from .report import Report, timed
 from .ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
-from .sheaves import FlatSheaf, HiggsSheaf, check_flat, check_higgs, higgs_exponent, p_curvature
+from .sheaves import (
+    FlatSheaf,
+    HiggsSheaf,
+    check_field_gluing,
+    check_flat,
+    check_higgs,
+    higgs_exponent,
+    p_curvature,
+)
 from .transforms import (
     cartier,
-    check_fhiggs_gluing,
     flat_sections,
     gauge_compare,
     inverse_cartier,
@@ -184,7 +191,10 @@ def criterion_4() -> Report:
             zero_psi = p_curvature(untwisted).is_zero()
         report.add(f"c4: untwisted connection has zero p-curvature on {name}",
                    zero_psi, (), t.elapsed)
-        glue = check_fhiggs_gluing(flat.atlas, flat.rank, psi.comps, untwisted.transitions)
+        jacobians = {
+            pair: jacobian_beta_in_alpha(ov).frobenius() for pair, ov in flat.atlas.overlaps.items()
+        }
+        glue = check_field_gluing(flat.atlas, psi.comps, untwisted.transitions, jacobians)
         report.add(f"c4: p-curvature commutes with the twisted gluing on {name}", glue.ok())
         with timed() as t:
             descended = cartier(flat)

@@ -194,41 +194,6 @@ def pull_beta_function(ov: Overlap, f: LaurentPoly) -> LaurentPoly:
     return f.subst(images, ov.alpha_vars)
 
 
-def change_chart_form(form: OneForm, ov: Overlap, direction: str) -> OneForm:
-    """Rewrite a 1-form across the overlap, transforming by the Jacobian."""
-    if direction == "alpha_to_beta":
-        src, dst = ov.alpha_vars, ov.beta_vars
-        exprs = {u: ov.alpha_in_beta[u].poly for u in src.names}
-    elif direction == "beta_to_alpha":
-        src, dst = ov.beta_vars, ov.alpha_vars
-        exprs = {w: ov.beta_in_alpha[w].poly for w in src.names}
-    else:
-        raise AtlasError(f"unknown direction {direction!r}")
-    if form.vars.names != src.names:
-        raise AtlasError("form does not live on the source side of this overlap")
-    coeffs_sub = [
-        form.coeffs[i].extend_vars(src).subst(exprs, dst) for i in range(src.arity)
-    ]
-    out = []
-    for j, nj in enumerate(dst.names):
-        acc = LaurentPoly.zero(dst, form.coeffs[0].modulus)
-        for i, ni in enumerate(src.names):
-            acc = acc + coeffs_sub[i] * exprs[ni].deriv(nj)
-        out.append(acc)
-    return OneForm(dst, tuple(out))
-
-
-def change_chart_matrix(mat: PolyMatrix, ov: Overlap, direction: str) -> PolyMatrix:
-    """Rewrite a matrix of functions across the overlap (no Jacobian factor)."""
-    if direction == "alpha_to_beta":
-        exprs = {u: ov.alpha_in_beta[u].poly for u in ov.alpha_vars.names}
-        return mat.extend_vars(ov.alpha_vars).subst(exprs, ov.beta_vars)
-    if direction == "beta_to_alpha":
-        exprs = {w: ov.beta_in_alpha[w].poly for w in ov.beta_vars.names}
-        return mat.extend_vars(ov.beta_vars).subst(exprs, ov.alpha_vars)
-    raise AtlasError(f"unknown direction {direction!r}")
-
-
 # ---------- divided Frobenius and homotopies ----------
 
 
@@ -237,19 +202,6 @@ def zeta_form(vars: VarSpec, images: dict[str, LaurentPoly], coord: str) -> OneF
     img = images[coord]
     coeffs = tuple(divide_by_p(img.deriv(name)) for name in vars.names)
     return OneForm(vars, coeffs)
-
-
-def zeta_apply(vars: VarSpec, images: dict[str, LaurentPoly], fform) -> OneForm:
-    """O-linear extension: zeta(sum g_i (x) dt_i) = sum g_i * zeta(1 (x) dt_i)."""
-    from .ring import char_of_modulus
-
-    p, _ = char_of_modulus(next(iter(images.values())).modulus)
-    zero = LaurentPoly.zero(vars, p)
-    out = OneForm(vars, tuple(zero for _ in vars.names))
-    for i, name in enumerate(vars.names):
-        if not fform.coeffs[i].is_zero():
-            out = out + zeta_form(vars, images, name).scale(fform.coeffs[i])
-    return out
 
 
 def h_pair(
@@ -291,11 +243,11 @@ def lift_on_overlap(atlas: Atlas, ov: Overlap, lift: FrobLift) -> dict[str, Laur
     return out
 
 
-def _domains_with_lifts(atlas: Atlas, min_lifts: int = 2):
-    """Yield (label, vars, [(tag, images)]) for charts and overlaps."""
+def _domains_with_lifts(atlas: Atlas):
+    """Yield (label, vars, [(tag, images)]) for charts and overlaps with two or more lifts."""
     for name, chart in atlas.charts.items():
         lifts = atlas.lifts.get(name, [])
-        if len(lifts) >= min_lifts:
+        if len(lifts) >= 2:
             yield (
                 f"chart:{name}",
                 chart.vars,
@@ -306,7 +258,7 @@ def _domains_with_lifts(atlas: Atlas, min_lifts: int = 2):
         for side in (ov.alpha, ov.beta):
             for i, lift in enumerate(atlas.lifts.get(side, [])):
                 collected.append((f"{side}#{i}", lift_on_overlap(atlas, ov, lift)))
-        if len(collected) >= min_lifts:
+        if len(collected) >= 2:
             yield (f"overlap:{ov.alpha}|{ov.beta}", ov.alpha_vars, collected)
 
 

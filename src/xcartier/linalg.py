@@ -3,7 +3,8 @@
 Matrices are small at gallery scale but can reach a few thousand rows for
 two-variable descent solves, so the elimination runs on int64 numpy arrays
 with masked row updates.  All arithmetic stays exact (entries < p**2 fit
-comfortably in int64).
+comfortably in int64).  The solvers build their systems entry by entry in
+`SparseRows`, which lays them out densely for the elimination.
 """
 
 from __future__ import annotations
@@ -55,3 +56,27 @@ def nullspace_mod_p(matrix: np.ndarray, p: int) -> list[np.ndarray]:
             v[c] = (-rref[row, f]) % p
         basis.append(v)
     return basis
+
+
+class SparseRows:
+    """A linear system mod p built entry by entry, one row per sortable label.
+
+    Rows are laid out in sorted label order; the reduced row echelon form,
+    and with it the nullspace basis, does not depend on that order.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict = {}
+
+    def add(self, label, col: int, coeff: int) -> None:
+        row = self.rows.setdefault(label, {})
+        row[col] = (row.get(col, 0) + coeff) % self.p
+
+    def nullspace(self, ncols: int) -> list[np.ndarray]:
+        labels = sorted(self.rows)
+        matrix = np.zeros((max(len(labels), 1), ncols), dtype=np.int64)
+        for ri, label in enumerate(labels):
+            for col, coeff in self.rows[label].items():
+                matrix[ri, col] = coeff
+        return nullspace_mod_p(matrix, self.p)

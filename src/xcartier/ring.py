@@ -300,12 +300,6 @@ class LaurentPoly:
             raise RingError(f"cannot reduce modulo {modulus} from {self.modulus}")
         return LaurentPoly(self.vars, modulus, dict(self.terms))
 
-    def lift_to(self, modulus: int) -> "LaurentPoly":
-        """Canonical lift (residues unchanged) into a larger modulus."""
-        if modulus % self.modulus != 0:
-            raise RingError(f"cannot lift modulo {modulus} from {self.modulus}")
-        return LaurentPoly(self.vars, modulus, dict(self.terms))
-
     def extend_vars(self, target: VarSpec) -> "LaurentPoly":
         """Move to a VarSpec with the same names but possibly more inversions."""
         if target.names != self.vars.names:
@@ -635,14 +629,6 @@ class PolyMatrix:
     def max_abs_degree(self) -> int:
         return max(x.max_abs_degree() for row in self.entries for x in row)
 
-    def power(self, n: int) -> "PolyMatrix":
-        if self.rows != self.cols:
-            raise RingError("power of a non-square matrix")
-        acc = PolyMatrix.identity(self.rows, self.vars, self.modulus)
-        for _ in range(n):
-            acc = acc @ self
-        return acc
-
     def commutator(self, other: "PolyMatrix") -> "PolyMatrix":
         return self @ other - other @ self
 
@@ -790,21 +776,6 @@ class OneForm:
             f"({c})*d{n}" for n, c in zip(self.vars.names, self.coeffs) if not c.is_zero()
         ]
         return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class FOneForm:
-    """A Frobenius-pulled-back 1-form: one coefficient per basis F*dt_i."""
-
-    vars: VarSpec
-    coeffs: tuple[LaurentPoly, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.vars.arity:
-            raise RingError("one coefficient per pulled-back basis element required")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
 
 def d(f: LaurentPoly) -> OneForm:

@@ -145,21 +145,6 @@ def nilpotency_exponent(mats: list[PolyMatrix], max_n: int) -> int | None:
     return None
 
 
-def check_nilpotent_psi(psi: PCurvature, n: int) -> bool:
-    """True iff every product of n matrices drawn from the components vanishes."""
-    for mats in psi.comps.values():
-        nonzero = [m for m in mats if not m.is_zero()]
-        if not nonzero:
-            continue
-        for combo in itertools.combinations_with_replacement(range(len(nonzero)), n):
-            prod = nonzero[combo[0]]
-            for k in combo[1:]:
-                prod = prod @ nonzero[k]
-            if not prod.is_zero():
-                return False
-    return True
-
-
 # ---------- definitional checks ----------
 
 
@@ -191,11 +176,8 @@ def check_higgs(E: HiggsSheaf) -> Report:
         if exp is not None:
             report.skip(f"nilpotency[{chart}] exponent", f"exponent = {exp}")
     _check_transition_cocycle(E.atlas, E.transitions, report)
-    for pair, ov in E.atlas.overlaps.items():
-        t_mat = E.transitions[pair]
-        with timed() as t:
-            ok, witness = _higgs_gluing_ok(E, ov, t_mat)
-        report.add(f"field gluing[{pair[0]}|{pair[1]}]", ok, witness, t.elapsed)
+    jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in E.atlas.overlaps.items()}
+    report.extend(check_field_gluing(E.atlas, E.fields, E.transitions, jacobians))
     return report
 
 
@@ -224,24 +206,40 @@ def _check_transition_cocycle(atlas, transitions, report: Report) -> None:
         report.add(f"transition cocycle[{a},{b},{c}]", lhs == rhs)
 
 
-def _higgs_gluing_ok(E: HiggsSheaf, ov: Overlap, t_mat: PolyMatrix):
-    """Theta_alpha_i == sum_j d(w_j)/d(u_i) * T^-1 Theta_beta_j T on the overlap."""
-    atlas = E.atlas
-    t_inv = t_mat.inverse_unit_det()
-    jac = jacobian_beta_in_alpha(ov)
-    beta_mats = [
-        E.fields[ov.beta][j].map_entries(lambda f: pull_beta_function(ov, f))
-        for j in range(ov.beta_vars.arity)
-    ]
-    for i, u in enumerate(ov.alpha_vars.names):
-        lhs = E.fields[ov.alpha][i].extend_vars(ov.alpha_vars)
-        rhs = PolyMatrix.zero(E.rank, E.rank, ov.alpha_vars, atlas.ctx.p)
-        for j in range(ov.beta_vars.arity):
-            conj = t_inv @ beta_mats[j] @ t_mat
-            rhs = rhs + conj.scale(jac.entries[j][i])
-        if lhs != rhs:
-            return False, (f"coordinate {u}: alpha side {lhs}", f"transported beta side {rhs}")
-    return True, ()
+def check_field_gluing(
+    atlas: Atlas,
+    comps: dict[str, list[PolyMatrix]],
+    transitions: dict[tuple[str, str], PolyMatrix],
+    jacobians: dict[tuple[str, str], PolyMatrix],
+) -> Report:
+    """comps_alpha_i == sum_j J[j][i] * T^-1 comps_beta_j T on every overlap.
+
+    `jacobians[pair]` is J[j][i] = d(w_j)/d(u_i) on alpha-side coordinates for
+    a Higgs field, and its Frobenius pullback for a p-curvature, whose
+    components sit on the basis F*dt_i.
+    """
+    report = Report()
+    for pair, ov in atlas.overlaps.items():
+        with timed() as t:
+            t_mat = transitions[pair]
+            t_inv = t_mat.inverse_unit_det()
+            jac = jacobians[pair]
+            beta_mats = [
+                comps[ov.beta][j].map_entries(lambda f: pull_beta_function(ov, f))
+                for j in range(ov.beta_vars.arity)
+            ]
+            witness: tuple[str, ...] = ()
+            for i, u in enumerate(ov.alpha_vars.names):
+                lhs = comps[ov.alpha][i].extend_vars(ov.alpha_vars)
+                rhs = PolyMatrix.zero(t_mat.rows, t_mat.rows, ov.alpha_vars, atlas.ctx.p)
+                for j in range(ov.beta_vars.arity):
+                    if not jac.entries[j][i].is_zero():
+                        rhs = rhs + (t_inv @ beta_mats[j] @ t_mat).scale(jac.entries[j][i])
+                if lhs != rhs:
+                    witness = (f"coordinate {u}: alpha side {lhs}", f"transported beta side {rhs}")
+                    break
+        report.add(f"field gluing[{pair[0]}|{pair[1]}]", not witness, witness, t.elapsed)
+    return report
 
 
 def check_flat(H: FlatSheaf) -> Report:
@@ -296,7 +294,7 @@ def _flat_gluing_ok(H: FlatSheaf, ov: Overlap, t_mat: PolyMatrix):
 # ---------- p-curvature ----------
 
 
-def p_curvature(H: FlatSheaf, verify: bool = True) -> PCurvature:
+def p_curvature(H: FlatSheaf) -> PCurvature:
     """Psi_i = (d/dt_i + A_i)^p applied to the identity frame, per chart."""
     p = H.atlas.ctx.p
     comps: dict[str, list[PolyMatrix]] = {}
@@ -310,13 +308,12 @@ def p_curvature(H: FlatSheaf, verify: bool = True) -> PCurvature:
             psis.append(b)
         comps[chart] = psis
     psi = PCurvature(H.rank, comps)
-    if verify:
-        rep = verify_p_curvature_invariants(H, psi)
-        if not rep.ok():
-            raise SheafError(
-                "computed p-curvature violates its invariants: "
-                + "; ".join(e.check for e in rep.failures())
-            )
+    rep = verify_p_curvature_invariants(H, psi)
+    if not rep.ok():
+        raise SheafError(
+            "computed p-curvature violates its invariants: "
+            + "; ".join(e.check for e in rep.failures())
+        )
     return psi
 
 
@@ -339,23 +336,3 @@ def verify_p_curvature_invariants(H: FlatSheaf, psi: PCurvature) -> Report:
                     ok = False
         report.add(f"psi horizontality[{chart}]", ok)
     return report
-
-
-def gauge_transform_flat(H: FlatSheaf, gauges: dict[str, PolyMatrix]) -> FlatSheaf:
-    """Chart-wise change of frame: A -> gAg^-1 - (dg)g^-1, x -> g x."""
-    conn = {}
-    for chart, mats in H.conn.items():
-        g = gauges[chart]
-        g_inv = g.inverse_unit_det()
-        vars = H.atlas.chart_vars(chart)
-        conn[chart] = [
-            g @ mats[i] @ g_inv - g.deriv(vars.names[i]) @ g_inv
-            for i in range(len(mats))
-        ]
-    transitions = {}
-    for pair, t_mat in H.transitions.items():
-        ov = H.atlas.overlaps[pair]
-        g_a = gauges[ov.alpha].extend_vars(ov.alpha_vars)
-        g_b = gauges[ov.beta].map_entries(lambda f: pull_beta_function(ov, f))
-        transitions[pair] = g_b @ t_mat @ g_a.inverse_unit_det()
-    return FlatSheaf(H.atlas, H.rank, conn, transitions)

@@ -1,15 +1,16 @@
 """The two exponential-twisting functors, Cartier descent and gauge search.
 
-The forward direction sends a nilpotent Higgs sheaf (E, theta) to a flat
-sheaf: per chart, A_i = sum_j F(Theta_j) * (dt_i-coefficient of
-zeta(1 (x) dt_j)); per overlap, transition F(T) followed by the truncated
-exponential of the Higgs field contracted with the lifting homotopy h.
+Both directions are one twist by a matrix-valued form Phi on the Frobenius
+pullback (`_twist`): per chart, add zeta(Phi) to the connection, with
+A_i += sum_j Phi_j * (dt_i-coefficient of zeta(1 (x) dt_j)); per overlap,
+follow the transition by the truncated exponential of Phi contracted with the
+lifting homotopy h.
 
-The converse direction adds zeta(psi) to a connection with nilpotent
-p-curvature psi, twists the transitions by trunc_exp(h(psi)), solves for a
-flat frame of the resulting p-curvature-zero connection, expresses psi in
-that frame (entries land in p-th-power exponents), and divides exponents
-by p to descend.
+The forward direction twists the canonical connection of a nilpotent Higgs
+sheaf (E, theta) by Phi = F*theta.  The converse twists a connection with
+nilpotent p-curvature psi by Phi = psi, which kills the p-curvature, solves
+for a flat frame of the result, expresses psi in that frame (entries land in
+p-th-power exponents), and divides exponents by p to descend.
 
 The sign of the p-curvature of the forward output relative to the
 Frobenius-pulled-back Higgs field is convention-dependent; it is measured
@@ -22,17 +23,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .atlas import (
-    Atlas,
     jacobian_beta_in_alpha,
     h_pair,
     lift_on_overlap,
     pull_beta_function,
     zeta_form,
 )
-from .linalg import nullspace_mod_p
+from .linalg import SparseRows
 from .report import Report, timed
 from .ring import (
     LaurentPoly,
@@ -46,9 +44,9 @@ from .sheaves import (
     FlatSheaf,
     HiggsSheaf,
     PCurvature,
+    check_field_gluing,
     check_flat,
     check_higgs,
-    higgs_exponent,
     nilpotency_exponent,
     p_curvature,
 )
@@ -101,54 +99,61 @@ def canonical_connection(E: HiggsSheaf) -> FlatSheaf:
     """The flat sheaf on the Frobenius pullback of a zero-Higgs sheaf."""
     if not E.is_zero_field():
         raise TransformError("canonical connection requires a zero Higgs field")
-    atlas = E.atlas
-    conn = {
-        chart: [PolyMatrix.zero(E.rank, E.rank, atlas.chart_vars(chart), atlas.ctx.p)
-                for _ in atlas.chart_vars(chart).names]
-        for chart in atlas.charts
-    }
+    conn = {chart: list(mats) for chart, mats in E.fields.items()}  # all zero
     transitions = {pair: t.frobenius() for pair, t in E.transitions.items()}
-    return FlatSheaf(atlas, E.rank, conn, transitions)
+    return FlatSheaf(E.atlas, E.rank, conn, transitions)
 
 
-def inverse_cartier(E: HiggsSheaf, lift_choice: dict[str, int] | None = None) -> FlatSheaf:
-    """Twist the canonical connection by the divided Frobenius of the field."""
-    atlas = E.atlas
+def _twist(
+    H0: FlatSheaf, phi: dict[str, list[PolyMatrix]], lift_choice: dict[str, int] | None
+) -> FlatSheaf:
+    """Add zeta(phi) to the connection of H0 and twist its gluing by trunc_exp(h(phi)).
+
+    phi holds one matrix per pulled-back basis element F*dt_j on every chart:
+    F*theta in the forward direction, the p-curvature psi in the converse.
+    """
+    atlas = H0.atlas
     ctx = atlas.ctx
-    rep = check_higgs(E)
-    if not rep.ok():
-        raise TransformError(
-            "input is not a valid nilpotent Higgs sheaf: "
-            + "; ".join(e.check for e in rep.failures())
-        )
-    higgs_exponent(E)  # raises if the nilpotency bound p-1 is exceeded
     conn: dict[str, list[PolyMatrix]] = {}
     for chart_name, chart in atlas.charts.items():
         lift = atlas.lift_for(chart_name, lift_choice)
         z = zeta_coeffs(chart.vars, lift.images)
-        thetas_f = [m.frobenius() for m in E.fields[chart_name]]
         mats = []
         for i in range(chart.vars.arity):
-            acc = PolyMatrix.zero(E.rank, E.rank, chart.vars, ctx.p)
+            acc = H0.conn[chart_name][i]
             for j in range(chart.vars.arity):
                 if not z[j][i].is_zero():
-                    acc = acc + thetas_f[j].scale(z[j][i])
+                    acc = acc + phi[chart_name][j].scale(z[j][i])
             mats.append(acc)
         conn[chart_name] = mats
     transitions: dict[tuple[str, str], PolyMatrix] = {}
     for pair, ov in atlas.overlaps.items():
         img_a = lift_on_overlap(atlas, ov, atlas.lift_for(ov.alpha, lift_choice))
         img_b = lift_on_overlap(atlas, ov, atlas.lift_for(ov.beta, lift_choice))
-        twist = PolyMatrix.zero(E.rank, E.rank, ov.alpha_vars, ctx.p)
+        exponent = PolyMatrix.zero(H0.rank, H0.rank, ov.alpha_vars, ctx.p)
         for j, u in enumerate(ov.alpha_vars.names):
             h = h_pair(ov.alpha_vars, img_a, img_b, u)
-            if h.is_zero():
-                continue
-            theta_f = E.fields[ov.alpha][j].extend_vars(ov.alpha_vars).frobenius()
-            twist = twist + theta_f.scale(h)
-        g = trunc_exp(twist, ctx)
-        transitions[pair] = E.transitions[pair].frobenius() @ g
-    return FlatSheaf(atlas, E.rank, conn, transitions)
+            if not h.is_zero():
+                exponent = exponent + phi[ov.alpha][j].extend_vars(ov.alpha_vars).scale(h)
+        transitions[pair] = H0.transitions[pair] @ trunc_exp(exponent, ctx)
+    return FlatSheaf(atlas, H0.rank, conn, transitions)
+
+
+def inverse_cartier(E: HiggsSheaf, lift_choice: dict[str, int] | None = None) -> FlatSheaf:
+    """Twist the canonical connection by the Frobenius pullback of the field."""
+    rep = check_higgs(E)  # includes the nilpotency bound p-1
+    if not rep.ok():
+        raise TransformError(
+            "input is not a valid nilpotent Higgs sheaf: "
+            + "; ".join(e.check for e in rep.failures())
+        )
+    zero = {
+        chart: [PolyMatrix.zero(E.rank, E.rank, m.vars, m.modulus) for m in mats]
+        for chart, mats in E.fields.items()
+    }
+    H0 = canonical_connection(HiggsSheaf(E.atlas, E.rank, zero, E.transitions))
+    phi = {chart: [m.frobenius() for m in mats] for chart, mats in E.fields.items()}
+    return _twist(H0, phi, lift_choice)
 
 
 def p_curvature_sign(E: HiggsSheaf, psi: PCurvature) -> int | None:
@@ -230,12 +235,7 @@ def _solve_flat_frame(H: FlatSheaf, chart: str, bound: int) -> PolyMatrix | None
     monos = monomials_in_box(vars, bound)
     unknowns = [(m, k) for m in monos for k in range(r)]
     col_of = {u: i for i, u in enumerate(unknowns)}
-    rows: dict[tuple, dict[int, int]] = {}
-
-    def put(key, col, coeff):
-        row = rows.setdefault(key, {})
-        row[col] = (row.get(col, 0) + coeff) % p
-
+    system = SparseRows(p)
     mats = H.conn[chart]
     for ci, name in enumerate(vars.names):
         A = mats[ci]
@@ -245,19 +245,14 @@ def _solve_flat_frame(H: FlatSheaf, chart: str, bound: int) -> PolyMatrix | None
             if m[vi] != 0:  # derivative of the monomial
                 e = list(m)
                 e[vi] -= 1
-                put((ci, k, tuple(e)), col, m[vi] % p)
+                system.add((ci, k, tuple(e)), col, m[vi] % p)
             for l in range(r):
                 a = A.entries[l][k]
                 for exps_a, c_a in a.terms.items():
                     e = tuple(x + y for x, y in zip(exps_a, m))
-                    put((ci, l, e), col, c_a)
+                    system.add((ci, l, e), col, c_a)
 
-    row_keys = sorted(rows)
-    matrix = np.zeros((max(len(row_keys), 1), len(unknowns)), dtype=np.int64)
-    for ri, key in enumerate(row_keys):
-        for col, coeff in rows[key].items():
-            matrix[ri, col] = coeff
-    basis = nullspace_mod_p(matrix, p)
+    basis = system.nullspace(len(unknowns))
     if len(basis) < r:
         return None
 
@@ -322,83 +317,20 @@ def flat_sections(H: FlatSheaf, degree_bound: int | None = None) -> DescentResul
 # ---------- the converse functor ----------
 
 
-def check_fhiggs_gluing(
-    atlas: Atlas,
-    rank: int,
-    comps: dict[str, list[PolyMatrix]],
-    transitions: dict[tuple[str, str], PolyMatrix],
-) -> Report:
-    """Do Frobenius-twisted field components commute with the given gluing."""
-    report = Report()
-    for pair, ov in atlas.overlaps.items():
-        t_mat = transitions[pair]
-        t_inv = t_mat.inverse_unit_det()
-        jac = jacobian_beta_in_alpha(ov)
-        beta_mats = [
-            comps[ov.beta][j].map_entries(lambda f: pull_beta_function(ov, f))
-            for j in range(ov.beta_vars.arity)
-        ]
-        ok = True
-        witness: tuple[str, ...] = ()
-        for i, u in enumerate(ov.alpha_vars.names):
-            lhs = comps[ov.alpha][i].extend_vars(ov.alpha_vars)
-            rhs = PolyMatrix.zero(rank, rank, ov.alpha_vars, atlas.ctx.p)
-            for j in range(ov.beta_vars.arity):
-                factor = jac.entries[j][i].frobenius()
-                if factor.is_zero():
-                    continue
-                rhs = rhs + (t_inv @ beta_mats[j] @ t_mat).scale(factor)
-            if lhs != rhs:
-                ok = False
-                witness = (f"coordinate {u}: alpha side {lhs}", f"glued beta side {rhs}")
-                break
-        report.add(f"psi gluing[{pair[0]}|{pair[1]}]", ok, witness)
-    return report
-
-
 def untwist(
     H: FlatSheaf, lift_choice: dict[str, int] | None = None
 ) -> tuple[FlatSheaf, PCurvature]:
     """The p-curvature-killing connection and gluing, before descent."""
-    atlas = H.atlas
-    ctx = atlas.ctx
     rep = check_flat(H)
     if not rep.ok():
         raise TransformError(
             "input is not a valid flat sheaf: " + "; ".join(e.check for e in rep.failures())
         )
     psi = p_curvature(H)
-    exps = [nilpotency_exponent(mats, ctx.p - 1) for mats in psi.comps.values()]
-    if any(e is None for e in exps):
-        raise TransformError(f"p-curvature is not nilpotent of exponent <= {ctx.p - 1}")
-
-    conn: dict[str, list[PolyMatrix]] = {}
-    for chart_name, chart in atlas.charts.items():
-        lift = atlas.lift_for(chart_name, lift_choice)
-        z = zeta_coeffs(chart.vars, lift.images)
-        psis = psi.comps[chart_name]
-        mats = []
-        for i in range(chart.vars.arity):
-            acc = H.conn[chart_name][i]
-            for j in range(chart.vars.arity):
-                if not z[j][i].is_zero():
-                    acc = acc + psis[j].scale(z[j][i])
-            mats.append(acc)
-        conn[chart_name] = mats
-    transitions: dict[tuple[str, str], PolyMatrix] = {}
-    for pair, ov in atlas.overlaps.items():
-        img_a = lift_on_overlap(atlas, ov, atlas.lift_for(ov.alpha, lift_choice))
-        img_b = lift_on_overlap(atlas, ov, atlas.lift_for(ov.beta, lift_choice))
-        twist = PolyMatrix.zero(H.rank, H.rank, ov.alpha_vars, ctx.p)
-        for j, u in enumerate(ov.alpha_vars.names):
-            h = h_pair(ov.alpha_vars, img_a, img_b, u)
-            if h.is_zero():
-                continue
-            psi_j = psi.comps[ov.alpha][j].extend_vars(ov.alpha_vars)
-            twist = twist + psi_j.scale(h)
-        j_mat = trunc_exp(twist, ctx)
-        transitions[pair] = H.transitions[pair] @ j_mat
-    return FlatSheaf(atlas, H.rank, conn, transitions), psi
+    p = H.atlas.ctx.p
+    if any(nilpotency_exponent(mats, p - 1) is None for mats in psi.comps.values()):
+        raise TransformError(f"p-curvature is not nilpotent of exponent <= {p - 1}")
+    return _twist(H, psi.comps, lift_choice), psi
 
 
 def cartier(
@@ -416,9 +348,11 @@ def cartier(
             "untwisted connection fails its gluing checks: "
             + "; ".join(e.check for e in inner.failures())
         )
-    if not p_curvature(untwisted).is_zero():
-        raise TransformError("untwisted connection has nonzero p-curvature")
-    glue = check_fhiggs_gluing(atlas, H.rank, psi.comps, untwisted.transitions)
+    # psi sits on the basis F*dt_i, so it glues by the Frobenius pullback of the Jacobian
+    jacobians = {
+        pair: jacobian_beta_in_alpha(ov).frobenius() for pair, ov in atlas.overlaps.items()
+    }
+    glue = check_field_gluing(atlas, psi.comps, untwisted.transitions, jacobians)
     if not glue.ok():
         raise TransformError("p-curvature does not commute with the twisted gluing")
 
@@ -489,17 +423,13 @@ def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
                 for j in range(r):
                     unknowns.append((chart, m, i, j))
     col_of = {u: idx for idx, u in enumerate(unknowns)}
-    rows: dict[tuple, dict[int, int]] = {}
-
-    def put(key, col, coeff):
-        row = rows.setdefault(key, {})
-        row[col] = (row.get(col, 0) + coeff) % p
+    system = SparseRows(p)
 
     def add_matrix_terms(key_prefix, mat: PolyMatrix, col):
         for a in range(mat.rows):
             for b in range(mat.cols):
                 for exps, c in mat.entries[a][b].terms.items():
-                    put(key_prefix + (a, b, exps), col, c)
+                    system.add(key_prefix + (a, b, exps), col, c)
 
     for chart in sorted(atlas.charts):
         vars = atlas.chart_vars(chart)
@@ -552,12 +482,7 @@ def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
                     basis = PolyMatrix(entries)
                     add_matrix_terms(("overlap", pair), basis @ t1, col)
 
-    row_keys = sorted(rows, key=repr)
-    matrix = np.zeros((max(len(row_keys), 1), len(unknowns)), dtype=np.int64)
-    for ri, key in enumerate(row_keys):
-        for col, coeff in rows[key].items():
-            matrix[ri, col] = coeff
-    basis_vecs = nullspace_mod_p(matrix, p)
+    basis_vecs = system.nullspace(len(unknowns))
 
     def vec_to_gauges(vec) -> dict[str, PolyMatrix]:
         out = {}

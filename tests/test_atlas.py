@@ -5,8 +5,6 @@ from xcartier.atlas import (
     Atlas,
     AtlasError,
     FrobLift,
-    change_chart_form,
-    change_chart_matrix,
     h_pair,
     lift_on_overlap,
     verify_deligne_illusie,
@@ -51,18 +49,6 @@ def test_zeta_on_p1_overlap_through_unit_inversion():
     assert images["s"] == LaurentPoly.parse("6*s^5 + s^3", ov.alpha_vars, 9)
     form = zeta_form(ov.alpha_vars, images, "s")
     assert form.coeffs[0] == LaurentPoly.parse("s^4 + s^2", ov.alpha_vars, 3)
-
-
-def test_zeta_linear_extension_over_pulled_back_forms():
-    from xcartier.ring import FOneForm
-    from xcartier.atlas import zeta_apply
-
-    atlas = a1_atlas(3, "t^3 + 3*t")
-    images = atlas.lifts["A1"][0].images
-    g = LaurentPoly.parse("2*t^2", T, 3)
-    fform = FOneForm(T, (g,))
-    out = zeta_apply(T, images, fform)
-    assert out.coeffs[0] == g * LaurentPoly.parse("t^2 + 1", T, 3)
 
 
 def test_zeta_independent_of_coefficient_lift():
@@ -170,48 +156,6 @@ def test_lemma_for_random_lift_perturbations(coeffs1, coeffs2):
 def test_lemma_on_gallery_scenes(p):
     for name in ("g3_a1_three_lifts", "g4_p1_lemma"):
         assert verify_deligne_illusie(gallery(name, p).atlas).ok()
-
-
-# ---------------------------------------------------------------- charts
-
-
-def test_change_chart_form_examples():
-    scene = gallery("g4_p1_lemma", 3)
-    ov = scene.atlas.overlaps[("U0", "U1")]
-    s = ov.alpha_vars
-    w = ov.beta_vars
-
-    ds = OneForm(s, (LaurentPoly.one(s, 3),))
-    assert change_chart_form(ds, ov, "alpha_to_beta") == OneForm(
-        w, (LaurentPoly.parse("-w^-2", w, 3),)
-    )
-    c_ds = OneForm(s, (LaurentPoly.const(s, 3, 2),))
-    assert change_chart_form(c_ds, ov, "alpha_to_beta") == OneForm(
-        w, (LaurentPoly.parse("-2*w^-2", w, 3),)
-    )
-    s2_ds = OneForm(s, (LaurentPoly.parse("s^2", s, 3),))
-    assert change_chart_form(s2_ds, ov, "alpha_to_beta") == OneForm(
-        w, (LaurentPoly.parse("-w^-4", w, 3),)
-    )
-
-
-def test_change_chart_form_round_trip():
-    scene = gallery("g4_p1_lemma", 3)
-    ov = scene.atlas.overlaps[("U0", "U1")]
-    s = ov.alpha_vars
-    form = OneForm(s, (LaurentPoly.parse("s^2 + 2*s^-1", s, 3),))
-    there = change_chart_form(form, ov, "alpha_to_beta")
-    back = change_chart_form(there, ov, "beta_to_alpha")
-    assert back == form
-
-
-def test_change_chart_matrix_round_trip():
-    scene = gallery("g4_p1_lemma", 3)
-    ov = scene.atlas.overlaps[("U0", "U1")]
-    m = PolyMatrix([[LaurentPoly.parse("s^2", ov.alpha_vars, 3)]])
-    there = change_chart_matrix(m, ov, "alpha_to_beta")
-    assert there == PolyMatrix([[LaurentPoly.parse("w^-2", ov.beta_vars, 3)]])
-    assert change_chart_matrix(there, ov, "beta_to_alpha") == m
 
 
 # ------------------------------------------------------- translation gluing

@@ -7,15 +7,13 @@ from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
 from xcartier.sheaves import (
     FlatSheaf,
     HiggsSheaf,
-    PCurvature,
     check_flat,
     check_higgs,
-    check_nilpotent_psi,
-    gauge_transform_flat,
     higgs_exponent,
     nilpotency_exponent,
     p_curvature,
 )
+from xcartier.transforms import verify_gauge_witness
 
 T = VarSpec.make(["t"])
 
@@ -152,19 +150,6 @@ def test_rank_one_torus_p_curvature_matches_jacobson(p):
         assert oracle.is_zero()  # Fermat: c^p - c = 0
 
 
-def test_check_nilpotent_psi_cases():
-    atlas = a1_atlas()
-    zero = PCurvature(1, {"A1": [PolyMatrix.zero(1, 1, T, 3)]})
-    assert check_nilpotent_psi(zero, 1)
-    n = e_mat(0, 1, 2, T, 3)
-    psi = PCurvature(2, {"A1": [-n]})
-    assert not check_nilpotent_psi(psi, 1)
-    assert check_nilpotent_psi(psi, 2)
-    vars = VarSpec.make(["t1", "t2"])
-    pair = PCurvature(3, {"A2": [e_mat(0, 1, 3, vars, 3), e_mat(0, 2, 3, vars, 3)]})
-    assert check_nilpotent_psi(pair, 2)
-
-
 def test_nilpotency_exponent_monomials():
     vars = VarSpec.make(["t1", "t2"])
     mats = [e_mat(0, 1, 3, vars, 5), e_mat(0, 2, 3, vars, 5)]
@@ -182,11 +167,13 @@ def test_gauge_naturality_of_p_curvature(c0, c1, c2):
     g = PolyMatrix.identity(2, T, 3) + n.scale(
         LaurentPoly(T, 3, {(0,): c0, (1,): c1, (2,): c2})
     )
-    transformed = gauge_transform_flat(H, {"A1": g})
+    g_inv = g.inverse_unit_det()
+    transformed = FlatSheaf(atlas, 2, {"A1": [g @ a @ g_inv - g.deriv("t") @ g_inv]})
+    assert verify_gauge_witness(H, transformed, {"A1": g}, flat=True)
     assert check_flat(transformed).ok()
     psi_t = p_curvature(transformed)
     psi = p_curvature(H)
-    expected = g @ psi.comps["A1"][0] @ g.inverse_unit_det()
+    expected = g @ psi.comps["A1"][0] @ g_inv
     assert psi_t.comps["A1"][0] == expected
 
 

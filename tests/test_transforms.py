@@ -1,7 +1,8 @@
 import pytest
 
+from xcartier import sheaves, transforms
 from xcartier.atlas import Atlas, FrobLift, h_pair
-from xcartier.gallery import gallery
+from xcartier.gallery import GALLERY_NAMES, gallery
 from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, trunc_exp
 from xcartier.sheaves import (
     FlatSheaf,
@@ -273,6 +274,55 @@ def test_cartier_torus_rank_one(c):
     E = cartier(scene.sheaf)
     assert E.fields["Gm"][0].is_zero()
     assert check_higgs(E).ok()
+
+
+def zero_field(E):
+    zero = {
+        c: [PolyMatrix.zero(E.rank, E.rank, m.vars, m.modulus) for m in mats]
+        for c, mats in E.fields.items()
+    }
+    return HiggsSheaf(E.atlas, E.rank, zero, E.transitions)
+
+
+UNTWIST_CASES = [(name, p, 0) for name in GALLERY_NAMES[:6] for p in (3, 5, 7)] + [
+    ("g3_a1_three_lifts", p, k) for p in (3, 5, 7) for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name,p,lift", UNTWIST_CASES)
+def test_untwist_undoes_the_forward_twist(name, p, lift):
+    # psi = -F*theta, so the converse twist cancels the forward one exactly
+    E = gallery(name, p).sheaf
+    lift_choice = {"A1": lift} if lift else None
+    untwisted, _ = untwist(inverse_cartier(E, lift_choice), lift_choice)
+    assert untwisted == canonical_connection(zero_field(E))
+
+
+def count_calls(monkeypatch, name):
+    """Record the calls to a sheaves function, under every name the library uses."""
+    original = getattr(sheaves, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (sheaves, transforms):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["g5_p1_uniformizing", "g6_a2_rank3"])
+def test_transforms_check_each_invariant_once(monkeypatch, name):
+    E = gallery(name, 3).sheaf
+    scans = count_calls(monkeypatch, "nilpotency_exponent")
+    H = inverse_cartier(E)
+    assert len(scans) == len(E.atlas.charts)  # check_higgs, once per chart
+    curvatures = count_calls(monkeypatch, "p_curvature")
+    cartier(H)
+    # the input's in untwist, the untwisted sheaf's in flat_sections
+    assert len(curvatures) == 2
 
 
 # ------------------------------------------------------- gauge comparison
