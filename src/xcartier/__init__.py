@@ -41,7 +41,6 @@ from .sheaves import (
     p_curvature,
 )
 from .transforms import (
-    DegreeBoundExceeded,
     DescentResult,
     GaugeWitness,
     TransformError,

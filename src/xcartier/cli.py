@@ -73,7 +73,6 @@ def _parser() -> argparse.ArgumentParser:
     c = common(sub.add_parser("pcurv", help="p-curvature of a flat scene"), scene=True)
     c = common(sub.add_parser("icartier", help="inverse transform of a Higgs scene"), scene=True)
     c = common(sub.add_parser("cartier", help="transform of a flat scene"), scene=True)
-    c.add_argument("--degree-bound", type=int, default=None)
     c = common(sub.add_parser("roundtrip", help="compose both transforms and compare"), scene=True)
     c.add_argument("--degree-bound", type=int, default=None)
     c.add_argument("--seed", type=int, default=0)
@@ -133,7 +132,7 @@ def run_cli(argv: list[str]) -> int:
             if not isinstance(scene.sheaf, FlatSheaf):
                 print("cartier needs a scene with a flat sheaf", file=sys.stderr)
                 return USAGE_ERROR
-            higgs = cartier(scene.sheaf, degree_bound=args.degree_bound)
+            higgs = cartier(scene.sheaf)
             out_scene = Scene(scene.ctx, scene.atlas, higgs,
                               {**scene.metadata, "derived": "cartier"})
             _write_output(emit_scene(out_scene), args.out)

@@ -1,10 +1,9 @@
 """Exact dense linear algebra over F_p (nullspace via reduced row echelon).
 
-Matrices are small at gallery scale but can reach a few thousand rows for
-two-variable descent solves, so the elimination runs on int64 numpy arrays
-with masked row updates.  All arithmetic stays exact (entries < p**2 fit
-comfortably in int64).  The solvers build their systems entry by entry in
-`SparseRows`, which lays them out densely for the elimination.
+The elimination runs on int64 numpy arrays with masked row updates.  All
+arithmetic stays exact (entries < p**2 fit comfortably in int64).  The gauge
+search builds its system entry by entry in `SparseRows`, which lays it out
+densely for the elimination.
 """
 
 from __future__ import annotations

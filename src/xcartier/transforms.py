@@ -8,9 +8,9 @@ lifting homotopy h.
 
 The forward direction twists the canonical connection of a nilpotent Higgs
 sheaf (E, theta) by Phi = F*theta.  The converse twists a connection with
-nilpotent p-curvature psi by Phi = psi, which kills the p-curvature, solves
-for a flat frame of the result, expresses psi in that frame (entries land in
-p-th-power exponents), and divides exponents by p to descend.
+nilpotent p-curvature psi by Phi = psi, which kills the p-curvature, takes a
+flat frame of the result from Katz's projector, expresses psi in that frame
+(entries land in p-th-power exponents), and divides exponents by p to descend.
 
 The sign of the p-curvature of the forward output relative to the
 Frobenius-pulled-back Higgs field is convention-dependent; it is measured
@@ -20,6 +20,7 @@ by `p_curvature_sign`, not hard-coded.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -53,10 +54,6 @@ from .sheaves import (
 
 
 class TransformError(ValueError):
-    pass
-
-
-class DegreeBoundExceeded(TransformError):
     pass
 
 
@@ -226,75 +223,74 @@ def _normalize_column(col: list[LaurentPoly], p: int) -> list[LaurentPoly]:
     return [_shift_scale(x, tuple(shift), scale) for x in col]
 
 
-def _solve_flat_frame(H: FlatSheaf, chart: str, bound: int) -> PolyMatrix | None:
-    """Unit-determinant matrix of flat columns within the exponent box, or None."""
-    atlas = H.atlas
-    p = atlas.ctx.p
-    vars = atlas.chart_vars(chart)
+def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
+    """First unit-determinant set of flat sections from Katz's projector, normalized.
+
+    With zero p-curvature, P_i = sum_{k<p} (-t_i)^k / k! * nabla_i^k maps every
+    section to a nabla_i-horizontal one and the P_i commute, so their product
+    projects onto the flat sections (Katz 1970, section 5).  It is applied to
+    the generators t^j e_k over the p-th powers, j in [0, p)^n in lex order,
+    then k; each new nonzero image is tried with every (r-1)-subset of the
+    earlier ones.
+    """
+    p = H.atlas.ctx.p
+    vars = H.atlas.chart_vars(chart)
     r = H.rank
-    monos = monomials_in_box(vars, bound)
-    unknowns = [(m, k) for m in monos for k in range(r)]
-    col_of = {u: i for i, u in enumerate(unknowns)}
-    system = SparseRows(p)
-    mats = H.conn[chart]
-    for ci, name in enumerate(vars.names):
-        A = mats[ci]
-        vi = vars.index(name)
-        for (m, k) in unknowns:
-            col = col_of[(m, k)]
-            if m[vi] != 0:  # derivative of the monomial
-                e = list(m)
-                e[vi] -= 1
-                system.add((ci, k, tuple(e)), col, m[vi] % p)
-            for l in range(r):
-                a = A.entries[l][k]
-                for exps_a, c_a in a.terms.items():
-                    e = tuple(x + y for x, y in zip(exps_a, m))
-                    system.add((ci, l, e), col, c_a)
+    inv_fact = [pow(math.factorial(m), p - 2, p) for m in range(p)]
 
-    basis = system.nullspace(len(unknowns))
-    if len(basis) < r:
-        return None
+    def projected(S: PolyMatrix, i: int):
+        """P_i ... P_n (t_i^j_i ... t_n^j_n S) for the j in lex order.
 
-    def column_of(vec) -> list[LaurentPoly]:
-        per_entry: list[dict[tuple[int, ...], int]] = [dict() for _ in range(r)]
-        for idx, coeff in enumerate(vec):
-            if coeff:
-                m, k = unknowns[idx]
-                per_entry[k][m] = int(coeff)
-        return [LaurentPoly(vars, p, t) for t in per_entry]
+        P_i commutes with t_l for l != i, and by Leibniz
+        P_i(t_i^a s) = sum_m c_am / m! * t_i^(a+m) * nabla_i^m s, where c_0m = (-1)^m
+        and c_am = binomial(a-1, p-1-m) for a > 0.
+        """
+        if i == vars.arity:
+            yield S
+            return
+        powers = [S]  # nabla_i^m S, until it vanishes
+        while len(powers) < p:
+            nxt = powers[-1].deriv(vars.names[i]) + H.conn[chart][i] @ powers[-1]
+            if nxt.is_zero():
+                break
+            powers.append(nxt)
+        for a in range(p):
+            acc = PolyMatrix.zero(r, r, vars, p)
+            for m, power in enumerate(powers):
+                c = (-1) ** m if a == 0 else math.comb(a - 1, p - 1 - m)
+                if c % p:
+                    exps = tuple(a + m if v == i else 0 for v in range(vars.arity))
+                    acc = acc + power.scale(LaurentPoly.monomial(vars, p, c * inv_fact[m], exps))
+            yield from projected(acc, i + 1)
 
-    columns = [column_of(v) for v in basis]
-    for combo in itertools.islice(itertools.combinations(range(len(columns)), r), 200000):
-        cand = PolyMatrix([[columns[c][k] for c in combo] for k in range(r)])
-        if cand.det().is_unit():
-            cols = [_normalize_column([cand.entries[k][j] for k in range(r)], p)
-                    for j in range(r)]
-            return PolyMatrix([[cols[j][k] for j in range(r)] for k in range(r)])
-    return None
+    images: list[list[LaurentPoly]] = []
+    for block in projected(PolyMatrix.identity(r, vars, p), 0):
+        for k in range(r):  # column k of block is the image of t^j e_k
+            col = [block.entries[l][k] for l in range(r)]
+            if all(x.is_zero() for x in col):
+                continue
+            for rest in itertools.combinations(images, r - 1):
+                cand = PolyMatrix([[c[l] for c in rest + (col,)] for l in range(r)])
+                if cand.det().is_unit():
+                    cols = [_normalize_column(c, p) for c in rest + (col,)]
+                    return PolyMatrix([[c[l] for c in cols] for l in range(r)])
+            images.append(col)
+    raise TransformError(
+        f"no unimodular flat frame on chart {chart!r}: no {r} projected generators "
+        "have a unit determinant"
+    )
 
 
-def flat_sections(H: FlatSheaf, degree_bound: int | None = None) -> DescentResult:
+def flat_sections(H: FlatSheaf) -> DescentResult:
     """Frames of flat sections plus the descended transition matrices."""
     atlas = H.atlas
     p = atlas.ctx.p
     psi = p_curvature(H)
     if not psi.is_zero():
         raise TransformError("flat-section descent requires zero p-curvature")
-    if degree_bound is None:
-        degree_bound = default_degree_bound(
-            H.rank, p, *H.conn.values(), H.transitions.values()
-        )
     frames: dict[str, PolyMatrix] = {}
     for chart in atlas.charts:
-        frame = _solve_flat_frame(H, chart, degree_bound)
-        if frame is None:
-            frame = _solve_flat_frame(H, chart, degree_bound + p)  # one escalation
-        if frame is None:
-            raise DegreeBoundExceeded(
-                f"no unimodular flat frame on chart {chart!r} within degree "
-                f"bound {degree_bound + p}"
-            )
+        frame = _solve_flat_frame(H, chart)
         vars = atlas.chart_vars(chart)
         for i, name in enumerate(vars.names):
             nabla = frame.deriv(name) + H.conn[chart][i] @ frame
@@ -333,11 +329,7 @@ def untwist(
     return _twist(H, psi.comps, lift_choice), psi
 
 
-def cartier(
-    H: FlatSheaf,
-    lift_choice: dict[str, int] | None = None,
-    degree_bound: int | None = None,
-) -> HiggsSheaf:
+def cartier(H: FlatSheaf, lift_choice: dict[str, int] | None = None) -> HiggsSheaf:
     """Untwist a nilpotent flat sheaf and descend along its flat sections."""
     atlas = H.atlas
     ctx = atlas.ctx
@@ -356,7 +348,7 @@ def cartier(
     if not glue.ok():
         raise TransformError("p-curvature does not commute with the twisted gluing")
 
-    descent = flat_sections(untwisted, degree_bound)
+    descent = flat_sections(untwisted)
     fields: dict[str, list[PolyMatrix]] = {}
     for chart_name, chart in atlas.charts.items():
         s = descent.frames[chart_name]
@@ -590,7 +582,7 @@ def roundtrip_check(
     report = Report()
     with timed() as t:
         H = inverse_cartier(E, lift_choice)
-        E_rt = cartier(H, lift_choice, degree_bound)
+        E_rt = cartier(H, lift_choice)
     target = E.negated()
     exact = E_rt == target
     report.add("round trip equals sign-flipped input exactly", exact, (), t.elapsed)

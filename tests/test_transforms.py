@@ -199,15 +199,11 @@ def test_flat_sections_rejects_nonzero_p_curvature():
         flat_sections(H)
 
 
-def test_flat_sections_degree_bound_escalates_once_then_fails():
-    from xcartier.transforms import DegreeBoundExceeded
-
+def test_flat_sections_frame_above_the_connection_degree():
     atlas = a1_atlas()
-    a = n12(T, 3).scale(LaurentPoly.parse("t^3", T, 3))  # frame needs degree 4
+    a = n12(T, 3).scale(LaurentPoly.parse("t^3", T, 3))  # frame has degree 4
     H = FlatSheaf(atlas, 2, {"A1": [a]})
-    with pytest.raises(DegreeBoundExceeded):
-        flat_sections(H, degree_bound=0)  # escalates to 3, still short
-    res = flat_sections(H, degree_bound=4)
+    res = flat_sections(H)
     expected = PolyMatrix.identity(2, T, 3) - n12(T, 3).scale(
         LaurentPoly.parse("t^4", T, 3)
     )
@@ -530,6 +526,11 @@ def test_roundtrip_exact_on_single_chart(name):
     rep, rt = roundtrip_check(scene.sheaf)
     assert rep.ok()
     assert rt == scene.sheaf.negated()
+
+
+def test_roundtrip_exact_on_the_plane_at_p23():
+    E = gallery("g6_a2_rank3", 23).sheaf
+    assert cartier(inverse_cartier(E)) == E.negated()
 
 
 def test_roundtrip_zero_field_is_fixed():
