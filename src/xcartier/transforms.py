@@ -19,10 +19,11 @@ by `p_curvature_sign`, not hard-coded.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .atlas import (
     jacobian_beta_in_alpha,
@@ -31,7 +32,7 @@ from .atlas import (
     pull_beta_function,
     zeta_form,
 )
-from .linalg import SparseRows
+from .linalg import nullspace_mod_p
 from .report import Report, timed
 from .ring import (
     LaurentPoly,
@@ -223,15 +224,77 @@ def _normalize_column(col: list[LaurentPoly], p: int) -> list[LaurentPoly]:
     return [_shift_scale(x, tuple(shift), scale) for x in col]
 
 
+def _coordinate(x: LaurentPoly, j: tuple[int, ...], p: int) -> dict[tuple[int, ...], int]:
+    """Terms of x with exponents congruent to j mod p: one coordinate over the p-th powers."""
+    return {e: c for e, c in x.terms.items() if tuple(a % p for a in e) == j}
+
+
+def _euclid(b: list[LaurentPoly], v: list[LaurentPoly], l: int, j: tuple[int, ...], p: int):
+    """Unimodular column operations over the p-th powers until coordinate (l, j) of v is 0.
+
+    Euclid by leading terms (graded lex on the exponents divided by p), after a
+    unit shift of the inverted variables to least exponent 0.  In one variable
+    one leading term always divides the other, so b ends with the gcd; in
+    several, None is returned when neither divides the other.
+    """
+    vars = b[0].vars
+
+    def shifted_lead(col):
+        terms = {tuple(a // p for a in e): c for e, c in _coordinate(col[l], j, p).items()}
+        shift = [
+            min(k[i] for k in terms) if vars.allows_negative(name) else 0
+            for i, name in enumerate(vars.names)
+        ]
+        k, c = max(terms.items(), key=lambda kc: (sum(kc[0]), kc[0]))
+        col = [_shift_scale(x, tuple(p * s for s in shift), 1) for x in col]
+        return col, [a - s for a, s in zip(k, shift)], c
+
+    while _coordinate(v[l], j, p):
+        (b, kb, cb), (v, kv, cv) = shifted_lead(b), shifted_lead(v)
+        if all(x >= y for x, y in zip(kv, kb)):
+            exps = [p * (x - y) for x, y in zip(kv, kb)]
+            q = LaurentPoly.monomial(vars, p, cv * pow(cb, p - 2, p), exps)
+            v = [x - q * y for x, y in zip(v, b)]
+        elif all(x <= y for x, y in zip(kv, kb)):
+            b, v = v, b
+        else:
+            return None
+    return b, v
+
+
+def _echelon_insert(echelon: dict, col: list[LaurentPoly], p: int) -> dict | None:
+    """Add col to a column echelon form over the p-th powers, keyed by lead coordinate.
+
+    The lead of a column is its first nonzero coordinate (row, exponent residue
+    mod p).  Returns None when a reduction needs a non-Euclidean step.
+    """
+    echelon = dict(echelon)
+    while any(not x.is_zero() for x in col):
+        l = next(l for l, x in enumerate(col) if not x.is_zero())
+        lead = (l, min(tuple(a % p for a in e) for e in col[l].terms))
+        if lead not in echelon:
+            echelon[lead] = col
+            break
+        step = _euclid(echelon[lead], col, *lead, p)
+        if step is None:
+            return None
+        echelon[lead], col = step
+    return echelon
+
+
 def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
-    """First unit-determinant set of flat sections from Katz's projector, normalized.
+    """A unit-determinant set of flat sections from Katz's projector, normalized.
 
     With zero p-curvature, P_i = sum_{k<p} (-t_i)^k / k! * nabla_i^k maps every
     section to a nabla_i-horizontal one and the P_i commute, so their product
-    projects onto the flat sections (Katz 1970, section 5).  It is applied to
-    the generators t^j e_k over the p-th powers, j in [0, p)^n in lex order,
-    then k; each new nonzero image is tried with every (r-1)-subset of the
-    earlier ones.
+    projects onto the flat sections (Katz 1970, section 5).  Its images of the
+    generators t^j e_k over the p-th powers (j in [0, p)^n in lex order, then k)
+    span the flat sections over the p-th powers.  The first r nonzero images
+    are the frame when their determinant is a unit.  Otherwise the images are
+    brought one by one into column echelon form over the p-th powers until
+    its r columns have a unit determinant, which always happens in one
+    variable; in several, an image whose reduction needs a non-Euclidean step
+    is skipped.
     """
     p = H.atlas.ctx.p
     vars = H.atlas.chart_vars(chart)
@@ -263,21 +326,26 @@ def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
                     acc = acc + power.scale(LaurentPoly.monomial(vars, p, c * inv_fact[m], exps))
             yield from projected(acc, i + 1)
 
-    images: list[list[LaurentPoly]] = []
+    def frame(cols):
+        if len(cols) == r and PolyMatrix([list(row) for row in zip(*cols)]).det().is_unit():
+            return PolyMatrix([list(row) for row in zip(*(_normalize_column(c, p) for c in cols))])
+        return None
+
+    first: list[list[LaurentPoly]] = []
+    echelon: dict[tuple, list[LaurentPoly]] = {}
     for block in projected(PolyMatrix.identity(r, vars, p), 0):
         for k in range(r):  # column k of block is the image of t^j e_k
             col = [block.entries[l][k] for l in range(r)]
-            if all(x.is_zero() for x in col):
-                continue
-            for rest in itertools.combinations(images, r - 1):
-                cand = PolyMatrix([[c[l] for c in rest + (col,)] for l in range(r)])
-                if cand.det().is_unit():
-                    cols = [_normalize_column(c, p) for c in rest + (col,)]
-                    return PolyMatrix([[c[l] for c in cols] for l in range(r)])
-            images.append(col)
+            if len(first) < r and any(not x.is_zero() for x in col):
+                first.append(col)
+                if found := frame(first):
+                    return found
+            echelon = _echelon_insert(echelon, col, p) or echelon
+            if found := frame([echelon[c] for c in sorted(echelon)]):
+                return found
     raise TransformError(
-        f"no unimodular flat frame on chart {chart!r}: no {r} projected generators "
-        "have a unit determinant"
+        f"no unimodular flat frame on chart {chart!r}: the column echelon form of the "
+        f"projected generators has no {r} columns with a unit determinant"
     )
 
 
@@ -407,74 +475,45 @@ def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
     mats1 = sheaf1.conn if flat else sheaf1.fields
     mats2 = sheaf2.conn if flat else sheaf2.fields
 
-    unknowns: list[tuple[str, tuple[int, ...], int, int]] = []
-    for chart in sorted(atlas.charts):
-        vars = atlas.chart_vars(chart)
-        for m in monomials_in_box(vars, bound):
-            for i in range(r):
-                for j in range(r):
-                    unknowns.append((chart, m, i, j))
-    col_of = {u: idx for idx, u in enumerate(unknowns)}
-    system = SparseRows(p)
+    unknowns = [
+        (chart, m, i, j)
+        for chart in sorted(atlas.charts)
+        for m in monomials_in_box(atlas.chart_vars(chart), bound)
+        for i in range(r)
+        for j in range(r)
+    ]
+    rows: dict[tuple, dict[int, int]] = {}  # one row per sortable label
 
     def add_matrix_terms(key_prefix, mat: PolyMatrix, col):
         for a in range(mat.rows):
             for b in range(mat.cols):
                 for exps, c in mat.entries[a][b].terms.items():
-                    system.add(key_prefix + (a, b, exps), col, c)
+                    row = rows.setdefault(key_prefix + (a, b, exps), {})
+                    row[col] = (row.get(col, 0) + c) % p
 
-    for chart in sorted(atlas.charts):
+    for col, (chart, m, i, j) in enumerate(unknowns):
         vars = atlas.chart_vars(chart)
-        for m in monomials_in_box(vars, bound):
-            for i in range(r):
-                for j in range(r):
-                    col = col_of[(chart, m, i, j)]
-                    basis = PolyMatrix.zero(r, r, vars, p)
-                    entries = [list(row) for row in basis.entries]
-                    entries[i][j] = LaurentPoly.monomial(vars, p, 1, m)
-                    basis = PolyMatrix(entries)
-                    for k, name in enumerate(vars.names):
-                        res = basis @ mats1[chart][k] - mats2[chart][k] @ basis
-                        if flat:
-                            res = res - basis.deriv(name)
-                        add_matrix_terms(("chart", chart, k), res, col)
-    for pair, ov in atlas.overlaps.items():
-        t1, t2 = sheaf1.transitions[pair], sheaf2.transitions[pair]
-        for m in monomials_in_box(atlas.chart_vars(ov.alpha), bound):
-            for i in range(r):
-                for j in range(r):
-                    col = col_of[(ov.alpha, m, i, j)]
-                    mono = LaurentPoly.monomial(
-                        atlas.chart_vars(ov.alpha), p, 1, m
-                    ).extend_vars(ov.alpha_vars)
-                    entries = [
-                        [
-                            mono if (a, b) == (i, j)
-                            else LaurentPoly.zero(ov.alpha_vars, p)
-                            for b in range(r)
-                        ]
-                        for a in range(r)
-                    ]
-                    basis = PolyMatrix(entries)
-                    add_matrix_terms(("overlap", pair), -(t2 @ basis), col)
-        for m in monomials_in_box(atlas.chart_vars(ov.beta), bound):
-            for i in range(r):
-                for j in range(r):
-                    col = col_of[(ov.beta, m, i, j)]
-                    mono = LaurentPoly.monomial(atlas.chart_vars(ov.beta), p, 1, m)
-                    pulled = pull_beta_function(ov, mono)
-                    entries = [
-                        [
-                            pulled if (a, b) == (i, j)
-                            else LaurentPoly.zero(ov.alpha_vars, p)
-                            for b in range(r)
-                        ]
-                        for a in range(r)
-                    ]
-                    basis = PolyMatrix(entries)
-                    add_matrix_terms(("overlap", pair), basis @ t1, col)
+        mono, zero = LaurentPoly.monomial(vars, p, 1, m), LaurentPoly.zero(vars, p)
+        basis = PolyMatrix([[mono if (a, b) == (i, j) else zero for b in range(r)] for a in range(r)])
+        for k, name in enumerate(vars.names):
+            res = basis @ mats1[chart][k] - mats2[chart][k] @ basis
+            if flat:
+                res = res - basis.deriv(name)
+            add_matrix_terms(("chart", chart, k), res, col)
+        for pair, ov in atlas.overlaps.items():
+            if chart == ov.alpha:
+                g_a = basis.extend_vars(ov.alpha_vars)
+                add_matrix_terms(("overlap", pair), -(sheaf2.transitions[pair] @ g_a), col)
+            if chart == ov.beta:
+                g_b = basis.map_entries(lambda f: pull_beta_function(ov, f))
+                add_matrix_terms(("overlap", pair), g_b @ sheaf1.transitions[pair], col)
 
-    basis_vecs = system.nullspace(len(unknowns))
+    # rows in sorted label order; the nullspace basis does not depend on it
+    system = np.zeros((max(len(rows), 1), len(unknowns)), dtype=np.int64)
+    for ri, label in enumerate(sorted(rows)):
+        for col, coeff in rows[label].items():
+            system[ri, col] = coeff
+    basis_vecs = nullspace_mod_p(system, p)
 
     def vec_to_gauges(vec) -> dict[str, PolyMatrix]:
         out = {}

@@ -210,6 +210,43 @@ def test_flat_sections_frame_above_the_connection_degree():
     assert res.frames["A1"] == expected
 
 
+@pytest.mark.parametrize(
+    "names, inverted", [(["t"], []), (["t"], ["t"]), (["t", "u"], [])]
+)
+def test_flat_sections_frame_outside_the_projected_generators(names, inverted):
+    # connection with flat frame F, F^-1 = [[1 + t^3, t^2], [t, 1]] at p=3: the
+    # projected generators span the flat sections over the p-th powers, but off
+    # the torus no two of them have a unit determinant; the frame comes from
+    # their echelon form
+    vars = VarSpec.make(names, inverted)
+    ctx = PrimeContext(3)
+    atlas = Atlas(ctx)
+    atlas.add_chart("C", vars)
+    atlas.add_lift(FrobLift("C", {n: LaurentPoly.var(vars, ctx.p2, n, 3) for n in names}))
+    atlas.validate()
+    inv = PolyMatrix(
+        [[LaurentPoly.parse(x, vars, 3) for x in row] for row in [["1 + t^3", "t^2"], ["t", "1"]]]
+    )
+    frame = inv.inverse_unit_det()
+    H = FlatSheaf(atlas, 2, {"C": [-(frame.deriv(n) @ inv) for n in names]})
+    expected = PolyMatrix(
+        [[LaurentPoly.parse(x, vars, 3) for x in row] for row in [["1", "-t^2"], ["-t", "1 + t^3"]]]
+    )
+    assert flat_sections(H).frames["C"] == expected
+    assert cartier(H).is_zero_field()
+
+
+def test_echelon_step_needs_comparable_leading_monomials():
+    vars = VarSpec.make(["t", "u"])
+    t3, u3 = (LaurentPoly.var(vars, 3, n, 3) for n in ("t", "u"))
+    lead = (0, (0, 0))
+    # one variable's worth of Euclid: t^3 and t^3 + 1 reduce to the unit 1
+    one_var = transforms._echelon_insert({lead: [t3]}, [t3 + LaurentPoly.one(vars, 3)], 3)
+    assert [c[0] for c in one_var.values()] == [LaurentPoly.one(vars, 3)]
+    # t^3 and u^3: neither leading monomial divides the other
+    assert transforms._echelon_insert({lead: [t3]}, [u3], 3) is None
+
+
 def test_cartier_rejects_p_curvature_exponent_above_bound():
     atlas = a1_atlas()
     m = PolyMatrix.from_int_rows(
