@@ -46,9 +46,11 @@ from .transforms import (
     TransformError,
     canonical_connection,
     cartier,
+    descend,
     flat_sections,
     gauge_compare,
     inverse_cartier,
+    lift_change_gauge,
     p_curvature_sign,
     roundtrip_check,
     untwist,

@@ -28,13 +28,14 @@ from .sheaves import (
     p_curvature,
 )
 from .transforms import (
-    cartier,
+    descend,
     flat_sections,
-    gauge_compare,
     inverse_cartier,
+    lift_change_gauge,
     p_curvature_sign,
     roundtrip_check,
     untwist,
+    verify_gauge_witness,
 )
 
 
@@ -195,7 +196,7 @@ def criterion_4() -> Report:
         glue = check_field_gluing(flat.atlas, psi.comps, untwisted.transitions, jacobians)
         report.add(f"c4: p-curvature commutes with the twisted gluing on {name}", glue.ok())
         with timed() as t:
-            cartier(flat)  # raises unless check_higgs, with its exponent bound, passes
+            descend(untwisted, psi)  # raises unless check_higgs, with its exponent bound, passes
         report.add(f"c4: descended sheaf passes all checks on {name}", True, (), t.elapsed)
     return report
 
@@ -314,18 +315,19 @@ def criterion_9(primes=(3, 5, 7, 11, 13)) -> Report:
 
 
 def criterion_10(primes=(3, 5)) -> Report:
-    """Different liftings give gauge-isomorphic forward transforms."""
+    """Different liftings give forward transforms glued by the homotopy exponential."""
     report = Report()
     for p in primes:
         scene = gallery("g2_a1_rank2", p)
+        first, second = {"A1": 0}, {"A1": 1}
         with timed() as t:
-            h_first = inverse_cartier(scene.sheaf, {"A1": 0})
-            h_second = inverse_cartier(scene.sheaf, {"A1": 1})
-            witness = gauge_compare(h_first, h_second, flat=True)
+            gauges = lift_change_gauge(scene.sheaf, first, second)
+            ok = verify_gauge_witness(inverse_cartier(scene.sheaf, first),
+                                      inverse_cartier(scene.sheaf, second), gauges, flat=True)
         report.add(
             f"c10: forward transforms under the two liftings are gauge-isomorphic (p={p})",
-            witness is not None,
-            () if witness else ("no unit-determinant intertwiner found",),
+            ok,
+            () if ok else ("the homotopy exponential is not an intertwiner",),
             t.elapsed,
         )
     return report

@@ -74,8 +74,6 @@ def _parser() -> argparse.ArgumentParser:
     c = common(sub.add_parser("icartier", help="inverse transform of a Higgs scene"), scene=True)
     c = common(sub.add_parser("cartier", help="transform of a flat scene"), scene=True)
     c = common(sub.add_parser("roundtrip", help="compose both transforms and compare"), scene=True)
-    c.add_argument("--degree-bound", type=int, default=None)
-    c.add_argument("--seed", type=int, default=0)
     c = common(sub.add_parser("fk", help="symmetrized tuple-sum vanishing"))
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--k", type=int, default=None, help="restrict to one k")
@@ -142,9 +140,7 @@ def run_cli(argv: list[str]) -> int:
             if not isinstance(scene.sheaf, HiggsSheaf):
                 print("roundtrip needs a scene with a Higgs sheaf", file=sys.stderr)
                 return USAGE_ERROR
-            report, result = roundtrip_check(
-                scene.sheaf, degree_bound=args.degree_bound, seed=args.seed
-            )
+            report, result = roundtrip_check(scene.sheaf)
             out_scene = Scene(scene.ctx, scene.atlas, result,
                               {**scene.metadata, "derived": "roundtrip"})
             return _emit_report(report, args, extra_text=emit_scene(out_scene))

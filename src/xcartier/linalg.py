@@ -1,57 +1,47 @@
-"""Exact dense linear algebra over F_p (nullspace via reduced row echelon).
+"""Exact sparse linear algebra over F_p (nullspace via reduced row echelon).
 
-The elimination runs on int64 numpy arrays with masked row updates.  All
-arithmetic stays exact (entries < p**2 fit comfortably in int64).  The gauge
-search is the only caller.
+Rows are `{column: coefficient}` dicts, eliminated in pure Python, so only
+nonzero entries are stored and touched.  The reduced row echelon form of a
+row space is unique, so the basis does not depend on the order of the rows.
+The gauge search is the only caller.
 """
 
 from __future__ import annotations
 
-import numpy as np
+
+def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> None:
+    """row -= f * other in place, dropping the entries that become zero."""
+    for k, v in other.items():
+        x = (row.get(k, 0) - f * v) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
 
 
-def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (rref, pivot_columns)."""
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+def nullspace_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
+    """Deterministic nullspace basis mod p, one sparse vector per free column.
+
+    The vector of free column f has 1 at f and minus the reduced row echelon
+    entries of column f at the pivot columns; the vectors come in increasing f.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> row: 1 there, 0 at other pivots
+    for given in rows:
+        row = {c: v % p for c, v in given.items() if v % p}
+        for c in [c for c in row if c in pivots]:  # subtracting one leaves the others
+            _subtract(row, row[c], pivots[c], p)
+        if not row:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def nullspace_mod_p(matrix: np.ndarray, p: int) -> list[np.ndarray]:
-    """Deterministic nullspace basis mod p, one vector per free column."""
-    a = np.asarray(matrix, dtype=np.int64)
-    if a.size == 0:
-        cols = a.shape[1] if a.ndim == 2 else 0
-        return [np.eye(cols, dtype=np.int64)[i] for i in range(cols)]
-    rref, pivots = rref_mod_p(a, p)
-    cols = a.shape[1]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for row, c in enumerate(pivots):
-            v[c] = (-rref[row, f]) % p
-        basis.append(v)
-    return basis
-
+        c = min(row)  # the leading column, so the rows stay in reduced echelon form
+        inv = pow(row[c], p - 2, p)
+        row = {k: v * inv % p for k, v in row.items()}
+        for other in pivots.values():
+            if c in other:
+                _subtract(other, other[c], row, p)
+        pivots[c] = row
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = -v % p
+    return [basis[f] for f in sorted(basis)]

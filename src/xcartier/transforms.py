@@ -20,10 +20,7 @@ by `p_curvature_sign`, not hard-coded.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .atlas import (
     jacobian_beta_in_alpha,
@@ -128,13 +125,21 @@ def _twist(
     for pair, ov in atlas.overlaps.items():
         img_a = lift_on_overlap(atlas, ov, atlas.lift_for(ov.alpha, lift_choice))
         img_b = lift_on_overlap(atlas, ov, atlas.lift_for(ov.beta, lift_choice))
-        exponent = PolyMatrix.zero(H0.rank, H0.rank, ov.alpha_vars, ctx.p)
-        for j, u in enumerate(ov.alpha_vars.names):
-            h = h_pair(ov.alpha_vars, img_a, img_b, u)
-            if not h.is_zero():
-                exponent = exponent + phi[ov.alpha][j].extend_vars(ov.alpha_vars).scale(h)
-        transitions[pair] = H0.transitions[pair] @ trunc_exp(exponent, ctx)
+        transitions[pair] = H0.transitions[pair] @ _homotopy_exp(
+            ov.alpha_vars, img_a, img_b, phi[ov.alpha], ctx
+        )
     return FlatSheaf(atlas, H0.rank, conn, transitions)
+
+
+def _homotopy_exp(vars: VarSpec, images_a, images_b, phi: list[PolyMatrix], ctx) -> PolyMatrix:
+    """trunc_exp(sum_j h_ab(dt_j) * phi_j) on the coordinates vars, h_ab = (F_a - F_b)/p."""
+    r = phi[0].rows
+    exponent = PolyMatrix.zero(r, r, vars, ctx.p)
+    for j, u in enumerate(vars.names):
+        h = h_pair(vars, images_a, images_b, u)
+        if not h.is_zero():
+            exponent = exponent + phi[j].extend_vars(vars).scale(h)
+    return trunc_exp(exponent, ctx)
 
 
 def inverse_cartier(E: HiggsSheaf, lift_choice: dict[str, int] | None = None) -> FlatSheaf:
@@ -152,6 +157,28 @@ def inverse_cartier(E: HiggsSheaf, lift_choice: dict[str, int] | None = None) ->
     H0 = canonical_connection(HiggsSheaf(E.atlas, E.rank, zero, E.transitions))
     phi = {chart: [m.frobenius() for m in mats] for chart, mats in E.fields.items()}
     return _twist(H0, phi, lift_choice)
+
+
+def lift_change_gauge(
+    E: HiggsSheaf, choice_a: dict[str, int], choice_b: dict[str, int]
+) -> dict[str, PolyMatrix]:
+    """Per chart, trunc_exp(sum_j h_ab(dt_j) * F*theta_j) for the chosen liftings a and b.
+
+    This is the Deligne-Illusie gauge from inverse_cartier(E, choice_a) to
+    inverse_cartier(E, choice_b), in the sense of `verify_gauge_witness(...,
+    flat=True)`.
+    """
+    atlas = E.atlas
+    return {
+        chart: _homotopy_exp(
+            atlas.chart_vars(chart),
+            atlas.lift_for(chart, choice_a).images,
+            atlas.lift_for(chart, choice_b).images,
+            [m.frobenius() for m in mats],
+            atlas.ctx,
+        )
+        for chart, mats in E.fields.items()
+    }
 
 
 def p_curvature_sign(E: HiggsSheaf, psi: PCurvature) -> int | None:
@@ -399,9 +426,13 @@ def untwist(
 
 def cartier(H: FlatSheaf, lift_choice: dict[str, int] | None = None) -> HiggsSheaf:
     """Untwist a nilpotent flat sheaf and descend along its flat sections."""
-    atlas = H.atlas
+    return descend(*untwist(H, lift_choice))
+
+
+def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
+    """The Higgs sheaf of psi in the flat frames of `untwist`'s output."""
+    atlas = untwisted.atlas
     ctx = atlas.ctx
-    untwisted, psi = untwist(H, lift_choice)
     inner = check_flat(untwisted)
     if not inner.ok():
         raise TransformError(
@@ -425,7 +456,7 @@ def cartier(H: FlatSheaf, lift_choice: dict[str, int] | None = None) -> HiggsShe
             relabel_matrix(s_inv @ psi.comps[chart_name][j] @ s, ctx.p)
             for j in range(chart.vars.arity)
         ]
-    out = HiggsSheaf(atlas, H.rank, fields, descent.transitions)
+    out = HiggsSheaf(atlas, untwisted.rank, fields, descent.transitions)
     out_rep = check_higgs(out)
     if not out_rep.ok():
         raise TransformError(
@@ -468,7 +499,7 @@ def verify_gauge_witness(sheaf1, sheaf2, gauges: dict[str, PolyMatrix], flat: bo
 
 
 def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
-    """Nullspace basis of the intertwining constraints, as per-chart matrices."""
+    """The unknowns (chart, exponent, i, j) and the nullspace of the intertwining constraints."""
     atlas = sheaf1.atlas
     p = atlas.ctx.p
     r = sheaf1.rank
@@ -482,7 +513,7 @@ def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
         for i in range(r)
         for j in range(r)
     ]
-    rows: dict[tuple, dict[int, int]] = {}  # one row per sortable label
+    rows: dict[tuple, dict[int, int]] = {}  # one row per (block, entry, exponent)
 
     def add_matrix_terms(key_prefix, mat: PolyMatrix, col):
         for a in range(mat.rows):
@@ -508,53 +539,37 @@ def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
                 g_b = basis.map_entries(lambda f: pull_beta_function(ov, f))
                 add_matrix_terms(("overlap", pair), g_b @ sheaf1.transitions[pair], col)
 
-    # rows in sorted label order; the nullspace basis does not depend on it
-    system = np.zeros((max(len(rows), 1), len(unknowns)), dtype=np.int64)
-    for ri, label in enumerate(sorted(rows)):
-        for col, coeff in rows[label].items():
-            system[ri, col] = coeff
-    basis_vecs = nullspace_mod_p(system, p)
-
-    def vec_to_gauges(vec) -> dict[str, PolyMatrix]:
-        out = {}
-        for chart in sorted(atlas.charts):
-            vars = atlas.chart_vars(chart)
-            terms: list[list[dict]] = [[dict() for _ in range(r)] for _ in range(r)]
-            for idx, coeff in enumerate(vec):
-                if coeff:
-                    c_chart, m, i, j = unknowns[idx]
-                    if c_chart == chart:
-                        terms[i][j][m] = int(coeff)
-            out[chart] = PolyMatrix(
-                [[LaurentPoly(vars, p, terms[i][j]) for j in range(r)] for i in range(r)]
-            )
-        return out
-
-    return [vec_to_gauges(v) for v in basis_vecs]
+    return unknowns, nullspace_mod_p(list(rows.values()), len(unknowns), p)
 
 
-def _combine(gauge_basis, coeffs, atlas, r):
-    p = atlas.ctx.p
-    out = {}
-    for chart in sorted(atlas.charts):
-        vars = atlas.chart_vars(chart)
-        acc = PolyMatrix.zero(r, r, vars, p)
-        for c, gb in zip(coeffs, gauge_basis):
-            if c:
-                acc = acc + gb[chart].scale(c)
-        out[chart] = acc
-    return out
+def _combine(basis, coeffs, unknowns, atlas, r) -> dict[str, PolyMatrix]:
+    """The per-chart gauge matrices of sum_k coeffs[k] * basis[k]."""
+    cells = {c: [[{} for _ in range(r)] for _ in range(r)] for c in sorted(atlas.charts)}
+    for c, vec in zip(coeffs, basis):
+        if c:
+            for idx, v in vec.items():
+                chart, m, i, j = unknowns[idx]
+                cell = cells[chart][i][j]
+                cell[m] = cell.get(m, 0) + c * v
+    return {
+        chart: PolyMatrix([
+            [LaurentPoly(atlas.chart_vars(chart), atlas.ctx.p, cell) for cell in row]
+            for row in rows
+        ])
+        for chart, rows in cells.items()
+    }
 
 
-def gauge_compare(
-    sheaf1,
-    sheaf2,
-    degree_bound: int | None = None,
-    seed: int = 0,
-    trials: int = 500,
-    flat: bool = False,
-) -> GaugeWitness | None:
-    """Search for a unit-determinant intertwiner; None means inconclusive."""
+def gauge_compare(sheaf1, sheaf2, flat: bool = False) -> GaugeWitness | None:
+    """Search for a unit-determinant intertwiner, graded by degree.
+
+    After the identity, the intertwining constraints are solved for entries
+    of degree at most 0, 1, 2, 4, ... up to `default_degree_bound`, and every
+    nonempty solution space is enumerated, one combination per scalar class.
+    None means that no witness was found below the enumeration cap: the
+    search stops at the first solution space with more than 200 000
+    combinations.
+    """
     atlas = sheaf1.atlas
     p = atlas.ctx.p
     if sheaf1.rank != sheaf2.rank:
@@ -565,74 +580,41 @@ def gauge_compare(
         return GaugeWitness(identity)
     mats1 = sheaf1.conn if flat else sheaf1.fields
     mats2 = sheaf2.conn if flat else sheaf2.fields
-    if degree_bound is None:
-        degree_bound = default_degree_bound(
-            r, p, *mats1.values(), *mats2.values(),
-            sheaf1.transitions.values(), sheaf2.transitions.values(),
-        )
-    basis = _gauge_solution_space(sheaf1, sheaf2, degree_bound, flat)
-    dim = len(basis)
-    if dim == 0:
-        return None
-
-    def try_candidate(coeffs) -> GaugeWitness | None:
-        gauges = _combine(basis, coeffs, atlas, r)
-        if all(g.det().is_unit() for g in gauges.values()):
-            if verify_gauge_witness(sheaf1, sheaf2, gauges, flat):
-                return GaugeWitness(gauges)
-        return None
-
-    total = p ** dim
-    if total <= 200_000:
+    top = default_degree_bound(
+        r, p, *mats1.values(), *mats2.values(),
+        sheaf1.transitions.values(), sheaf2.transitions.values(),
+    )
+    bound = 0
+    while True:
+        unknowns, basis = _gauge_solution_space(sheaf1, sheaf2, bound, flat)
+        total = p ** len(basis)
+        if total > 200_000:
+            return None
         for n in range(1, total):
             coeffs = []
             x = n
-            for _ in range(dim):
+            for _ in basis:
                 coeffs.append(x % p)
                 x //= p
-            first = next(c for c in coeffs if c)
-            if first != 1:  # one representative per scalar class
+            if next(c for c in coeffs if c) != 1:  # one representative per scalar class
                 continue
-            found = try_candidate(tuple(coeffs))
-            if found:
-                return found
-        return None
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = tuple(rng.randrange(p) for _ in range(dim))
-        if not any(coeffs):
-            continue
-        found = try_candidate(coeffs)
-        if found:
-            return found
-    return None
+            gauges = _combine(basis, coeffs, unknowns, atlas, r)
+            if verify_gauge_witness(sheaf1, sheaf2, gauges, flat):  # checks unit determinants first
+                return GaugeWitness(gauges)
+        if bound >= top:
+            return None
+        bound = min(2 * bound or 1, top)
 
 
 # ---------- round trip ----------
 
 
 def roundtrip_check(
-    E: HiggsSheaf,
-    lift_choice: dict[str, int] | None = None,
-    degree_bound: int | None = None,
-    seed: int = 0,
+    E: HiggsSheaf, lift_choice: dict[str, int] | None = None
 ) -> tuple[Report, HiggsSheaf]:
-    """Compose the two functors and compare against the sign-flipped input."""
+    """Compose the two functors and compare exactly against the sign-flipped input."""
     report = Report()
     with timed() as t:
-        H = inverse_cartier(E, lift_choice)
-        E_rt = cartier(H, lift_choice)
-    target = E.negated()
-    exact = E_rt == target
-    report.add("round trip equals sign-flipped input exactly", exact, (), t.elapsed)
-    if not exact:
-        with timed() as t:
-            witness = gauge_compare(E_rt, target, degree_bound=degree_bound, seed=seed)
-        report.entries.pop()  # exactness failed; replace by the gauge check
-        report.add(
-            "round trip gauge-isomorphic to sign-flipped input",
-            witness is not None,
-            () if witness else ("no unit-determinant intertwiner found",),
-            t.elapsed,
-        )
+        E_rt = cartier(inverse_cartier(E, lift_choice), lift_choice)
+    report.add("round trip equals sign-flipped input exactly", E_rt == E.negated(), (), t.elapsed)
     return report, E_rt

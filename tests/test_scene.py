@@ -111,13 +111,16 @@ def test_cli_roundtrip_emits_negated_scene(tmp_path, capsys):
     assert "[PASS] round trip equals sign-flipped input exactly" in out
 
 
-def test_cli_degree_bound_only_on_roundtrip(tmp_path, capsys):
+def test_cli_has_no_degree_bound(tmp_path, capsys):
     g2 = write_scene(tmp_path, "g2_a1_rank2")
     flat_path = str(tmp_path / "flat.json")
     assert run_cli(["icartier", "--scene", g2, "--out", flat_path]) == 0
     assert run_cli(["cartier", "--scene", flat_path, "--degree-bound", "3"]) == 2
     assert "--degree-bound" in capsys.readouterr().err
-    assert run_cli(["roundtrip", "--scene", g2, "--degree-bound", "3"]) == 0
+    assert run_cli(["roundtrip", "--scene", g2, "--degree-bound", "3"]) == 2
+    assert "--degree-bound" in capsys.readouterr().err
+    assert run_cli(["roundtrip", "--scene", g2, "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_pcurv(tmp_path, capsys):

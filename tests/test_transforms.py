@@ -1,6 +1,6 @@
 import pytest
 
-from xcartier import sheaves, transforms
+from xcartier import acceptance, sheaves, transforms
 from xcartier.atlas import Atlas, FrobLift, h_pair
 from xcartier.gallery import GALLERY_NAMES, gallery
 from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, trunc_exp
@@ -19,9 +19,11 @@ from xcartier.transforms import (
     flat_sections,
     gauge_compare,
     inverse_cartier,
+    lift_change_gauge,
     p_curvature_sign,
     roundtrip_check,
     untwist,
+    verify_gauge_witness,
 )
 
 T = VarSpec.make(["t"])
@@ -332,15 +334,15 @@ def test_untwist_undoes_the_forward_twist(name, p, lift):
 
 
 def count_calls(monkeypatch, name):
-    """Record the calls to a sheaves function, under every name the library uses."""
-    original = getattr(sheaves, name)
+    """Record the calls to a library function, under every name the library uses."""
+    original = getattr(sheaves, name, None) or getattr(transforms, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (sheaves, transforms):
+    for module in (sheaves, transforms, acceptance):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -358,6 +360,16 @@ def test_transforms_check_each_invariant_once(monkeypatch, name):
     assert len(curvatures) == 2
 
 
+def test_criterion_4_untwists_each_sheaf_once(monkeypatch):
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("untwist", "p_curvature", "check_flat")}
+    assert acceptance.criterion_4().ok()
+    # 7 jobs: one untwist, p-curvature of the input, of the untwisted sheaf in the
+    # criterion and again in flat_sections, and check_flat of the input and the untwisted sheaf
+    assert {name: len(c) for name, c in calls.items()} == {
+        "untwist": 7, "p_curvature": 21, "check_flat": 14}
+
+
 # ------------------------------------------------------- gauge comparison
 
 
@@ -369,14 +381,16 @@ def test_gauge_compare_equal_inputs_identity():
 
 
 def test_gauge_compare_sign_flip():
-    atlas = a1_atlas()
-    E1 = HiggsSheaf(atlas, 2, {"A1": [n12(T, 3)]})
-    E2 = E1.negated()
-    w = gauge_compare(E1, E2)
-    assert w is not None
-    g = w.gauges["A1"]
-    # conjugation by any witness must negate N; diag(1,-1) is the canonical one
-    assert g @ E1.fields["A1"][0] == E2.fields["A1"][0] @ g
+    # diag(1, -1, ...) is a witness on each; at the default degree bound the solution
+    # spaces of g2 at p >= 5 and of g6 are too large to enumerate
+    cases = [HiggsSheaf(a1_atlas(), 2, {"A1": [n12(T, 3)]})]
+    cases += [gallery("g2_a1_rank2", p).sheaf for p in (3, 5, 7)]
+    cases.append(gallery("g6_a2_rank3", 3).sheaf)
+    for E1 in cases:
+        E2 = E1.negated()
+        w = gauge_compare(E1, E2)
+        assert w is not None
+        assert verify_gauge_witness(E1, E2, w.gauges, flat=False)
 
 
 def test_gauge_compare_distinguishes_exponents():
@@ -407,6 +421,19 @@ def test_gauge_compare_finds_witness_across_charts():
     assert w is not None
     from xcartier.transforms import verify_gauge_witness
     assert verify_gauge_witness(E, E2, w.gauges, flat=False)
+
+
+@pytest.mark.parametrize("name", ["g2_a1_rank2", "g3_a1_three_lifts"])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_lift_change_gauge_is_a_witness(name, p):
+    E = gallery(name, p).sheaf
+    lifts = range(len(E.atlas.lifts["A1"]))
+    pairs = [({"A1": a}, {"A1": b}) for a in lifts for b in lifts if a < b]
+    assert pairs
+    for a, b in pairs:
+        H_a, H_b = inverse_cartier(E, a), inverse_cartier(E, b)
+        assert verify_gauge_witness(H_a, H_b, lift_change_gauge(E, a, b), flat=True)
+        assert not verify_gauge_witness(H_a, H_b, lift_change_gauge(E, b, a), flat=True)
 
 
 def test_gauge_compare_flat_variant_lift_independence():
@@ -581,5 +608,4 @@ def test_roundtrip_p1():
     scene = gallery("g5_p1_uniformizing", 3)
     rep, rt = roundtrip_check(scene.sheaf)
     assert rep.ok()
-    witness = gauge_compare(rt, scene.sheaf.negated())
-    assert witness is not None
+    assert rt == scene.sheaf.negated()
