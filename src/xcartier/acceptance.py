@@ -193,7 +193,9 @@ def criterion_4() -> Report:
         jacobians = {
             pair: jacobian_beta_in_alpha(ov).frobenius() for pair, ov in flat.atlas.overlaps.items()
         }
-        glue = check_field_gluing(flat.atlas, psi.comps, untwisted.transitions, jacobians)
+        glue = check_field_gluing(
+            flat.atlas, psi.comps, untwisted.transitions, jacobians, flat=False
+        )
         report.add(f"c4: p-curvature commutes with the twisted gluing on {name}", glue.ok())
         with timed() as t:
             descend(untwisted, psi)  # raises unless check_higgs, with its exponent bound, passes

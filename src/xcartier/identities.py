@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .atlas import Atlas, FrobLift
 from .report import Report, timed
 from .ring import (
     LaurentPoly,
@@ -30,6 +31,7 @@ from .ring import (
     VarSpec,
     trunc_exp,
 )
+from .sheaves import FlatSheaf, nilpotency_exponent, p_curvature
 
 MAX_K = 8  # k! symmetrization guard
 
@@ -129,12 +131,8 @@ def taylor_cocycle_identity(
         if not a.commutator(b).is_zero():
             raise RingError("matrices do not commute")
     n = nilpotents[0].rows
-    for combo in itertools.combinations_with_replacement(range(len(nilpotents)), p - 1):
-        prod = nilpotents[combo[0]]
-        for k in combo[1:]:
-            prod = prod @ nilpotents[k]
-        if not prod.is_zero():
-            raise RingError(f"matrices are not jointly nilpotent of exponent <= {p - 1}")
+    if nilpotency_exponent(nilpotents, p - 1) is None:
+        raise RingError(f"matrices are not jointly nilpotent of exponent <= {p - 1}")
     total = PolyMatrix.zero(n, n, nilpotents[0].vars, p)
     for nl, z in zip(nilpotents, functions):
         total = total + nl.scale(z)
@@ -215,9 +213,6 @@ def wilson_unit_check(p: int) -> Report:
     # the model pairing a function part with a pulled-back form part: with the
     # standard lifting t -> t^p the connection matrix is t^(p-1) * E_12 and
     # p-fold application must return -E_12.
-    from .sheaves import FlatSheaf, p_curvature
-    from .atlas import Atlas, FrobLift
-
     atlas = Atlas(ctx)
     atlas.add_chart("A1", vars)
     atlas.add_lift(FrobLift("A1", {"t": LaurentPoly.var(vars, ctx.p2, "t", p)}))

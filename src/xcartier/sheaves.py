@@ -1,19 +1,25 @@
 """Higgs sheaves and flat sheaves as chart-local free modules with transitions.
 
-Conventions (these fix every sign below):
+Both are lambda-connections (Ogus-Vologodsky): one matrix A_i per coordinate
+dt_i.  A Higgs field is a 0-connection, a connection d + A a 1-connection,
+and the p-curvature psi (one matrix per pulled-back basis element F*dt_i,
+computed by p-fold application of d/dt_i + A_i to the identity frame) a
+0-connection on the Frobenius pullback.  `flat` is lambda throughout.
 
-  * sections are column vectors; across an overlap (alpha, beta) the
-    components transform by  x_beta = T @ x_alpha  with T the stored
-    transition matrix (unit determinant, entries in alpha-side overlap
-    coordinates);
-  * a connection is  d + A  with one matrix A_i per coordinate dt_i; the
-    gauge rule across an overlap is  A_beta = T A_alpha T^-1 - (dT) T^-1;
-  * a Higgs field has one matrix Theta_i per dt_i and transforms by plain
-    conjugation together with the Jacobian of the coordinate change;
-  * the p-curvature of d + A has one matrix Psi_i per pulled-back basis
-    element F*dt_i, computed by p-fold application of d/dt_i + A_i to the
-    identity frame; it transforms by conjugation with the Frobenius power
-    of the Jacobian on the form index.
+Integrability, flatness and the commutativity of psi are the vanishing of
+the curvature  lambda (d_i A_j - d_j A_i) + [A_i, A_j]  (`curvature`).
+Everything else is the vanishing of the intertwining residual
+
+    R_lambda(g; A, B)_i = g A_i - B_i g - lambda d_i g    (`intertwining_residuals`),
+
+which for unit-determinant g means  g A g^-1 - lambda (dg) g^-1 = B:
+
+  * gluing: sections are column vectors with  x_beta = T x_alpha  for the
+    stored transition T (unit determinant, entries in alpha-side overlap
+    coordinates), and R(T; A_alpha, sum_j J[j][i] A_beta,j) = 0 with J the
+    Jacobian of the coordinate change (its Frobenius pullback for psi);
+  * gauge: R(g; A, B) = 0 on every chart;
+  * flat frame: R_1(S; 0, A) = 0;  horizontality of psi: R_1(psi_i; A, A) = 0.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .atlas import Atlas, Overlap, jacobian_beta_in_alpha, pull_beta_function
+from .atlas import Atlas, jacobian_beta_in_alpha, pull_beta_function
 from .report import Report, timed
-from .ring import PolyMatrix
+from .ring import NotAUnitError, PolyMatrix, VarSpec
 
 
 class SheafError(ValueError):
@@ -121,6 +127,36 @@ class PCurvature:
         return all(m.is_zero() for mats in self.comps.values() for m in mats)
 
 
+# ---------- lambda-connections ----------
+
+
+def curvature(
+    mats: list[PolyMatrix], vars: VarSpec, flat: bool
+) -> tuple[int, int, PolyMatrix] | None:
+    """The first nonzero lambda (d_i A_j - d_j A_i) + [A_i, A_j], i < j, as (i, j, value)."""
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        curv = mats[i].commutator(mats[j])
+        if flat:
+            curv = curv + mats[j].deriv(vars.names[i]) - mats[i].deriv(vars.names[j])
+        if not curv.is_zero():
+            return i, j, curv
+    return None
+
+
+def intertwining_residuals(
+    g: PolyMatrix, A: list[PolyMatrix], B: list[PolyMatrix], vars: VarSpec, flat: bool
+) -> list[PolyMatrix]:
+    """g A_i - B_i g - lambda d_i g for each coordinate t_i.
+
+    For unit-determinant g they all vanish exactly when g A g^-1 - lambda (dg) g^-1 = B.
+    """
+    out = []
+    for name, a, b in zip(vars.names, A, B):
+        res = g @ a - b @ g
+        out.append(res - g.deriv(name) if flat else res)
+    return out
+
+
 # ---------- nilpotency ----------
 
 
@@ -153,18 +189,9 @@ def check_higgs(E: HiggsSheaf) -> Report:
     p = E.atlas.ctx.p
     for chart, mats in E.fields.items():
         with timed() as t:
-            ok = True
-            witness: tuple[str, ...] = ()
-            for i in range(len(mats)):
-                for j in range(i + 1, len(mats)):
-                    comm = mats[i].commutator(mats[j])
-                    if not comm.is_zero():
-                        ok = False
-                        witness = (f"[Theta_{i}, Theta_{j}] = {comm}",)
-                        break
-                if not ok:
-                    break
-        report.add(f"integrability[{chart}]", ok, witness, t.elapsed)
+            curv = curvature(mats, E.atlas.chart_vars(chart), flat=False)
+        witness = () if curv is None else (f"[Theta_{curv[0]}, Theta_{curv[1]}] = {curv[2]}",)
+        report.add(f"integrability[{chart}]", curv is None, witness, t.elapsed)
         with timed() as t:
             exp = nilpotency_exponent(mats, p - 1)
         report.add(
@@ -177,33 +204,41 @@ def check_higgs(E: HiggsSheaf) -> Report:
             report.skip(f"nilpotency[{chart}] exponent", f"exponent = {exp}")
     _check_transition_cocycle(E.atlas, E.transitions, report)
     jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in E.atlas.overlaps.items()}
-    report.extend(check_field_gluing(E.atlas, E.fields, E.transitions, jacobians))
+    report.extend(check_field_gluing(E.atlas, E.fields, E.transitions, jacobians, flat=False))
     return report
 
 
-def higgs_exponent(E: HiggsSheaf) -> int:
-    p = E.atlas.ctx.p
-    exps = [nilpotency_exponent(mats, p - 1) for mats in E.fields.values()]
-    if any(e is None for e in exps):
-        raise SheafError(f"Higgs field is not nilpotent of exponent <= {p - 1}")
-    return max(exps)
+def check_flat(H: FlatSheaf) -> Report:
+    report = Report()
+    for chart, mats in H.conn.items():
+        with timed() as t:
+            curv = curvature(mats, H.atlas.chart_vars(chart), flat=True)
+        witness = () if curv is None else (f"curvature dt_{curv[0]}^dt_{curv[1]} = {curv[2]}",)
+        report.add(f"zero curvature[{chart}]", curv is None, witness, t.elapsed)
+    _check_transition_cocycle(H.atlas, H.transitions, report)
+    jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in H.atlas.overlaps.items()}
+    report.extend(check_field_gluing(H.atlas, H.conn, H.transitions, jacobians, flat=True))
+    return report
 
 
-def _check_transition_cocycle(atlas, transitions, report: Report) -> None:
-    # composable chart triples only appear with three pairwise overlaps
-    pairs = set(transitions)
-    triples = []
-    for (a, b) in pairs:
-        for (b2, c) in pairs:
-            if b2 == b and (a, c) in pairs and len({a, b, c}) == 3:
-                triples.append((a, b, c))
+def _check_transition_cocycle(atlas: Atlas, transitions, report: Report) -> None:
+    """T_bc T_ab = T_ac on the triple overlap: a-side coordinates with both inversions."""
+    pairs = sorted(transitions)
+    triples = [
+        (a, b, c)
+        for (a, b) in pairs
+        for (b2, c) in pairs
+        if b2 == b and (a, c) in transitions and len({a, b, c}) == 3
+    ]
     if not triples:
         report.skip("transition cocycle", "no composable chart triples in atlas")
         return
-    for (a, b, c) in triples:
-        lhs = transitions[(b, c)] @ transitions[(a, b)]
-        rhs = transitions[(a, c)]
-        report.add(f"transition cocycle[{a},{b},{c}]", lhs == rhs)
+    for a, b, c in triples:
+        ab, ac = atlas.overlaps[(a, b)], atlas.overlaps[(a, c)]
+        vars = ab.alpha_vars.with_inverted(ac.alpha_vars.inverted)
+        b_in_a = {w: sp.poly.extend_vars(vars) for w, sp in ab.beta_in_alpha.items()}
+        lhs = transitions[(b, c)].subst(b_in_a, vars) @ transitions[(a, b)].extend_vars(vars)
+        report.add(f"transition cocycle[{a},{b},{c}]", lhs == transitions[(a, c)].extend_vars(vars))
 
 
 def check_field_gluing(
@@ -211,84 +246,41 @@ def check_field_gluing(
     comps: dict[str, list[PolyMatrix]],
     transitions: dict[tuple[str, str], PolyMatrix],
     jacobians: dict[tuple[str, str], PolyMatrix],
+    flat: bool,
 ) -> Report:
-    """comps_alpha_i == sum_j J[j][i] * T^-1 comps_beta_j T on every overlap.
+    """R_lambda(T; comps_alpha, sum_j J[j][i] * comps_beta_j) = 0 on every overlap.
 
     `jacobians[pair]` is J[j][i] = d(w_j)/d(u_i) on alpha-side coordinates for
-    a Higgs field, and its Frobenius pullback for a p-curvature, whose
-    components sit on the basis F*dt_i.
+    a Higgs field or a connection, and its Frobenius pullback for a
+    p-curvature, whose components sit on the basis F*dt_i.  Raises
+    NotAUnitError when a transition's determinant is not a unit.
     """
     report = Report()
+    label = "connection gluing" if flat else "field gluing"
     for pair, ov in atlas.overlaps.items():
         with timed() as t:
             t_mat = transitions[pair]
-            t_inv = t_mat.inverse_unit_det()
+            det = t_mat.det()
+            if not det.is_unit():
+                raise NotAUnitError(f"matrix determinant '{det}' is not a unit")
             jac = jacobians[pair]
             beta_mats = [
                 comps[ov.beta][j].map_entries(lambda f: pull_beta_function(ov, f))
                 for j in range(ov.beta_vars.arity)
             ]
-            witness: tuple[str, ...] = ()
-            for i, u in enumerate(ov.alpha_vars.names):
-                lhs = comps[ov.alpha][i].extend_vars(ov.alpha_vars)
-                rhs = PolyMatrix.zero(t_mat.rows, t_mat.rows, ov.alpha_vars, atlas.ctx.p)
-                for j in range(ov.beta_vars.arity):
+            transported = []
+            for i in range(ov.alpha_vars.arity):
+                acc = PolyMatrix.zero(t_mat.rows, t_mat.rows, ov.alpha_vars, atlas.ctx.p)
+                for j, m in enumerate(beta_mats):
                     if not jac.entries[j][i].is_zero():
-                        rhs = rhs + (t_inv @ beta_mats[j] @ t_mat).scale(jac.entries[j][i])
-                if lhs != rhs:
-                    witness = (f"coordinate {u}: alpha side {lhs}", f"transported beta side {rhs}")
-                    break
-        report.add(f"field gluing[{pair[0]}|{pair[1]}]", not witness, witness, t.elapsed)
+                        acc = acc + m.scale(jac.entries[j][i])
+                transported.append(acc)
+            alpha_mats = [m.extend_vars(ov.alpha_vars) for m in comps[ov.alpha]]
+            residuals = intertwining_residuals(t_mat, alpha_mats, transported, ov.alpha_vars, flat)
+            bad = [(u, res) for u, res in zip(ov.alpha_vars.names, residuals) if not res.is_zero()]
+            witness = (f"coordinate {bad[0][0]}: residual {bad[0][1]}",) if bad else ()
+        report.add(f"{label}[{pair[0]}|{pair[1]}]", not witness, witness, t.elapsed)
     return report
-
-
-def check_flat(H: FlatSheaf) -> Report:
-    report = Report()
-    for chart, mats in H.conn.items():
-        vars = H.atlas.chart_vars(chart)
-        with timed() as t:
-            ok = True
-            witness: tuple[str, ...] = ()
-            for i in range(len(mats)):
-                for j in range(i + 1, len(mats)):
-                    curv = (
-                        mats[j].deriv(vars.names[i])
-                        - mats[i].deriv(vars.names[j])
-                        + mats[i].commutator(mats[j])
-                    )
-                    if not curv.is_zero():
-                        ok = False
-                        witness = (f"curvature dt_{i}^dt_{j} = {curv}",)
-                        break
-                if not ok:
-                    break
-        report.add(f"zero curvature[{chart}]", ok, witness, t.elapsed)
-    _check_transition_cocycle(H.atlas, H.transitions, report)
-    for pair, ov in H.atlas.overlaps.items():
-        t_mat = H.transitions[pair]
-        with timed() as t:
-            ok, witness = _flat_gluing_ok(H, ov, t_mat)
-        report.add(f"connection gluing[{pair[0]}|{pair[1]}]", ok, witness, t.elapsed)
-    return report
-
-
-def _flat_gluing_ok(H: FlatSheaf, ov: Overlap, t_mat: PolyMatrix):
-    """A_beta = T A_alpha T^-1 - (dT) T^-1, both sides in alpha-side coords."""
-    t_inv = t_mat.inverse_unit_det()
-    jac = jacobian_beta_in_alpha(ov)
-    beta_mats = [
-        H.conn[ov.beta][j].map_entries(lambda f: pull_beta_function(ov, f))
-        for j in range(ov.beta_vars.arity)
-    ]
-    for i, u in enumerate(ov.alpha_vars.names):
-        lhs = PolyMatrix.zero(H.rank, H.rank, ov.alpha_vars, H.atlas.ctx.p)
-        for j in range(ov.beta_vars.arity):
-            lhs = lhs + beta_mats[j].scale(jac.entries[j][i])
-        a_alpha = H.conn[ov.alpha][i].extend_vars(ov.alpha_vars)
-        rhs = t_mat @ a_alpha @ t_inv - t_mat.deriv(u) @ t_inv
-        if lhs != rhs:
-            return False, (f"coordinate {u}: beta side {lhs}", f"gauge rule {rhs}")
-    return True, ()
 
 
 # ---------- p-curvature ----------
@@ -318,21 +310,16 @@ def p_curvature(H: FlatSheaf) -> PCurvature:
 
 
 def verify_p_curvature_invariants(H: FlatSheaf, psi: PCurvature) -> Report:
+    """psi is a 0-connection (its components commute) and is horizontal for d + A."""
     report = Report()
     for chart, psis in psi.comps.items():
         vars = H.atlas.chart_vars(chart)
         mats = H.conn[chart]
-        ok = True
-        for i in range(len(psis)):
-            for j in range(i + 1, len(psis)):
-                if not psis[i].commutator(psis[j]).is_zero():
-                    ok = False
-        report.add(f"psi commutativity[{chart}]", ok)
-        ok = True
-        for i, psi_i in enumerate(psis):
-            for j, name in enumerate(vars.names):
-                horiz = psi_i.deriv(name) + mats[j].commutator(psi_i)
-                if not horiz.is_zero():
-                    ok = False
-        report.add(f"psi horizontality[{chart}]", ok)
+        report.add(f"psi commutativity[{chart}]", curvature(psis, vars, flat=False) is None)
+        horizontal = all(
+            res.is_zero()
+            for psi_i in psis
+            for res in intertwining_residuals(psi_i, mats, mats, vars, flat=True)
+        )
+        report.add(f"psi horizontality[{chart}]", horizontal)
     return report

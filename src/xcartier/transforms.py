@@ -46,6 +46,7 @@ from .sheaves import (
     check_field_gluing,
     check_flat,
     check_higgs,
+    intertwining_residuals,
     nilpotency_exponent,
     p_curvature,
 )
@@ -218,7 +219,6 @@ class DescentResult:
     frames: dict[str, PolyMatrix]                       # columns are flat sections
     rank: int
     transitions: dict[tuple[str, str], PolyMatrix]      # descended (exponents / p)
-    pre_relabel: dict[tuple[str, str], PolyMatrix]      # witness before relabeling
 
 
 def _shift_scale(poly: LaurentPoly, shift: tuple[int, ...], scale: int) -> LaurentPoly:
@@ -387,22 +387,19 @@ def flat_sections(H: FlatSheaf) -> DescentResult:
     for chart in atlas.charts:
         frame = _solve_flat_frame(H, chart)
         vars = atlas.chart_vars(chart)
-        for i, name in enumerate(vars.names):
-            nabla = frame.deriv(name) + H.conn[chart][i] @ frame
-            if not nabla.is_zero():
-                raise TransformError(f"frame on {chart!r} is not flat: {nabla}")
+        zero = [PolyMatrix.zero(H.rank, H.rank, vars, p)] * vars.arity
+        for res in intertwining_residuals(frame, zero, H.conn[chart], vars, flat=True):
+            if not res.is_zero():  # res = -(dS + A S)
+                raise TransformError(f"frame on {chart!r} is not flat: {-res}")
         if not frame.det().is_unit():
             raise TransformError(f"frame on {chart!r} is not unimodular")
         frames[chart] = frame
     transitions: dict[tuple[str, str], PolyMatrix] = {}
-    pre_relabel: dict[tuple[str, str], PolyMatrix] = {}
     for pair, ov in atlas.overlaps.items():
         s_a = frames[ov.alpha].extend_vars(ov.alpha_vars)
         s_b = frames[ov.beta].map_entries(lambda f: pull_beta_function(ov, f))
-        descended = s_b.inverse_unit_det() @ H.transitions[pair] @ s_a
-        pre_relabel[pair] = descended
-        transitions[pair] = relabel_matrix(descended, p)
-    return DescentResult(frames, H.rank, transitions, pre_relabel)
+        transitions[pair] = relabel_matrix(s_b.inverse_unit_det() @ H.transitions[pair] @ s_a, p)
+    return DescentResult(frames, H.rank, transitions)
 
 
 # ---------- the converse functor ----------
@@ -443,7 +440,7 @@ def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
     jacobians = {
         pair: jacobian_beta_in_alpha(ov).frobenius() for pair, ov in atlas.overlaps.items()
     }
-    glue = check_field_gluing(atlas, psi.comps, untwisted.transitions, jacobians)
+    glue = check_field_gluing(atlas, psi.comps, untwisted.transitions, jacobians, flat=False)
     if not glue.ok():
         raise TransformError("p-curvature does not commute with the twisted gluing")
 
@@ -475,6 +472,7 @@ class GaugeWitness:
 
 
 def verify_gauge_witness(sheaf1, sheaf2, gauges: dict[str, PolyMatrix], flat: bool) -> bool:
+    """Unit-determinant g with R_lambda(g; A_1, A_2) = 0 on every chart and g_b T_1 = T_2 g_a."""
     atlas = sheaf1.atlas
     mats1 = sheaf1.conn if flat else sheaf1.fields
     mats2 = sheaf2.conn if flat else sheaf2.fields
@@ -483,13 +481,9 @@ def verify_gauge_witness(sheaf1, sheaf2, gauges: dict[str, PolyMatrix], flat: bo
         if not g.det().is_unit():
             return False
         vars = atlas.chart_vars(chart)
-        g_inv = g.inverse_unit_det()
-        for i, name in enumerate(vars.names):
-            lhs = g @ mats1[chart][i] @ g_inv
-            if flat:
-                lhs = lhs - g.deriv(name) @ g_inv
-            if lhs != mats2[chart][i]:
-                return False
+        residuals = intertwining_residuals(g, mats1[chart], mats2[chart], vars, flat)
+        if not all(res.is_zero() for res in residuals):
+            return False
     for pair, ov in atlas.overlaps.items():
         g_a = gauges[ov.alpha].extend_vars(ov.alpha_vars)
         g_b = gauges[ov.beta].map_entries(lambda f: pull_beta_function(ov, f))
@@ -526,10 +520,8 @@ def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
         vars = atlas.chart_vars(chart)
         mono, zero = LaurentPoly.monomial(vars, p, 1, m), LaurentPoly.zero(vars, p)
         basis = PolyMatrix([[mono if (a, b) == (i, j) else zero for b in range(r)] for a in range(r)])
-        for k, name in enumerate(vars.names):
-            res = basis @ mats1[chart][k] - mats2[chart][k] @ basis
-            if flat:
-                res = res - basis.deriv(name)
+        residuals = intertwining_residuals(basis, mats1[chart], mats2[chart], vars, flat)
+        for k, res in enumerate(residuals):
             add_matrix_terms(("chart", chart, k), res, col)
         for pair, ov in atlas.overlaps.items():
             if chart == ov.alpha:

@@ -4,7 +4,11 @@ Everything here is exact symbolic arithmetic; there are no tolerances to
 tune.  Stated wall-clock budgets are generous upper bounds.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +59,14 @@ def test_verify_all_aggregate():
     report = acceptance.verify_all()
     assert report.ok()
     assert len(report.entries) >= 100
+
+
+def test_verify_all_json_is_byte_identical_across_hash_seeds():
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = [
+        subprocess.run([sys.executable, "-m", "xcartier.cli", "verify-all", "--json"],
+                       capture_output=True, check=True, timeout=300, cwd=src,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] and outs[0] == outs[1]

@@ -182,3 +182,19 @@ def test_cli_json_reports_byte_identical(capsys):
     assert run_cli(["fk", "--p", "5", "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("kind", ["higgs", "flat"])
+def test_non_unit_transition_rejected(tmp_path, capsys, kind):
+    # rank 1 on P1 with transition 1 + s, which is not a unit of F_p[s, 1/s]
+    data = json.loads(emit_scene(gallery("g4_p1_lemma", 3)))
+    data["sheaf"]["kind"] = kind
+    data["sheaf"]["transitions"]["U0,U1"] = ["1 + s"]
+    text = json.dumps(data)
+    with pytest.raises(SceneError, match="determinant 's \\+ 1' is not a unit"):
+        parse_scene(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    command = "icartier" if kind == "higgs" else "cartier"
+    assert run_cli([command, "--scene", str(path)]) == 2
+    assert "is not a unit" in capsys.readouterr().err

@@ -1,15 +1,23 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xcartier.atlas import Atlas, FrobLift
+from xcartier.atlas import Atlas, FrobLift, Overlap, SubstPair
 from xcartier.gallery import gallery
 from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
+from xcartier.scene import Scene, emit_scene
 from xcartier.sheaves import (
     FlatSheaf,
     HiggsSheaf,
     check_flat,
     check_higgs,
-    higgs_exponent,
+    curvature,
+    intertwining_residuals,
     nilpotency_exponent,
     p_curvature,
 )
@@ -54,14 +62,14 @@ def test_zero_field_passes_with_exponent_one():
     for rank in (1, 2, 3):
         E = HiggsSheaf(atlas, rank, {"A1": [PolyMatrix.zero(rank, rank, T, 3)]})
         assert check_higgs(E).ok()
-        assert higgs_exponent(E) == 1
+        assert max(nilpotency_exponent(m, 2) for m in E.fields.values()) == 1
 
 
 def test_rank2_constant_field_exponent_two():
     atlas = a1_atlas()
     E = HiggsSheaf(atlas, 2, {"A1": [e_mat(0, 1, 2, T, 3)]})
     assert check_higgs(E).ok()
-    assert higgs_exponent(E) == 2
+    assert max(nilpotency_exponent(m, 2) for m in E.fields.values()) == 2
 
 
 def test_non_integrable_pair_fails_with_witness():
@@ -187,3 +195,108 @@ def test_p_curvature_not_additive_in_the_connection():
     psi_sum = p_curvature(FlatSheaf(atlas, 2, {"A1": [a + b]})).comps["A1"][0]
     assert psi_a.is_zero() and psi_b.is_zero()
     assert not psi_sum.is_zero()
+
+
+# ---------------------------------------------------------------- lambda-connections
+
+
+def test_curvature_at_both_lambdas():
+    atlas = a2_atlas()
+    vars = atlas.chart_vars("A2")
+    t2_id = PolyMatrix.identity(1, vars, 3).scale(LaurentPoly.parse("t2", vars, 3))
+    mats = [t2_id, PolyMatrix.zero(1, 1, vars, 3)]
+    assert curvature(mats, vars, flat=False) is None  # the components commute
+    assert curvature(mats, vars, flat=True) == (0, 1, -PolyMatrix.identity(1, vars, 3))
+    e12, e23 = e_mat(0, 1, 3, vars, 3), e_mat(1, 2, 3, vars, 3)
+    assert curvature([e12, e23], vars, flat=False) == (0, 1, e_mat(0, 2, 3, vars, 3))
+
+
+def test_residual_vanishes_exactly_for_the_gauge_rule():
+    # g = 1 + tN carries the zero connection to g 0 g^-1 - dg g^-1 = -N
+    n = e_mat(0, 1, 2, T, 3)
+    g = PolyMatrix.identity(2, T, 3) + n.scale(LaurentPoly.parse("t", T, 3))
+    zero = PolyMatrix.zero(2, 2, T, 3)
+    assert intertwining_residuals(g, [zero], [-n], T, flat=True) == [zero]
+    assert intertwining_residuals(g, [zero], [-n], T, flat=False) == [n]
+    assert intertwining_residuals(g, [zero], [zero], T, flat=False) == [zero]
+
+
+# ---------------------------------------------------------------- triple overlaps
+
+
+def glued_charts(names, inverted_pairs=(), p=3):
+    """Chart X has coordinate x; every pair (X, Y), X < Y, is glued by y = x."""
+    ctx = PrimeContext(p)
+    atlas = Atlas(ctx)
+    for name in names:
+        vars = VarSpec.make([name.lower()])
+        atlas.add_chart(name, vars)
+        frobenius = LaurentPoly.var(vars, ctx.p2, name.lower(), p)
+        atlas.add_lift(FrobLift(name, {name.lower(): frobenius}))
+
+    def coordinate(name, vars):
+        return SubstPair(LaurentPoly.var(vars, p, name), LaurentPoly.var(vars, ctx.p2, name))
+
+    for a, b in itertools.combinations(names, 2):
+        inv = (a, b) in inverted_pairs
+        a_vars = VarSpec.make([a.lower()], [a.lower()] if inv else [])
+        b_vars = VarSpec.make([b.lower()], [b.lower()] if inv else [])
+        atlas.add_overlap(Overlap(a, b, a_vars, b_vars, {b.lower(): coordinate(a.lower(), a_vars)},
+                                  {a.lower(): coordinate(b.lower(), b_vars)}))
+    atlas.validate()
+    return atlas
+
+
+def rank_one(atlas, texts=None):
+    """Zero rank-1 matrices per chart and the given (default: identity) transitions."""
+    p = atlas.ctx.p
+    zero = {c: [PolyMatrix.zero(1, 1, atlas.chart_vars(c), p)] for c in atlas.charts}
+    texts = texts or {}
+    transitions = {
+        pair: PolyMatrix([[LaurentPoly.parse(texts.get(pair, "1"), ov.alpha_vars, p)]])
+        for pair, ov in atlas.overlaps.items()
+    }
+    return zero, transitions
+
+
+def test_three_charts_glued_by_identities_pass_the_cocycle():
+    atlas = glued_charts("ABC")
+    zero, transitions = rank_one(atlas)
+    for rep in (check_higgs(HiggsSheaf(atlas, 1, zero, transitions)),
+                check_flat(FlatSheaf(atlas, 1, zero, transitions))):
+        assert rep.ok()
+        assert "[PASS] transition cocycle[A,B,C]" in rep.lines()
+
+
+def test_cocycle_compares_on_the_triple_overlap():
+    # T_AB = a and T_BC = b^-1 need the inversions of two overlaps; T_AC = 1 needs none
+    atlas = glued_charts("ABC", inverted_pairs={("A", "B"), ("B", "C")})
+    texts = {("A", "B"): "a", ("B", "C"): "b^-1"}
+    zero, transitions = rank_one(atlas, texts)
+    assert check_higgs(HiggsSheaf(atlas, 1, zero, transitions)).ok()
+    _, scaled = rank_one(atlas, {**texts, ("A", "C"): "2"})
+    rep = check_higgs(HiggsSheaf(atlas, 1, zero, scaled))
+    assert [e.check for e in rep.failures()] == ["transition cocycle[A,B,C]"]
+    assert "[FAIL] transition cocycle[A,B,C]" in rep.lines()
+
+
+def test_cocycle_report_does_not_depend_on_the_hash_seed(tmp_path):
+    atlas = glued_charts("ABCD")
+    zero, transitions = rank_one(atlas)
+    scene = tmp_path / "four_charts.json"
+    scene.write_text(emit_scene(Scene(atlas.ctx, atlas, HiggsSheaf(atlas, 1, zero, transitions))))
+    probe = (
+        "import sys; from xcartier import check_higgs, parse_scene; "
+        "print('\\n'.join(check_higgs(parse_scene(open(sys.argv[1]).read()).sheaf).lines()))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = [
+        subprocess.run([sys.executable, "-c", probe, str(scene)], capture_output=True, text=True,
+                       check=True, timeout=60, cwd=src,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    cocycles = [line for line in outs[0].splitlines() if "cocycle" in line]
+    assert cocycles == [f"[PASS] transition cocycle[{t}]"
+                        for t in ("A,B,C", "A,B,D", "A,C,D", "B,C,D")]

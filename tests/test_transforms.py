@@ -9,11 +9,13 @@ from xcartier.sheaves import (
     HiggsSheaf,
     check_flat,
     check_higgs,
-    higgs_exponent,
+    nilpotency_exponent,
     p_curvature,
+    verify_p_curvature_invariants,
 )
 from xcartier.transforms import (
     TransformError,
+    _gauge_solution_space,
     canonical_connection,
     cartier,
     flat_sections,
@@ -21,6 +23,7 @@ from xcartier.transforms import (
     inverse_cartier,
     lift_change_gauge,
     p_curvature_sign,
+    relabel_matrix,
     roundtrip_check,
     untwist,
     verify_gauge_witness,
@@ -155,7 +158,10 @@ def test_rank_and_exponent_preserved(p):
         assert H.rank == E.rank
         E_rt = cartier(H)
         assert E_rt.rank == E.rank
-        assert higgs_exponent(E_rt) == higgs_exponent(E)
+        exponents = [
+            max(nilpotency_exponent(m, p - 1) for m in sheaf.fields.values()) for sheaf in (E, E_rt)
+        ]
+        assert exponents[0] == exponents[1]
 
 
 # ------------------------------------------------------- descent
@@ -269,11 +275,17 @@ def test_flat_sections_descended_transitions_relabel():
     E = HiggsSheaf(scene.atlas, 2, zero_fields, E0.transitions)
     res = flat_sections(canonical_connection(E))
     assert res.transitions[("U0", "U1")] == E0.transitions[("U0", "U1")]
-    pre = res.pre_relabel[("U0", "U1")]
-    assert all(
-        all(e % 3 == 0 for exps in entry.terms for e in exps)
-        for row in pre.entries for entry in row
+
+
+def test_relabel_rejects_an_exponent_not_divisible_by_p():
+    vars = VarSpec.make(["s"], ["s"])
+    good = LaurentPoly.parse("s^3 + 2*s^-6", vars, 3)
+    assert relabel_matrix(PolyMatrix([[good]]), 3) == PolyMatrix(
+        [[LaurentPoly.parse("s + 2*s^-2", vars, 3)]]
     )
+    bad = PolyMatrix([[good, LaurentPoly.parse("s^4", vars, 3)]])
+    with pytest.raises(TransformError, match="'s\\^4' has an exponent not divisible by 3"):
+        relabel_matrix(bad, 3)
 
 
 # ------------------------------------------------------- converse transform
@@ -346,6 +358,38 @@ def count_calls(monkeypatch, name):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_every_check_goes_through_curvature_and_one_residual(monkeypatch):
+    E = gallery("g5_p1_uniformizing", 3).sheaf  # two charts, one overlap
+    H = inverse_cartier(E)
+    psi = p_curvature(H)
+    curv = count_calls(monkeypatch, "curvature")
+    res = count_calls(monkeypatch, "intertwining_residuals")
+
+    def no_inverse(self):
+        raise AssertionError("a check inverted a matrix")
+
+    monkeypatch.setattr(PolyMatrix, "inverse_unit_det", no_inverse)
+    identity = {c: PolyMatrix.identity(2, H.atlas.chart_vars(c), 3) for c in H.atlas.charts}
+    counts = []
+    for run in (
+        lambda: check_higgs(E).ok(),  # per chart a curvature, per overlap a gluing residual
+        lambda: check_flat(H).ok(),
+        lambda: verify_p_curvature_invariants(H, psi).ok(),  # one psi_i per chart
+        lambda: verify_gauge_witness(H, H, identity, flat=True),  # one residual per chart
+    ):
+        assert run()
+        counts.append((len(curv), len(res)))
+        curv.clear(), res.clear()
+    assert counts == [(2, 1), (2, 1), (2, 2), (0, 2)]
+    unknowns, _ = _gauge_solution_space(E, E, 0, flat=False)
+    assert len(res) == len(unknowns) == 2 * 4  # one residual per unknown, each on its chart
+    monkeypatch.undo()
+    res = count_calls(monkeypatch, "intertwining_residuals")
+    zero = {c: [PolyMatrix.zero(2, 2, E.atlas.chart_vars(c), 3)] for c in E.atlas.charts}
+    flat_sections(canonical_connection(HiggsSheaf(E.atlas, 2, zero, E.transitions)))
+    assert len(res) == 4  # per chart: psi horizontality in p_curvature, then the flat frame
 
 
 @pytest.mark.parametrize("name", ["g5_p1_uniformizing", "g6_a2_rank3"])
@@ -571,7 +615,7 @@ def pair_sub(text, vars, p):
 
 def test_rank3_gluing_with_quadratic_exponential_term():
     E = rank3_twist_bundle(5)
-    assert higgs_exponent(E) == 3
+    assert max(nilpotency_exponent(m, 4) for m in E.fields.values()) == 3
     H = inverse_cartier(E)
     assert check_flat(H).ok()
     corner = H.transitions[("U0", "U1")].entries[2][0]
