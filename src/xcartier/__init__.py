@@ -5,17 +5,16 @@ from .ring import (
     NilpotencyError,
     NotAUnitError,
     NotDivisibleError,
-    OneForm,
     ParseError,
     PolyMatrix,
     PrimeContext,
     RingError,
     SubstitutionError,
     VarSpec,
-    d,
     divide_by_p,
     invert_poly,
     invert_unit,
+    jacobian,
     trunc_exp,
 )
 from .atlas import (

@@ -31,7 +31,7 @@ from .ring import (
     VarSpec,
     trunc_exp,
 )
-from .sheaves import FlatSheaf, nilpotency_exponent, p_curvature
+from .sheaves import FlatSheaf, curvature, nilpotency_exponent, p_curvature
 
 MAX_K = 8  # k! symmetrization guard
 
@@ -127,9 +127,8 @@ def taylor_cocycle_identity(
     p = ctx.p
     if len(nilpotents) != len(functions) or not nilpotents:
         raise RingError("need one coefficient function per nilpotent matrix")
-    for a, b in itertools.combinations(nilpotents, 2):
-        if not a.commutator(b).is_zero():
-            raise RingError("matrices do not commute")
+    if curvature(nilpotents, nilpotents[0].vars, flat=False) is not None:
+        raise RingError("matrices do not commute")
     n = nilpotents[0].rows
     if nilpotency_exponent(nilpotents, p - 1) is None:
         raise RingError(f"matrices are not jointly nilpotent of exponent <= {p - 1}")

@@ -742,45 +742,12 @@ def trunc_exp(M: PolyMatrix, ctx: PrimeContext) -> PolyMatrix:
     return acc
 
 
-# ---------- differential forms ----------
+# ---------- differentials ----------
 
 
-@dataclass(frozen=True)
-class OneForm:
-    """A 1-form sum_i c_i dt_i on a chart; one coefficient per coordinate."""
-
-    vars: VarSpec
-    coeffs: tuple[LaurentPoly, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.vars.arity:
-            raise RingError("one coefficient per coordinate required")
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.vars, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.vars, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.vars, tuple(-a for a in self.coeffs))
-
-    def scale(self, s) -> "OneForm":
-        return OneForm(self.vars, tuple(a * s for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __str__(self) -> str:
-        parts = [
-            f"({c})*d{n}" for n, c in zip(self.vars.names, self.coeffs) if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
-def d(f: LaurentPoly) -> OneForm:
-    """Exterior derivative of a function: df = sum_i (df/dt_i) dt_i."""
-    return OneForm(f.vars, tuple(f.deriv(n) for n in f.vars.names))
+def jacobian(funcs: list[LaurentPoly]) -> PolyMatrix:
+    """J[j][i] = d(f_j)/d(t_i): row j holds the coefficients of df_j on the dt_i."""
+    return PolyMatrix([[f.deriv(name) for name in f.vars.names] for f in funcs])
 
 
 def monomials_in_box(vars: VarSpec, bound: int) -> list[tuple[int, ...]]:

@@ -16,8 +16,9 @@ which for unit-determinant g means  g A g^-1 - lambda (dg) g^-1 = B:
 
   * gluing: sections are column vectors with  x_beta = T x_alpha  for the
     stored transition T (unit determinant, entries in alpha-side overlap
-    coordinates), and R(T; A_alpha, sum_j J[j][i] A_beta,j) = 0 with J the
-    Jacobian of the coordinate change (its Frobenius pullback for psi);
+    coordinates), and R(T; A_alpha, pull_back(A_beta, J)) = 0 with J the
+    Jacobian of the coordinate change (its Frobenius pullback for psi) and
+    pull_back(A, J)_i = sum_j J[j][i] A_j;
   * gauge: R(g; A, B) = 0 on every chart;
   * flat frame: R_1(S; 0, A) = 0;  horizontality of psi: R_1(psi_i; A, A) = 0.
 """
@@ -157,6 +158,26 @@ def intertwining_residuals(
     return out
 
 
+def pull_back(mats: list[PolyMatrix], J: PolyMatrix) -> list[PolyMatrix]:
+    """[sum_j J[j][i] * A_j]_i: the form sum_j A_j dw_j written on the dt_i.
+
+    Here dw_j = sum_i J[j][i] dt_i, and the A_j live in the ring of J.  The
+    twist's zeta(Phi), the gluing transport and the homotopy exponent h(Phi)
+    (J a single column) are all this contraction.
+    """
+    out = []
+    for i in range(J.cols):
+        acc = None
+        for j, m in enumerate(mats):
+            if not J.entries[j][i].is_zero():
+                term = m.scale(J.entries[j][i])
+                acc = term if acc is None else acc + term
+        if acc is None:
+            acc = PolyMatrix.zero(mats[0].rows, mats[0].cols, J.vars, J.modulus)
+        out.append(acc)
+    return out
+
+
 # ---------- nilpotency ----------
 
 
@@ -222,23 +243,36 @@ def check_flat(H: FlatSheaf) -> Report:
 
 
 def _check_transition_cocycle(atlas: Atlas, transitions, report: Report) -> None:
-    """T_bc T_ab = T_ac on the triple overlap: a-side coordinates with both inversions."""
+    """T_bc T_ab = T_ac, or T_ca T_bc T_ab = I for a cycle, in a-side coordinates.
+
+    Each triple overlap is compared on the a-side coordinates with the
+    inversions of both of its overlaps through a.  A cycle (a,b), (b,c), (c,a)
+    is checked once, with a the smallest chart.
+    """
     pairs = sorted(transitions)
-    triples = [
-        (a, b, c)
-        for (a, b) in pairs
-        for (b2, c) in pairs
-        if b2 == b and (a, c) in transitions and len({a, b, c}) == 3
-    ]
-    if not triples:
+    checks = []  # (a, b, c, cycle)
+    for (a, b), (b2, c) in itertools.product(pairs, pairs):
+        if b2 == b and len({a, b, c}) == 3:
+            if (a, c) in transitions:
+                checks.append((a, b, c, False))
+            if (c, a) in transitions and a < min(b, c):
+                checks.append((a, b, c, True))
+    if not checks:
         report.skip("transition cocycle", "no composable chart triples in atlas")
         return
-    for a, b, c in triples:
-        ab, ac = atlas.overlaps[(a, b)], atlas.overlaps[(a, c)]
-        vars = ab.alpha_vars.with_inverted(ac.alpha_vars.inverted)
+    for a, b, c, cycle in checks:
+        ab = atlas.overlaps[(a, b)]
+        third = atlas.overlaps[(c, a)].beta_vars if cycle else atlas.overlaps[(a, c)].alpha_vars
+        vars = ab.alpha_vars.with_inverted(third.inverted)
         b_in_a = {w: sp.poly.extend_vars(vars) for w, sp in ab.beta_in_alpha.items()}
         lhs = transitions[(b, c)].subst(b_in_a, vars) @ transitions[(a, b)].extend_vars(vars)
-        report.add(f"transition cocycle[{a},{b},{c}]", lhs == transitions[(a, c)].extend_vars(vars))
+        if cycle:
+            ca = atlas.overlaps[(c, a)]
+            c_in_a = {u: sp.poly.extend_vars(vars) for u, sp in ca.alpha_in_beta.items()}
+            ok = (transitions[(c, a)].subst(c_in_a, vars) @ lhs).is_identity()
+        else:
+            ok = lhs == transitions[(a, c)].extend_vars(vars)
+        report.add(f"transition cocycle[{a},{b},{c}]", ok)
 
 
 def check_field_gluing(
@@ -248,10 +282,11 @@ def check_field_gluing(
     jacobians: dict[tuple[str, str], PolyMatrix],
     flat: bool,
 ) -> Report:
-    """R_lambda(T; comps_alpha, sum_j J[j][i] * comps_beta_j) = 0 on every overlap.
+    """R_lambda(T; comps_alpha, pull_back(comps_beta, J)) = 0 on every overlap.
 
-    `jacobians[pair]` is J[j][i] = d(w_j)/d(u_i) on alpha-side coordinates for
-    a Higgs field or a connection, and its Frobenius pullback for a
+    The beta-side matrices are written in alpha-side coordinates and
+    transported by `pull_back` along `jacobians[pair]`: J[j][i] = d(w_j)/d(u_i)
+    for a Higgs field or a connection, and its Frobenius pullback for a
     p-curvature, whose components sit on the basis F*dt_i.  Raises
     NotAUnitError when a transition's determinant is not a unit.
     """
@@ -263,18 +298,10 @@ def check_field_gluing(
             det = t_mat.det()
             if not det.is_unit():
                 raise NotAUnitError(f"matrix determinant '{det}' is not a unit")
-            jac = jacobians[pair]
             beta_mats = [
-                comps[ov.beta][j].map_entries(lambda f: pull_beta_function(ov, f))
-                for j in range(ov.beta_vars.arity)
+                m.map_entries(lambda f: pull_beta_function(ov, f)) for m in comps[ov.beta]
             ]
-            transported = []
-            for i in range(ov.alpha_vars.arity):
-                acc = PolyMatrix.zero(t_mat.rows, t_mat.rows, ov.alpha_vars, atlas.ctx.p)
-                for j, m in enumerate(beta_mats):
-                    if not jac.entries[j][i].is_zero():
-                        acc = acc + m.scale(jac.entries[j][i])
-                transported.append(acc)
+            transported = pull_back(beta_mats, jacobians[pair])
             alpha_mats = [m.extend_vars(ov.alpha_vars) for m in comps[ov.alpha]]
             residuals = intertwining_residuals(t_mat, alpha_mats, transported, ov.alpha_vars, flat)
             bad = [(u, res) for u, res in zip(ov.alpha_vars.names, residuals) if not res.is_zero()]

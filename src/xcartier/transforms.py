@@ -1,10 +1,10 @@
 """The two exponential-twisting functors, Cartier descent and gauge search.
 
 Both directions are one twist by a matrix-valued form Phi on the Frobenius
-pullback (`_twist`): per chart, add zeta(Phi) to the connection, with
-A_i += sum_j Phi_j * (dt_i-coefficient of zeta(1 (x) dt_j)); per overlap,
-follow the transition by the truncated exponential of Phi contracted with the
-lifting homotopy h.
+pullback (`_twist`): per chart, add zeta(Phi) = pull_back(Phi, Z) to the
+connection, with Z[j][i] = d_i F(t_j)/p; per overlap, follow the transition
+by the truncated exponential of h(Phi) = pull_back(Phi, h)[0], with h the
+column of the lifting homotopy's values h_ab(dt_j).
 
 The forward direction twists the canonical connection of a nilpotent Higgs
 sheaf (E, theta) by Phi = F*theta.  The converse twists a connection with
@@ -22,13 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atlas import (
-    jacobian_beta_in_alpha,
-    h_pair,
-    lift_on_overlap,
-    pull_beta_function,
-    zeta_form,
-)
+from .atlas import h_pair, jacobian_beta_in_alpha, lift_on_overlap, pull_beta_function, zeta_form
 from .linalg import nullspace_mod_p
 from .report import Report, timed
 from .ring import (
@@ -49,6 +43,7 @@ from .sheaves import (
     intertwining_residuals,
     nilpotency_exponent,
     p_curvature,
+    pull_back,
 )
 
 
@@ -57,11 +52,6 @@ class TransformError(ValueError):
 
 
 # ---------- helpers ----------
-
-
-def zeta_coeffs(vars: VarSpec, images: dict[str, LaurentPoly]) -> list[list[LaurentPoly]]:
-    """Z[j][i] = coefficient of dt_i in zeta(1 (x) dt_j)."""
-    return [list(zeta_form(vars, images, c).coeffs) for c in vars.names]
 
 
 def default_degree_bound(rank: int, p: int, *matrix_groups) -> int:
@@ -112,16 +102,9 @@ def _twist(
     ctx = atlas.ctx
     conn: dict[str, list[PolyMatrix]] = {}
     for chart_name, chart in atlas.charts.items():
-        lift = atlas.lift_for(chart_name, lift_choice)
-        z = zeta_coeffs(chart.vars, lift.images)
-        mats = []
-        for i in range(chart.vars.arity):
-            acc = H0.conn[chart_name][i]
-            for j in range(chart.vars.arity):
-                if not z[j][i].is_zero():
-                    acc = acc + phi[chart_name][j].scale(z[j][i])
-            mats.append(acc)
-        conn[chart_name] = mats
+        zeta = zeta_form(chart.vars, atlas.lift_for(chart_name, lift_choice).images)
+        twist = pull_back(phi[chart_name], zeta)
+        conn[chart_name] = [a + b for a, b in zip(H0.conn[chart_name], twist)]
     transitions: dict[tuple[str, str], PolyMatrix] = {}
     for pair, ov in atlas.overlaps.items():
         img_a = lift_on_overlap(atlas, ov, atlas.lift_for(ov.alpha, lift_choice))
@@ -134,13 +117,8 @@ def _twist(
 
 def _homotopy_exp(vars: VarSpec, images_a, images_b, phi: list[PolyMatrix], ctx) -> PolyMatrix:
     """trunc_exp(sum_j h_ab(dt_j) * phi_j) on the coordinates vars, h_ab = (F_a - F_b)/p."""
-    r = phi[0].rows
-    exponent = PolyMatrix.zero(r, r, vars, ctx.p)
-    for j, u in enumerate(vars.names):
-        h = h_pair(vars, images_a, images_b, u)
-        if not h.is_zero():
-            exponent = exponent + phi[j].extend_vars(vars).scale(h)
-    return trunc_exp(exponent, ctx)
+    h = PolyMatrix([[h_pair(vars, images_a, images_b, u)] for u in vars.names])
+    return trunc_exp(pull_back([m.extend_vars(vars) for m in phi], h)[0], ctx)
 
 
 def inverse_cartier(E: HiggsSheaf, lift_choice: dict[str, int] | None = None) -> FlatSheaf:

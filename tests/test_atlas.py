@@ -1,4 +1,5 @@
 import pytest
+import xcartier.atlas
 from hypothesis import given, settings, strategies as st
 
 from xcartier.atlas import (
@@ -11,7 +12,7 @@ from xcartier.atlas import (
     zeta_form,
 )
 from xcartier.gallery import gallery
-from xcartier.ring import LaurentPoly, OneForm, PolyMatrix, PrimeContext, VarSpec, d, divide_by_p
+from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, divide_by_p, jacobian
 
 T = VarSpec.make(["t"])
 
@@ -31,14 +32,14 @@ def a1_atlas(p, *lift_texts):
 
 def test_zeta_standard_lift():
     atlas = a1_atlas(3, "t^3")
-    form = zeta_form(T, atlas.lifts["A1"][0].images, "t")
-    assert form == OneForm(T, (LaurentPoly.parse("t^2", T, 3),))
+    form = zeta_form(T, atlas.lifts["A1"][0].images)
+    assert form == PolyMatrix([[LaurentPoly.parse("t^2", T, 3)]])
 
 
 def test_zeta_perturbed_lift():
     atlas = a1_atlas(3, "t^3 + 3*t")
-    form = zeta_form(T, atlas.lifts["A1"][0].images, "t")
-    assert form == OneForm(T, (LaurentPoly.parse("t^2 + 1", T, 3),))
+    form = zeta_form(T, atlas.lifts["A1"][0].images)
+    assert form == PolyMatrix([[LaurentPoly.parse("t^2 + 1", T, 3)]])
 
 
 def test_zeta_on_p1_overlap_through_unit_inversion():
@@ -47,8 +48,8 @@ def test_zeta_on_p1_overlap_through_unit_inversion():
     images = lift_on_overlap(scene.atlas, ov, scene.atlas.lifts["U1"][0])
     # the other chart's lifting, written here: s^3 - 3*s^5
     assert images["s"] == LaurentPoly.parse("6*s^5 + s^3", ov.alpha_vars, 9)
-    form = zeta_form(ov.alpha_vars, images, "s")
-    assert form.coeffs[0] == LaurentPoly.parse("s^4 + s^2", ov.alpha_vars, 3)
+    form = zeta_form(ov.alpha_vars, images)
+    assert form == PolyMatrix([[LaurentPoly.parse("s^4 + s^2", ov.alpha_vars, 3)]])
 
 
 def test_zeta_independent_of_coefficient_lift():
@@ -62,7 +63,7 @@ def test_zeta_independent_of_coefficient_lift():
         fg = g.subst(images, T)
         results.append(divide_by_p(fg * images["t"].deriv("t")))
     assert results[0] == results[1]
-    zeta = zeta_form(T, images, "t").coeffs[0]
+    zeta = zeta_form(T, images)[0, 0]
     assert results[0] == g_lift1.reduce_mod(3).frobenius() * zeta
 
 
@@ -123,11 +124,41 @@ def test_p1_coboundary_identity_both_sides():
     img_a = lift_on_overlap(scene.atlas, ov, scene.atlas.lifts["U0"][0])
     img_b = lift_on_overlap(scene.atlas, ov, scene.atlas.lifts["U1"][0])
     h = h_pair(ov.alpha_vars, img_a, img_b, "s")
-    lhs = d(h)
-    rhs = zeta_form(ov.alpha_vars, img_a, "s") - zeta_form(ov.alpha_vars, img_b, "s")
+    lhs = jacobian([h])
+    rhs = zeta_form(ov.alpha_vars, img_a) - zeta_form(ov.alpha_vars, img_b)
     assert lhs == rhs
-    assert lhs.coeffs[0] == LaurentPoly.parse("2*s^4", ov.alpha_vars, 3)
+    assert lhs == PolyMatrix([[LaurentPoly.parse("2*s^4", ov.alpha_vars, 3)]])
     assert verify_deligne_illusie(scene.atlas).ok()
+
+
+def test_lemma_failure_names_exactly_the_entries_using_the_broken_homotopy(monkeypatch):
+    # add t^2 to h_01 alone: d h_01 and h_10 = -h_01 fail, and so does every cocycle using h_01
+    atlas = gallery("g3_a1_three_lifts", 5).atlas
+    images = [lift.images for lift in atlas.lifts["A1"]]
+    real_h_pair = xcartier.atlas.h_pair
+    calls = []
+
+    def broken_h_pair(vars, img_a, img_b, coord):
+        calls.append((img_a, img_b))
+        h = real_h_pair(vars, img_a, img_b, coord)
+        if (img_a, img_b) == (images[0], images[1]):
+            h = h + LaurentPoly.var(vars, 5, coord, 2)
+        return h
+
+    monkeypatch.setattr(xcartier.atlas, "h_pair", broken_h_pair)
+    rep = verify_deligne_illusie(atlas)
+    assert len(calls) == 6  # one per ordered pair of the three liftings
+    failed = [e.check for e in rep.failures()]
+    assert failed == [
+        "chart:A1: d(h) = zeta difference [A1#0,A1#1]",
+        "chart:A1: d(h) = zeta difference [A1#1,A1#0]",
+        "chart:A1: cocycle [A1#0,A1#1,A1#2]",
+        "chart:A1: cocycle [A1#0,A1#2,A1#1]",
+        "chart:A1: cocycle [A1#2,A1#0,A1#1]",
+    ]
+    assert all(e.witness for e in rep.failures())
+    assert len(rep.entries) == 12 and all(e.status == "pass" for e in rep.entries
+                                          if e.check not in failed)
 
 
 def test_single_lift_atlas_vacuously_passes():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from xcartier.atlas import Atlas, FrobLift, Overlap, SubstPair
 from xcartier.gallery import gallery
-from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
+from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, jacobian
 from xcartier.scene import Scene, emit_scene
 from xcartier.sheaves import (
     FlatSheaf,
@@ -20,6 +20,7 @@ from xcartier.sheaves import (
     intertwining_residuals,
     nilpotency_exponent,
     p_curvature,
+    pull_back,
 )
 from xcartier.transforms import verify_gauge_witness
 
@@ -221,11 +222,21 @@ def test_residual_vanishes_exactly_for_the_gauge_rule():
     assert intertwining_residuals(g, [zero], [zero], T, flat=False) == [zero]
 
 
+def test_pull_back_contracts_against_the_jacobian_columns():
+    # the form A dw_0 + B dw_1 with w_0 = t1, w_1 = t1*t2 is (A + t2 B) dt1 + t1 B dt2
+    vars = a2_atlas().chart_vars("A2")
+    a, b = e_mat(0, 1, 2, vars, 3), e_mat(1, 0, 2, vars, 3)
+    t1, t2 = LaurentPoly.parse("t1", vars, 3), LaurentPoly.parse("t2", vars, 3)
+    assert pull_back([a, b], jacobian([t1, t1 * t2])) == [a + b.scale(t2), b.scale(t1)]
+    # a zero column of the Jacobian gives the zero matrix
+    assert pull_back([a, b], jacobian([t1, t1])) == [a + b, PolyMatrix.zero(2, 2, vars, 3)]
+
+
 # ---------------------------------------------------------------- triple overlaps
 
 
-def glued_charts(names, inverted_pairs=(), p=3):
-    """Chart X has coordinate x; every pair (X, Y), X < Y, is glued by y = x."""
+def glued_charts(names, inverted_pairs=(), p=3, pairs=None):
+    """Chart X has coordinate x; each pair (X, Y) is glued by y = x (default: all X < Y)."""
     ctx = PrimeContext(p)
     atlas = Atlas(ctx)
     for name in names:
@@ -237,7 +248,7 @@ def glued_charts(names, inverted_pairs=(), p=3):
     def coordinate(name, vars):
         return SubstPair(LaurentPoly.var(vars, p, name), LaurentPoly.var(vars, ctx.p2, name))
 
-    for a, b in itertools.combinations(names, 2):
+    for a, b in pairs or itertools.combinations(names, 2):
         inv = (a, b) in inverted_pairs
         a_vars = VarSpec.make([a.lower()], [a.lower()] if inv else [])
         b_vars = VarSpec.make([b.lower()], [b.lower()] if inv else [])
@@ -278,6 +289,31 @@ def test_cocycle_compares_on_the_triple_overlap():
     rep = check_higgs(HiggsSheaf(atlas, 1, zero, scaled))
     assert [e.check for e in rep.failures()] == ["transition cocycle[A,B,C]"]
     assert "[FAIL] transition cocycle[A,B,C]" in rep.lines()
+
+
+def test_cyclic_overlaps_are_checked_around_the_cycle():
+    # overlaps stored as (A,B), (B,C), (C,A): the check is T_CA T_BC T_AB = 1
+    atlas = glued_charts("ABC", pairs=[("A", "B"), ("B", "C"), ("C", "A")])
+    zero, identity = rank_one(atlas)
+    for rep in (check_higgs(HiggsSheaf(atlas, 1, zero, identity)),
+                check_flat(FlatSheaf(atlas, 1, zero, identity))):
+        assert rep.ok()
+        assert "[PASS] transition cocycle[A,B,C]" in rep.lines()
+    _, broken = rank_one(atlas, {("C", "A"): "2"})
+    rep = check_higgs(HiggsSheaf(atlas, 1, zero, broken))
+    assert [e.check for e in rep.failures()] == ["transition cocycle[A,B,C]"]
+    assert "[FAIL] transition cocycle[A,B,C]" in rep.lines()
+
+
+def test_cyclic_cocycle_pulls_back_through_both_overlaps_at_a():
+    # T_CA = c^-1 becomes a^-1 through the (C,A) overlap and cancels T_AB = a
+    cycle = [("A", "B"), ("B", "C"), ("C", "A")]
+    atlas = glued_charts("ABC", inverted_pairs={("A", "B"), ("C", "A")}, pairs=cycle)
+    zero, transitions = rank_one(atlas, {("A", "B"): "a", ("C", "A"): "c^-1"})
+    assert check_higgs(HiggsSheaf(atlas, 1, zero, transitions)).ok()
+    _, broken = rank_one(atlas, {("A", "B"): "a", ("C", "A"): "c"})
+    rep = check_higgs(HiggsSheaf(atlas, 1, zero, broken))
+    assert [e.check for e in rep.failures()] == ["transition cocycle[A,B,C]"]
 
 
 def test_cocycle_report_does_not_depend_on_the_hash_seed(tmp_path):
