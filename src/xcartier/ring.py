@@ -564,9 +564,6 @@ class PolyMatrix:
 
     # ---------- basic algebra ----------
 
-    def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
-        return self.entries[ij[0]][ij[1]]
-
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(x) for x in row] for row in self.entries])
 

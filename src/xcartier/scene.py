@@ -53,6 +53,22 @@ def _matrix(strings, rank: int, vars: VarSpec, modulus: int, where: str) -> Poly
     return PolyMatrix(entries)
 
 
+_JSON_KINDS = {dict: "object", list: "array", int: "integer"}
+
+
+def _expect(value, kind: type, where: str):
+    """value, if it is a JSON value of the given kind (a boolean is never an integer)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SceneError(f"{where}: expected a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _names(value, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SceneError(f"{where}: expected a list of strings, got {value!r}")
+    return value
+
+
 def parse_scene(text: str) -> Scene:
     try:
         data = json.loads(text)
@@ -60,9 +76,10 @@ def parse_scene(text: str) -> Scene:
         raise SceneError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SceneError("top level must be a JSON object")
+    p = _expect(data.get("p"), int, "p")
     try:
-        ctx = PrimeContext(int(data.get("p")))
-    except (TypeError, ValueError) as exc:
+        ctx = PrimeContext(p)
+    except ValueError as exc:
         raise SceneError(f"p: {exc}") from exc
     p, p2 = ctx.p, ctx.p2
 
@@ -70,20 +87,25 @@ def parse_scene(text: str) -> Scene:
     if not isinstance(atlas_data, dict):
         raise SceneError("atlas: missing or not an object")
     atlas = Atlas(ctx)
-    for idx, chart in enumerate(atlas_data.get("charts", [])):
+    for idx, chart in enumerate(_expect(atlas_data.get("charts", []), list, "atlas.charts")):
         where = f"atlas.charts[{idx}]"
         try:
-            vars = VarSpec.make(chart["coords"], chart.get("inverted", []))
+            vars = VarSpec.make(
+                _names(chart["coords"], f"{where}.coords"),
+                _names(chart.get("inverted", []), f"{where}.inverted"),
+            )
             atlas.add_chart(chart["name"], vars)
         except (KeyError, TypeError, RingError, AtlasError) as exc:
             raise SceneError(f"{where}: {exc}") from exc
-    for idx, ov in enumerate(atlas_data.get("overlaps", [])):
+    for idx, ov in enumerate(_expect(atlas_data.get("overlaps", []), list, "atlas.overlaps")):
         where = f"atlas.overlaps[{idx}]"
         try:
             alpha, beta = ov["alpha"], ov["beta"]
             a_chart, b_chart = atlas.charts[alpha], atlas.charts[beta]
-            a_vars = a_chart.vars.with_inverted(ov.get("alpha_inverted", []))
-            b_vars = b_chart.vars.with_inverted(ov.get("beta_inverted", []))
+            a_vars = a_chart.vars.with_inverted(
+                _names(ov.get("alpha_inverted", []), f"{where}.alpha_inverted"))
+            b_vars = b_chart.vars.with_inverted(
+                _names(ov.get("beta_inverted", []), f"{where}.beta_inverted"))
 
             def pair(entry, vars, wh) -> SubstPair:
                 return SubstPair(
@@ -93,11 +115,11 @@ def parse_scene(text: str) -> Scene:
 
             beta_in_alpha = {
                 w: pair(e, a_vars, f"{where}.beta_in_alpha[{w}]")
-                for w, e in ov["beta_in_alpha"].items()
+                for w, e in _expect(ov["beta_in_alpha"], dict, f"{where}.beta_in_alpha").items()
             }
             alpha_in_beta = {
                 u: pair(e, b_vars, f"{where}.alpha_in_beta[{u}]")
-                for u, e in ov["alpha_in_beta"].items()
+                for u, e in _expect(ov["alpha_in_beta"], dict, f"{where}.alpha_in_beta").items()
             }
             atlas.add_overlap(
                 Overlap(alpha, beta, a_vars, b_vars, beta_in_alpha, alpha_in_beta)
@@ -106,13 +128,13 @@ def parse_scene(text: str) -> Scene:
             raise
         except (KeyError, TypeError, RingError, AtlasError) as exc:
             raise SceneError(f"{where}: {exc}") from exc
-    for idx, lift in enumerate(atlas_data.get("lifts", [])):
+    for idx, lift in enumerate(_expect(atlas_data.get("lifts", []), list, "atlas.lifts")):
         where = f"atlas.lifts[{idx}]"
         try:
             chart = atlas.charts[lift["chart"]]
             images = {
                 coord: _poly(img, chart.vars, p2, f"{where}.images[{coord}]")
-                for coord, img in lift["images"].items()
+                for coord, img in _expect(lift["images"], dict, f"{where}.images").items()
             }
             atlas.add_lift(FrobLift(lift["chart"], images))
         except SceneError:
@@ -132,14 +154,16 @@ def parse_scene(text: str) -> Scene:
         kind = sheaf_data.get("kind")
         if kind not in ("higgs", "flat"):
             raise SceneError(f"sheaf.kind: expected 'higgs' or 'flat', got {kind!r}")
-        try:
-            rank = int(sheaf_data["rank"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SceneError(f"sheaf.rank: {exc}") from exc
+        rank = _expect(sheaf_data.get("rank"), int, "sheaf.rank")
+        if rank < 1:
+            raise SceneError(f"sheaf.rank: expected a positive integer, got {rank}")
         matrices = {}
-        for chart_name, per_coord in sheaf_data.get("matrices", {}).items():
+        for chart_name, per_coord in _expect(
+            sheaf_data.get("matrices", {}), dict, "sheaf.matrices"
+        ).items():
             if chart_name not in atlas.charts:
                 raise SceneError(f"sheaf.matrices: unknown chart {chart_name!r}")
+            _expect(per_coord, dict, f"sheaf.matrices[{chart_name}]")
             vars = atlas.chart_vars(chart_name)
             mats = []
             for coord in vars.names:
@@ -153,7 +177,9 @@ def parse_scene(text: str) -> Scene:
                 )
             matrices[chart_name] = mats
         transitions = {}
-        for key, strings in sheaf_data.get("transitions", {}).items():
+        for key, strings in _expect(
+            sheaf_data.get("transitions", {}), dict, "sheaf.transitions"
+        ).items():
             names = key.split(",")
             if len(names) != 2 or tuple(names) not in atlas.overlaps:
                 raise SceneError(f"sheaf.transitions: unknown overlap key {key!r}")

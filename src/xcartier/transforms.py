@@ -12,6 +12,10 @@ nilpotent p-curvature psi by Phi = psi, which kills the p-curvature, takes a
 flat frame of the result from Katz's projector, expresses psi in that frame
 (entries land in p-th-power exponents), and divides exponents by p to descend.
 
+Each converse-path invariant is checked once: the input in `untwist`, the
+untwisted connection by its flat frames (`flat_sections`), and the rest by
+one `check_higgs` of the descended sheaf (`descend`).
+
 The sign of the p-curvature of the forward output relative to the
 Frobenius-pulled-back Higgs field is convention-dependent; it is measured
 by `p_curvature_sign`, not hard-coded.
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atlas import h_pair, jacobian_beta_in_alpha, lift_on_overlap, pull_beta_function, zeta_form
+from .atlas import h_pair, lift_on_overlap, pull_beta_function, zeta_form
 from .linalg import nullspace_mod_p
 from .report import Report, timed
 from .ring import (
@@ -37,7 +41,6 @@ from .sheaves import (
     FlatSheaf,
     HiggsSheaf,
     PCurvature,
-    check_field_gluing,
     check_flat,
     check_higgs,
     intertwining_residuals,
@@ -52,14 +55,6 @@ class TransformError(ValueError):
 
 
 # ---------- helpers ----------
-
-
-def default_degree_bound(rank: int, p: int, *matrix_groups) -> int:
-    deg = 0
-    for group in matrix_groups:
-        for m in group:
-            deg = max(deg, m.max_abs_degree())
-    return deg + p * rank
 
 
 def relabel_poly(f: LaurentPoly, p: int) -> LaurentPoly:
@@ -195,6 +190,7 @@ def p_curvature_sign(E: HiggsSheaf, psi: PCurvature) -> int | None:
 @dataclass
 class DescentResult:
     frames: dict[str, PolyMatrix]                       # columns are flat sections
+    inverses: dict[str, PolyMatrix]                     # frames[chart]^-1
     rank: int
     transitions: dict[tuple[str, str], PolyMatrix]      # descended (exponents / p)
 
@@ -355,29 +351,37 @@ def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
 
 
 def flat_sections(H: FlatSheaf) -> DescentResult:
-    """Frames of flat sections plus the descended transition matrices."""
+    """Unimodular flat frames, their inverses and the descended transition matrices.
+
+    A unit-determinant frame S with R_1(S; 0, A) = 0 proves the connection
+    flat with zero p-curvature: A = -dS S^-1 is a pure gauge, and the O-linear
+    psi_i = nabla_i^p kills the frame.  The p-curvature is computed only when
+    no such frame is found, to name the fault.  Each frame is inverted once;
+    on an overlap, the beta-side inverse is the pulled-back chart inverse.
+    """
     atlas = H.atlas
     p = atlas.ctx.p
-    psi = p_curvature(H)
-    if not psi.is_zero():
-        raise TransformError("flat-section descent requires zero p-curvature")
     frames: dict[str, PolyMatrix] = {}
-    for chart in atlas.charts:
-        frame = _solve_flat_frame(H, chart)
-        vars = atlas.chart_vars(chart)
-        zero = [PolyMatrix.zero(H.rank, H.rank, vars, p)] * vars.arity
-        for res in intertwining_residuals(frame, zero, H.conn[chart], vars, flat=True):
-            if not res.is_zero():  # res = -(dS + A S)
-                raise TransformError(f"frame on {chart!r} is not flat: {-res}")
-        if not frame.det().is_unit():
-            raise TransformError(f"frame on {chart!r} is not unimodular")
-        frames[chart] = frame
+    try:
+        for chart in atlas.charts:
+            frame = _solve_flat_frame(H, chart)
+            vars = atlas.chart_vars(chart)
+            zero = [PolyMatrix.zero(H.rank, H.rank, vars, p)] * vars.arity
+            for res in intertwining_residuals(frame, zero, H.conn[chart], vars, flat=True):
+                if not res.is_zero():  # res = -(dS + A S)
+                    raise TransformError(f"frame on {chart!r} is not flat: {-res}")
+            frames[chart] = frame
+    except TransformError as exc:
+        if not p_curvature(H).is_zero():
+            raise TransformError("flat-section descent requires zero p-curvature") from exc
+        raise
+    inverses = {chart: frame.inverse_unit_det() for chart, frame in frames.items()}
     transitions: dict[tuple[str, str], PolyMatrix] = {}
     for pair, ov in atlas.overlaps.items():
         s_a = frames[ov.alpha].extend_vars(ov.alpha_vars)
-        s_b = frames[ov.beta].map_entries(lambda f: pull_beta_function(ov, f))
-        transitions[pair] = relabel_matrix(s_b.inverse_unit_det() @ H.transitions[pair] @ s_a, p)
-    return DescentResult(frames, H.rank, transitions)
+        s_b_inv = inverses[ov.beta].map_entries(lambda f: pull_beta_function(ov, f))
+        transitions[pair] = relabel_matrix(s_b_inv @ H.transitions[pair] @ s_a, p)
+    return DescentResult(frames, inverses, H.rank, transitions)
 
 
 # ---------- the converse functor ----------
@@ -405,33 +409,20 @@ def cartier(H: FlatSheaf, lift_choice: dict[str, int] | None = None) -> HiggsShe
 
 
 def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
-    """The Higgs sheaf of psi in the flat frames of `untwist`'s output."""
-    atlas = untwisted.atlas
-    ctx = atlas.ctx
-    inner = check_flat(untwisted)
-    if not inner.ok():
-        raise TransformError(
-            "untwisted connection fails its gluing checks: "
-            + "; ".join(e.check for e in inner.failures())
-        )
-    # psi sits on the basis F*dt_i, so it glues by the Frobenius pullback of the Jacobian
-    jacobians = {
-        pair: jacobian_beta_in_alpha(ov).frobenius() for pair, ov in atlas.overlaps.items()
-    }
-    glue = check_field_gluing(atlas, psi.comps, untwisted.transitions, jacobians, flat=False)
-    if not glue.ok():
-        raise TransformError("p-curvature does not commute with the twisted gluing")
+    """The Higgs sheaf of psi in the flat frames of `untwist`'s output.
 
+    The frames prove the untwisted connection flat with zero p-curvature; its
+    gluing holds exactly when d kills S_b^-1 T S_a, i.e. when `relabel_matrix`
+    accepts it.  Its cocycle and the gluing of psi are the descended sheaf's,
+    checked by the one `check_higgs` below.
+    """
     descent = flat_sections(untwisted)
-    fields: dict[str, list[PolyMatrix]] = {}
-    for chart_name, chart in atlas.charts.items():
-        s = descent.frames[chart_name]
-        s_inv = s.inverse_unit_det()
-        fields[chart_name] = [
-            relabel_matrix(s_inv @ psi.comps[chart_name][j] @ s, ctx.p)
-            for j in range(chart.vars.arity)
-        ]
-    out = HiggsSheaf(atlas, untwisted.rank, fields, descent.transitions)
+    p = untwisted.atlas.ctx.p
+    fields = {
+        chart: [relabel_matrix(descent.inverses[chart] @ m @ s, p) for m in psi.comps[chart]]
+        for chart, s in descent.frames.items()
+    }
+    out = HiggsSheaf(untwisted.atlas, untwisted.rank, fields, descent.transitions)
     out_rep = check_higgs(out)
     if not out_rep.ok():
         raise TransformError(
@@ -534,11 +525,11 @@ def gauge_compare(sheaf1, sheaf2, flat: bool = False) -> GaugeWitness | None:
     """Search for a unit-determinant intertwiner, graded by degree.
 
     After the identity, the intertwining constraints are solved for entries
-    of degree at most 0, 1, 2, 4, ... up to `default_degree_bound`, and every
-    nonempty solution space is enumerated, one combination per scalar class.
-    None means that no witness was found below the enumeration cap: the
-    search stops at the first solution space with more than 200 000
-    combinations.
+    of degree at most 0, 1, 2, 4, ... up to p * rank plus the largest input
+    degree, and every nonempty solution space is enumerated, one combination
+    per scalar class.  None means that no witness was found below the
+    enumeration cap: the search stops at the first solution space with more
+    than 200 000 combinations.
     """
     atlas = sheaf1.atlas
     p = atlas.ctx.p
@@ -550,10 +541,9 @@ def gauge_compare(sheaf1, sheaf2, flat: bool = False) -> GaugeWitness | None:
         return GaugeWitness(identity)
     mats1 = sheaf1.conn if flat else sheaf1.fields
     mats2 = sheaf2.conn if flat else sheaf2.fields
-    top = default_degree_bound(
-        r, p, *mats1.values(), *mats2.values(),
-        sheaf1.transitions.values(), sheaf2.transitions.values(),
-    )
+    inputs = [*mats1.values(), *mats2.values(), sheaf1.transitions.values(),
+              sheaf2.transitions.values()]
+    top = max((m.max_abs_degree() for group in inputs for m in group), default=0) + p * r
     bound = 0
     while True:
         unknowns, basis = _gauge_solution_space(sheaf1, sheaf2, bound, flat)

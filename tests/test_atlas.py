@@ -63,7 +63,7 @@ def test_zeta_independent_of_coefficient_lift():
         fg = g.subst(images, T)
         results.append(divide_by_p(fg * images["t"].deriv("t")))
     assert results[0] == results[1]
-    zeta = zeta_form(T, images)[0, 0]
+    zeta = zeta_form(T, images).entries[0][0]
     assert results[0] == g_lift1.reduce_mod(3).frobenius() * zeta
 
 

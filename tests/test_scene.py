@@ -198,3 +198,47 @@ def test_non_unit_transition_rejected(tmp_path, capsys, kind):
     command = "icartier" if kind == "higgs" else "cartier"
     assert run_cli([command, "--scene", str(path)]) == 2
     assert "is not a unit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, where", [
+    pytest.param(["sheaf", "transitions"], [], "sheaf.transitions: expected a JSON object",
+                 id="transitions-list"),
+    pytest.param(["sheaf", "matrices"], [], "sheaf.matrices: expected a JSON object",
+                 id="matrices-list"),
+    pytest.param(["sheaf", "matrices", "U0"], ["0"] * 4,
+                 r"sheaf.matrices\[U0\]: expected a JSON object", id="chart-matrices-list"),
+    pytest.param(["atlas", "lifts", 0, "images"], ["s^3"],
+                 r"atlas.lifts\[0\].images: expected a JSON object", id="images-list"),
+    pytest.param(["atlas", "overlaps", 0, "beta_in_alpha"], [],
+                 r"atlas.overlaps\[0\].beta_in_alpha: expected a JSON object",
+                 id="beta_in_alpha-list"),
+    pytest.param(["p"], 3.7, "p: expected a JSON integer, got 3.7", id="p-float"),
+    pytest.param(["p"], "3", "p: expected a JSON integer, got '3'", id="p-string"),
+    pytest.param(["p"], True, "p: expected a JSON integer, got True", id="p-bool"),
+    pytest.param(["sheaf", "rank"], 2.9, "sheaf.rank: expected a JSON integer, got 2.9",
+                 id="rank-float"),
+    pytest.param(["sheaf", "rank"], "2", "sheaf.rank: expected a JSON integer, got '2'",
+                 id="rank-string"),
+    pytest.param(["sheaf", "rank"], 0, "sheaf.rank: expected a positive integer", id="rank-0"),
+    pytest.param(["atlas", "charts", 0, "coords"], "tu",
+                 r"atlas.charts\[0\].coords: expected a list of strings, got 'tu'",
+                 id="coords-string"),
+    pytest.param(["atlas", "charts", 0, "inverted"], "s",
+                 r"atlas.charts\[0\].inverted: expected a list of strings",
+                 id="inverted-string"),
+    pytest.param(["atlas", "charts"], {"U0": {}}, "atlas.charts: expected a JSON array",
+                 id="charts-object"),
+])
+def test_malformed_scene_fields_are_parse_errors(tmp_path, capsys, path, value, where):
+    data = json.loads(emit_scene(gallery("g5_p1_uniformizing", 3)))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    text = json.dumps(data)
+    with pytest.raises(SceneError, match=where):
+        parse_scene(text)
+    scene_path = tmp_path / "bad.json"
+    scene_path.write_text(text)
+    assert run_cli(["icartier", "--scene", str(scene_path)]) == 2
+    assert "error: " in capsys.readouterr().err

@@ -7,6 +7,7 @@ from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, trunc_
 from xcartier.sheaves import (
     FlatSheaf,
     HiggsSheaf,
+    PCurvature,
     check_flat,
     check_higgs,
     nilpotency_exponent,
@@ -18,6 +19,7 @@ from xcartier.transforms import (
     _gauge_solution_space,
     canonical_connection,
     cartier,
+    descend,
     flat_sections,
     gauge_compare,
     inverse_cartier,
@@ -389,7 +391,7 @@ def test_every_check_goes_through_curvature_and_one_residual(monkeypatch):
     res = count_calls(monkeypatch, "intertwining_residuals")
     zero = {c: [PolyMatrix.zero(2, 2, E.atlas.chart_vars(c), 3)] for c in E.atlas.charts}
     flat_sections(canonical_connection(HiggsSheaf(E.atlas, 2, zero, E.transitions)))
-    assert len(res) == 4  # per chart: psi horizontality in p_curvature, then the flat frame
+    assert len(res) == 2  # per chart the flat-frame residual; the frame proves psi = 0
 
 
 @pytest.mark.parametrize("name", ["g5_p1_uniformizing", "g6_a2_rank3"])
@@ -398,20 +400,55 @@ def test_transforms_check_each_invariant_once(monkeypatch, name):
     scans = count_calls(monkeypatch, "nilpotency_exponent")
     H = inverse_cartier(E)
     assert len(scans) == len(E.atlas.charts)  # check_higgs, once per chart
-    curvatures = count_calls(monkeypatch, "p_curvature")
-    cartier(H)
-    # the input's in untwist, the untwisted sheaf's in flat_sections
-    assert len(curvatures) == 2
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("p_curvature", "check_flat", "check_higgs")}
+    inverses = []
+    inverse_unit_det = PolyMatrix.inverse_unit_det
+    monkeypatch.setattr(PolyMatrix, "inverse_unit_det",
+                        lambda m: inverses.append(m) or inverse_unit_det(m))
+    out = cartier(H)
+    # p-curvature and flatness of the input in untwist; the flat frames prove the
+    # untwisted connection flat with zero p-curvature; check_higgs of the output
+    assert [args[0] for args in calls["p_curvature"]] == [H]
+    assert [args[0] for args in calls["check_flat"]] == [H]
+    assert [args[0] for args in calls["check_higgs"]] == [out]
+    assert len(inverses) == len(E.atlas.charts)  # each frame inverted once
 
 
 def test_criterion_4_untwists_each_sheaf_once(monkeypatch):
     calls = {name: count_calls(monkeypatch, name)
              for name in ("untwist", "p_curvature", "check_flat")}
     assert acceptance.criterion_4().ok()
-    # 7 jobs: one untwist, p-curvature of the input, of the untwisted sheaf in the
-    # criterion and again in flat_sections, and check_flat of the input and the untwisted sheaf
+    # 7 jobs: one untwist, p-curvature of the input and of the untwisted sheaf (the
+    # criterion's own acceptance check), and check_flat of the input only
     assert {name: len(c) for name, c in calls.items()} == {
-        "untwist": 7, "p_curvature": 21, "check_flat": 14}
+        "untwist": 7, "p_curvature": 14, "check_flat": 7}
+
+
+def test_descend_rejects_what_the_deleted_checks_caught():
+    E = gallery("g5_p1_uniformizing", 5).sheaf
+    untwisted, psi = untwist(inverse_cartier(E))
+    atlas, pair = untwisted.atlas, ("U0", "U1")
+    ov_vars = atlas.overlaps[pair].alpha_vars
+    shear = PolyMatrix.identity(2, ov_vars, 5) + n12(ov_vars, 5).scale(
+        LaurentPoly.var(ov_vars, 5, "s"))
+    # connection gluing: S_b^-1 T S_a is not killed by d
+    bad_gluing = FlatSheaf(atlas, 2, untwisted.conn, {pair: untwisted.transitions[pair] @ shear})
+    with pytest.raises(TransformError, match="'s\\^6' has an exponent not divisible by 5"):
+        descend(bad_gluing, psi)
+    # gluing of psi: caught as the descended sheaf's field gluing
+    doubled = PCurvature(2, {**psi.comps, "U1": [m + m for m in psi.comps["U1"]]})
+    with pytest.raises(TransformError, match=r"field gluing\[U0\|U1\]"):
+        descend(untwisted, doubled)
+    # flatness: a curved plane connection with zero p-curvature has no flat frame
+    vars = VarSpec.make(["t", "u"])
+    plane = Atlas(PrimeContext(5))
+    plane.add_chart("A2", vars)
+    t = LaurentPoly.var(vars, 5, "t")
+    curved = FlatSheaf(plane, 2, {"A2": [PolyMatrix.zero(2, 2, vars, 5), n12(vars, 5).scale(t)]})
+    assert p_curvature(curved).is_zero()
+    with pytest.raises(TransformError, match="frame on 'A2' is not flat"):
+        flat_sections(curved)
 
 
 # ------------------------------------------------------- gauge comparison
