@@ -137,7 +137,19 @@ def taylor_cocycle_identity(
         total = total + nl.scale(z)
     lhs = trunc_exp(total, ctx)
 
-    rhs = PolyMatrix.identity(n, nilpotents[0].vars, p)
+    # N_l^k and z_l^k for k <= p-2, computed once per family
+    vars = nilpotents[0].vars
+    mat_powers, fn_powers = [], []
+    for nl, z in zip(nilpotents, functions):
+        mats = [PolyMatrix.identity(n, vars, p)]
+        fns = [LaurentPoly.one(vars, p)]
+        for _ in range(p - 2):
+            mats.append(mats[-1] @ nl)
+            fns.append(fns[-1] * z)
+        mat_powers.append(mats)
+        fn_powers.append(fns)
+
+    rhs = PolyMatrix.identity(n, vars, p)
     d = len(nilpotents)
     for j in itertools.product(range(p - 1), repeat=d):
         weight = sum(j)
@@ -146,12 +158,12 @@ def taylor_cocycle_identity(
         coeff = 1
         for jl in j:
             coeff = coeff * ctx.inv_factorials[jl] % p
-        mat = PolyMatrix.identity(n, nilpotents[0].vars, p)
-        scalar = LaurentPoly.const(nilpotents[0].vars, p, coeff)
-        for nl, z, jl in zip(nilpotents, functions, j):
-            for _ in range(jl):
-                mat = mat @ nl
-            scalar = scalar * (z ** jl)
+        mat = None
+        scalar = LaurentPoly.const(vars, p, coeff)
+        for l, jl in enumerate(j):
+            if jl:
+                mat = mat_powers[l][jl] if mat is None else mat @ mat_powers[l][jl]
+                scalar = scalar * fn_powers[l][jl]
         rhs = rhs + mat.scale(scalar)
     return lhs == rhs
 

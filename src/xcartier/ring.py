@@ -8,6 +8,18 @@ only on variables the VarSpec marks as inverted (localization data).  The
 
 The zero polynomial is the empty map.  Equality is structural.  Canonical
 term order for text emission is graded lex, largest first: `2*s^4 + s^2`.
+
+The public constructors `LaurentPoly(...)` and `PolyMatrix(...)` validate
+their input: exponent lengths, negative exponents only on inverted variables,
+one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
+`deriv`, `frobenius`, matrix `@` and `scale`) keeps those invariants by
+construction, so it checks the operands' ring once per call and builds its
+result with the trusted `_make` constructors, which only reduce mod m and
+drop zeros.  Operations that change the ring (`subst`, `extend_vars`,
+`reduce_mod`, `map_entries`) go through the validating constructors.
+`VarSpec.make` and `with_inverted` intern one VarSpec per (names, inverted),
+so the ring check is usually an identity test; a directly built VarSpec still
+compares equal.
 """
 
 from __future__ import annotations
@@ -15,6 +27,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -55,6 +69,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@cache
 def char_of_modulus(m: int) -> tuple[int, int]:
     """Return (p, level) where m == p**level, level in {1, 2}."""
     if is_prime(m):
@@ -104,7 +119,12 @@ class VarSpec:
 
     @classmethod
     def make(cls, names: Iterable[str], inverted: Iterable[str] = ()) -> "VarSpec":
-        return cls(tuple(names), frozenset(inverted))
+        """The interned VarSpec for (names, inverted): one instance per key."""
+        key = (tuple(names), frozenset(inverted))
+        spec = _INTERNED.get(key)
+        if spec is None:
+            spec = _INTERNED[key] = cls(*key)
+        return spec
 
     @property
     def arity(self) -> int:
@@ -120,7 +140,20 @@ class VarSpec:
         return name in self.inverted
 
     def with_inverted(self, extra: Iterable[str]) -> "VarSpec":
-        return VarSpec(self.names, self.inverted | frozenset(extra))
+        return VarSpec.make(self.names, self.inverted | frozenset(extra))
+
+
+_INTERNED: dict[tuple[tuple[str, ...], frozenset[str]], VarSpec] = {}
+
+
+def _same_ring(a, b) -> bool:
+    """a and b (polynomials or matrices) share one VarSpec and modulus."""
+    return (a.vars is b.vars or a.vars == b.vars) and a.modulus == b.modulus
+
+
+def _check_ring(a, b) -> None:
+    if not _same_ring(a, b):
+        raise RingError("operands live in different rings")
 
 
 def _term_sort_key(exps: tuple[int, ...]) -> tuple:
@@ -159,6 +192,18 @@ class LaurentPoly:
         self.vars = vars
         self.modulus = modulus
         self.terms = clean
+
+    @staticmethod
+    def _make(vars: VarSpec, modulus: int, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """Trusted constructor for same-ring results: reduce mod m, drop zeros.
+
+        The exponent vectors must already be valid for vars.
+        """
+        self = object.__new__(LaurentPoly)
+        self.vars = vars
+        self.modulus = modulus
+        self.terms = {e: r for e, c in terms.items() if (r := c % modulus)}
+        return self
 
     # ---------- constructors ----------
 
@@ -212,37 +257,22 @@ class LaurentPoly:
 
     # ---------- ring operations ----------
 
-    def _check_compatible(self, other: "LaurentPoly") -> None:
-        if self.vars != other.vars or self.modulus != other.modulus:
-            raise RingError("operands live in different rings")
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.vars, self.modulus, out)
+        _check_ring(self, other)
+        return LaurentPoly._make(self.vars, self.modulus, _sum_terms(self.terms, other.terms, 1))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(self.vars, self.modulus, out)
+        _check_ring(self, other)
+        return LaurentPoly._make(self.vars, self.modulus, _sum_terms(self.terms, other.terms, -1))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, self.modulus, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.vars, self.modulus, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.vars, self.modulus, {e: c * other for e, c in self.terms.items()})
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return LaurentPoly(self.vars, self.modulus, out)
+            return LaurentPoly._make(self.vars, self.modulus, {e: c * other for e, c in self.terms.items()})
+        _check_ring(self, other)
+        return LaurentPoly._make(self.vars, self.modulus, _product_terms({}, self.terms, other.terms))
 
     def __rmul__(self, other: int) -> "LaurentPoly":
         return self.__mul__(other)
@@ -250,7 +280,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return invert_poly(self) ** (-n)
-        result = LaurentPoly.one(self.vars, self.modulus)
+        result = LaurentPoly._make(self.vars, self.modulus, {(0,) * self.vars.arity: 1})
         base = self
         while n:
             if n & 1:
@@ -262,8 +292,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentPoly)
-            and self.vars == other.vars
-            and self.modulus == other.modulus
+            and _same_ring(self, other)
             and self.terms == other.terms
         )
 
@@ -274,23 +303,19 @@ class LaurentPoly:
     def deriv(self, name: str) -> "LaurentPoly":
         """Partial derivative; obeys Leibniz including negative exponents."""
         i = self.vars.index(name)
-        out: dict[tuple[int, ...], int] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0) + c * e
-        return LaurentPoly(self.vars, self.modulus, out)
+        # lowering exponent i is injective, so no two terms meet
+        out = {
+            exps[:i] + (e - 1,) + exps[i + 1:]: c * e
+            for exps, c in self.terms.items() if (e := exps[i])
+        }
+        return LaurentPoly._make(self.vars, self.modulus, out)
 
     def frobenius(self) -> "LaurentPoly":
         """g -> g^p, term-wise since coefficients in F_p are Frobenius-fixed."""
         p, level = char_of_modulus(self.modulus)
         if level != 1:
             raise RingError("frobenius is only defined on mod-p polynomials")
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.vars, self.modulus,
             {tuple(p * e for e in exps): c for exps, c in self.terms.items()},
         )
@@ -374,6 +399,25 @@ class LaurentPoly:
     @classmethod
     def parse(cls, text: str, vars: VarSpec, modulus: int) -> "LaurentPoly":
         return _parse_poly(text, vars, modulus)
+
+
+def _sum_terms(a: dict, b: dict, sign: int) -> dict:
+    """The unreduced terms of a + sign*b."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def _product_terms(out: dict, a: dict, b: dict) -> dict:
+    """Accumulate the unreduced terms of a*b into out."""
+    get = out.get
+    b_items = b.items()
+    for ea, ca in a.items():
+        for eb, cb in b_items:
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return out
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+-]))")
@@ -541,9 +585,21 @@ class PolyMatrix:
             if len(row) != self.cols:
                 raise RingError("ragged matrix")
             for x in row:
-                if x.vars != self.vars or x.modulus != self.modulus:
+                if not _same_ring(x, first):
                     raise RingError("matrix entries live in different rings")
         self.entries = rows
+
+    @staticmethod
+    def _make(rows: tuple[tuple[LaurentPoly, ...], ...], vars: VarSpec, modulus: int) -> "PolyMatrix":
+        """Trusted constructor: rows is a nonempty rectangular tuple of tuples
+        of polynomials over (vars, modulus)."""
+        self = object.__new__(PolyMatrix)
+        self.rows = len(rows)
+        self.cols = len(rows[0])
+        self.vars = vars
+        self.modulus = modulus
+        self.entries = rows
+        return self
 
     # ---------- constructors ----------
 
@@ -567,41 +623,62 @@ class PolyMatrix:
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(x) for x in row] for row in self.entries])
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other)
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+    def _map_same_ring(self, fn) -> "PolyMatrix":
+        """map_entries for an fn that keeps every entry in this matrix's ring."""
+        return PolyMatrix._make(
+            tuple([tuple([fn(x) for x in row]) for row in self.entries]), self.vars, self.modulus
         )
+
+    def _zip_terms(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
+        """self + sign*other, after one shape and ring check."""
+        self._check_shape(other)
+        _check_ring(self, other)
+        vars, m = self.vars, self.modulus
+        return PolyMatrix._make(
+            tuple([
+                tuple([LaurentPoly._make(vars, m, _sum_terms(a.terms, b.terms, sign))
+                       for a, b in zip(ra, rb)])
+                for ra, rb in zip(self.entries, other.entries)
+            ]),
+            vars, m,
+        )
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._zip_terms(other, 1)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other)
-        return PolyMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._zip_terms(other, -1)
 
     def __neg__(self) -> "PolyMatrix":
-        return self.map_entries(lambda x: -x)
+        return self._map_same_ring(lambda x: -x)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Each entry sum_k a_ik * b_kj is accumulated in one dict."""
         if self.cols != other.rows:
             raise RingError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = LaurentPoly.zero(self.vars, self.modulus)
+        _check_ring(self, other)
+        vars, m = self.vars, self.modulus
+        cols = [[b.terms for b in col] for col in zip(*other.entries)]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        for row in self.entries:
+            row_terms = [a.terms for a in row]
+            new_row = []
+            for col in cols:
+                acc: dict[tuple[int, ...], int] = {}
+                for ta, tb in zip(row_terms, col):
+                    if ta and tb:
+                        _product_terms(acc, ta, tb)
+                new_row.append(LaurentPoly._make(vars, m, acc))
+            out.append(tuple(new_row))
+        return PolyMatrix._make(tuple(out), vars, m)
 
     def scale(self, s) -> "PolyMatrix":
-        return self.map_entries(lambda x: x * s)
+        """Entry-wise product with an int or a polynomial of this ring."""
+        if isinstance(s, int):
+            return self._map_same_ring(lambda x: x * s)
+        _check_ring(self, s)
+        vars, m, ts = self.vars, self.modulus, s.terms
+        return self._map_same_ring(lambda x: LaurentPoly._make(vars, m, _product_terms({}, x.terms, ts)))
 
     def _check_shape(self, other: "PolyMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -621,7 +698,11 @@ class PolyMatrix:
         return all(x.is_zero() for row in self.entries for x in row)
 
     def is_identity(self) -> bool:
-        return self == PolyMatrix.identity(self.rows, self.vars, self.modulus)
+        return self.rows == self.cols and all(
+            x.is_one() if i == j else x.is_zero()
+            for i, row in enumerate(self.entries)
+            for j, x in enumerate(row)
+        )
 
     def max_abs_degree(self) -> int:
         return max(x.max_abs_degree() for row in self.entries for x in row)
@@ -632,10 +713,10 @@ class PolyMatrix:
     # ---------- entry-wise semilinear maps ----------
 
     def deriv(self, name: str) -> "PolyMatrix":
-        return self.map_entries(lambda x: x.deriv(name))
+        return self._map_same_ring(lambda x: x.deriv(name))
 
     def frobenius(self) -> "PolyMatrix":
-        return self.map_entries(lambda x: x.frobenius())
+        return self._map_same_ring(lambda x: x.frobenius())
 
     def subst(self, images, target: VarSpec) -> "PolyMatrix":
         return self.map_entries(lambda x: x.subst(images, target))
@@ -660,15 +741,16 @@ class PolyMatrix:
             a = self.entries[0][j]
             if a.is_zero():
                 continue
-            minor = PolyMatrix(
-                [
-                    [self.entries[i][k] for k in range(n) if k != j]
-                    for i in range(1, n)
-                ]
-            )
-            term = a * minor.det()
+            term = a * self._minor(0, j).det()
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
+
+    def _minor(self, i: int, j: int) -> "PolyMatrix":
+        """The submatrix without row i and column j."""
+        return PolyMatrix._make(
+            tuple(row[:j] + row[j + 1:] for a, row in enumerate(self.entries) if a != i),
+            self.vars, self.modulus,
+        )
 
     def adjugate(self) -> "PolyMatrix":
         n = self.rows
@@ -678,17 +760,11 @@ class PolyMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                minor = PolyMatrix(
-                    [
-                        [self.entries[a][b] for b in range(n) if b != j]
-                        for a in range(n) if a != i
-                    ]
-                )
-                m = minor.det()
+                m = self._minor(i, j).det()
                 row.append(m if (i + j) % 2 == 0 else -m)
             cof.append(row)
         # adjugate = transpose of the cofactor matrix
-        return PolyMatrix([[cof[j][i] for j in range(n)] for i in range(n)])
+        return PolyMatrix._make(tuple(zip(*cof)), self.vars, self.modulus)
 
     def inverse_unit_det(self) -> "PolyMatrix":
         """Exact inverse; requires the determinant to be a ring unit."""

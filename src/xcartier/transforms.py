@@ -300,7 +300,7 @@ def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
     p = H.atlas.ctx.p
     vars = H.atlas.chart_vars(chart)
     r = H.rank
-    inv_fact = [pow(math.factorial(m), p - 2, p) for m in range(p)]
+    inv_fact = H.atlas.ctx.inv_factorials
 
     def projected(S: PolyMatrix, i: int):
         """P_i ... P_n (t_i^j_i ... t_n^j_n S) for the j in lex order.

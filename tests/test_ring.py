@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xcartier.gallery import gallery
 from xcartier.ring import (
     LaurentPoly,
     NilpotencyError,
@@ -16,6 +17,7 @@ from xcartier.ring import (
     monomials_in_box,
     trunc_exp,
 )
+from xcartier.transforms import inverse_cartier
 
 T = VarSpec.make(["t"])
 T_INV = VarSpec.make(["t"], ["t"])
@@ -265,3 +267,143 @@ def test_monomial_box_respects_inversion():
     assert box == [(0,), (1,), (2,)]
     box_inv = monomials_in_box(T_INV, 1)
     assert box_inv == [(0,), (-1,), (1,)]
+
+
+# ------------------------------------------- trusted same-ring arithmetic
+
+
+def assert_canonical(r):
+    """r is what the validating constructor makes of its own terms."""
+    assert all(0 < c < r.modulus for c in r.terms.values())
+    assert r == LaurentPoly(r.vars, r.modulus, r.terms)
+
+
+@st.composite
+def rings(draw):
+    names = ["t", "u", "v"][:draw(st.integers(1, 3))]
+    inverted = draw(st.sets(st.sampled_from(names)))
+    p = draw(st.sampled_from([3, 5, 7]))
+    return VarSpec.make(names, inverted), p ** draw(st.integers(1, 2))
+
+
+@st.composite
+def matrices(draw, vars, modulus, rank):
+    return PolyMatrix([
+        [draw(laurent_polys(vars, modulus, max_terms=3, max_exp=3)) for _ in range(rank)]
+        for _ in range(rank)
+    ])
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_same_ring_polynomial_ops_are_canonical(data):
+    vars, m = data.draw(rings())
+    a, b = (data.draw(laurent_polys(vars, m)) for _ in range(2))
+    k = data.draw(st.integers(-2 * m, 2 * m))
+    results = [a + b, a - b, a * b, -a, a * k, k * a]
+    results += [a.deriv(name) for name in vars.names]
+    if m in (3, 5, 7):
+        results.append(a.frobenius())
+    for r in results:
+        assert r.vars is vars and r.modulus == m
+        assert_canonical(r)
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_same_ring_matrix_ops_are_canonical(data):
+    vars, m = data.draw(rings())
+    rank = data.draw(st.integers(1, 3))
+    A, B = (data.draw(matrices(vars, m, rank)) for _ in range(2))
+    f = data.draw(laurent_polys(vars, m))
+    product = A @ B
+    for i in range(rank):  # the fused kernel against entry-wise sums of products
+        for j in range(rank):
+            naive = LaurentPoly.zero(vars, m)
+            for k in range(rank):
+                naive = naive + A.entries[i][k] * B.entries[k][j]
+            assert product.entries[i][j] == naive
+    results = [product, A + B, A - B, -A, A.scale(f), A.scale(m + 2), A.deriv(vars.names[0])]
+    if m in (3, 5, 7):
+        results.append(A.frobenius())
+    for R in results:
+        assert R == PolyMatrix(R.entries)
+        for row in R.entries:
+            for x in row:
+                assert x.vars is vars and x.modulus == m
+                assert_canonical(x)
+
+
+# ---------------------------------------------------------------- boundary
+
+
+TU = VarSpec.make(["t", "u"])
+
+
+@pytest.mark.parametrize("other", [
+    LaurentPoly.var(TU, 3, "t"),       # other variables
+    LaurentPoly.var(T_INV, 3, "t"),    # same names, other inversions
+    LaurentPoly.var(T, 9, "t"),        # other modulus
+])
+def test_mixed_ring_arithmetic_raises(other):
+    a = poly("t + 1")
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(RingError, match="different rings"):
+            op(a, other)
+    A = PolyMatrix.from_int_rows([[1, 0], [0, 0]], T, 3)
+    B = PolyMatrix([[other, other], [other, other]])
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y):
+        with pytest.raises(RingError, match="different rings"):
+            op(A, B)
+    with pytest.raises(RingError, match="different rings"):
+        A.scale(other)
+
+
+def test_validating_constructors_still_reject():
+    with pytest.raises(RingError, match="wrong length"):
+        LaurentPoly(T, 3, {(1, 0): 1})
+    with pytest.raises(RingError, match="bad modulus"):
+        LaurentPoly(T, 1, {})
+    with pytest.raises(RingError, match="different rings"):
+        PolyMatrix([[poly("t"), LaurentPoly.var(T, 9, "t")]])
+    with pytest.raises(RingError, match="ragged"):
+        PolyMatrix([[poly("t"), poly("1")], [poly("t")]])
+
+
+def test_varspec_make_interns():
+    assert VarSpec.make(["t"]) is VarSpec.make(("t",)) is T
+    assert VarSpec.make(["t", "u"], ["u"]) is VarSpec.make(("t", "u"), {"u"})
+    assert T.with_inverted(["t"]) is T_INV
+    assert VarSpec.make(["t"], ["t"]) is not T
+
+
+def test_directly_built_varspec_combines_with_interned_operands():
+    direct = VarSpec(("t",))
+    assert direct is not T and direct == T
+    f = LaurentPoly(direct, 3, {(2,): 1})
+    assert f + poly("t") == poly("t^2 + t")
+    assert poly("t") * f == poly("t^3")
+    M = PolyMatrix([[f]])
+    assert (M @ PolyMatrix([[poly("t")]])).entries[0][0] == poly("t^3")
+    assert (PolyMatrix([[poly("1")]]) - M).entries[0][0] == poly("1 + 2*t^2")
+
+
+def test_same_ring_matrix_ops_skip_the_validating_constructor(monkeypatch):
+    H = inverse_cartier(gallery("g6_a2_rank3", 5).sheaf)
+    A, B = next(iter(H.conn.values()))
+    assert not A.is_zero() and not B.is_zero()
+    calls = []
+    init = LaurentPoly.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+    results = [A @ B, A + B, A.deriv(A.vars.names[0])]
+    assert calls == []
+    for R in results:
+        for row in R.entries:
+            for x in row:
+                assert_canonical(x)
+    assert len(calls) == 3 * 9  # assert_canonical itself validates
