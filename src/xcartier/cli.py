@@ -21,7 +21,7 @@ from .identities import (
 from .report import Report
 from .ring import PrimeContext, RingError
 from .scene import Scene, SceneError, emit_scene, parse_scene
-from .sheaves import FlatSheaf, HiggsSheaf, p_curvature
+from .sheaves import FlatSheaf, HiggsSheaf, p_curvature, verify_p_curvature_invariants
 from .transforms import TransformError, cartier, inverse_cartier, roundtrip_check
 
 USAGE_ERROR = 2
@@ -113,7 +113,8 @@ def run_cli(argv: list[str]) -> int:
             for chart, mats in sorted(psi.comps.items()):
                 for i, m in enumerate(mats):
                     report.skip(f"psi[{chart}][{i}]", str(m))
-            report.add("p-curvature computed and invariants verified", True)
+            ok = verify_p_curvature_invariants(scene.sheaf, psi).ok()
+            report.add("p-curvature computed and invariants verified", ok)
             return _emit_report(report, args)
         if args.command == "icartier":
             scene = _read_scene(args.scene)

@@ -15,8 +15,10 @@ one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
 `deriv`, `frobenius`, matrix `@` and `scale`) keeps those invariants by
 construction, so it checks the operands' ring once per call and builds its
 result with the trusted `_make` constructors, which only reduce mod m and
-drop zeros.  Operations that change the ring (`subst`, `extend_vars`,
-`reduce_mod`, `map_entries`) go through the validating constructors.
+drop zeros.  So are the constants (`zero`, `const`, `one`, matrix `zero` and
+`identity`), which check only the modulus and the shape.  Operations that
+change the ring (`subst`, `extend_vars`, `reduce_mod`, `map_entries`) go
+through the validating constructors.
 `VarSpec.make` and `with_inverted` intern one VarSpec per (names, inverted),
 so the ring check is usually an identity test; a directly built VarSpec still
 compares equal.
@@ -209,11 +211,13 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, vars: VarSpec, modulus: int) -> "LaurentPoly":
-        return cls(vars, modulus, {})
+        return cls.const(vars, modulus, 0)
 
     @classmethod
     def const(cls, vars: VarSpec, modulus: int, c: int) -> "LaurentPoly":
-        return cls(vars, modulus, {(0,) * vars.arity: c})
+        if modulus < 2:
+            raise RingError(f"bad modulus {modulus}")
+        return LaurentPoly._make(vars, modulus, {(0,) * vars.arity: c})
 
     @classmethod
     def one(cls, vars: VarSpec, modulus: int) -> "LaurentPoly":
@@ -605,14 +609,15 @@ class PolyMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int, vars: VarSpec, modulus: int) -> "PolyMatrix":
-        z = LaurentPoly.zero(vars, modulus)
-        return cls([[z] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise RingError("matrix needs at least one entry")
+        return cls._make(((LaurentPoly.zero(vars, modulus),) * cols,) * rows, vars, modulus)
 
     @classmethod
     def identity(cls, n: int, vars: VarSpec, modulus: int) -> "PolyMatrix":
-        one = LaurentPoly.one(vars, modulus)
-        z = LaurentPoly.zero(vars, modulus)
-        return cls([[one if i == j else z for j in range(n)] for i in range(n)])
+        one, rows = LaurentPoly.one(vars, modulus), cls.zero(n, n, vars, modulus).entries
+        rows = tuple(row[:i] + (one,) + row[i + 1:] for i, row in enumerate(rows))
+        return cls._make(rows, vars, modulus)
 
     @classmethod
     def from_int_rows(cls, rows: Iterable[Iterable[int]], vars: VarSpec, modulus: int) -> "PolyMatrix":
@@ -723,9 +728,6 @@ class PolyMatrix:
 
     def extend_vars(self, target: VarSpec) -> "PolyMatrix":
         return self.map_entries(lambda x: x.extend_vars(target))
-
-    def reduce_mod(self, modulus: int) -> "PolyMatrix":
-        return self.map_entries(lambda x: x.reduce_mod(modulus))
 
     # ---------- determinant and inverse ----------
 

@@ -13,8 +13,8 @@ flat frame of the result from Katz's projector, expresses psi in that frame
 (entries land in p-th-power exponents), and divides exponents by p to descend.
 
 Each converse-path invariant is checked once: the input in `untwist`, the
-untwisted connection by its flat frames (`flat_sections`), and the rest by
-one `check_higgs` of the descended sheaf (`descend`).
+untwisted connection by its flat frames (`flat_sections`), and psi and the
+gluing by `descend`, which inverts each frame once and checks the result.
 
 The sign of the p-curvature of the forward output relative to the
 Frobenius-pulled-back Higgs field is convention-dependent; it is measured
@@ -190,9 +190,6 @@ def p_curvature_sign(E: HiggsSheaf, psi: PCurvature) -> int | None:
 @dataclass
 class DescentResult:
     frames: dict[str, PolyMatrix]                       # columns are flat sections
-    inverses: dict[str, PolyMatrix]                     # frames[chart]^-1
-    rank: int
-    transitions: dict[tuple[str, str], PolyMatrix]      # descended (exponents / p)
 
 
 def _shift_scale(poly: LaurentPoly, shift: tuple[int, ...], scale: int) -> LaurentPoly:
@@ -351,13 +348,13 @@ def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
 
 
 def flat_sections(H: FlatSheaf) -> DescentResult:
-    """Unimodular flat frames, their inverses and the descended transition matrices.
+    """A unimodular flat frame on every chart.
 
     A unit-determinant frame S with R_1(S; 0, A) = 0 proves the connection
     flat with zero p-curvature: A = -dS S^-1 is a pure gauge, and the O-linear
     psi_i = nabla_i^p kills the frame.  The p-curvature is computed only when
-    no such frame is found, to name the fault.  Each frame is inverted once;
-    on an overlap, the beta-side inverse is the pulled-back chart inverse.
+    no such frame is found, to name the fault.  Nothing is inverted here;
+    `descend` inverts each frame once.
     """
     atlas = H.atlas
     p = atlas.ctx.p
@@ -375,13 +372,7 @@ def flat_sections(H: FlatSheaf) -> DescentResult:
         if not p_curvature(H).is_zero():
             raise TransformError("flat-section descent requires zero p-curvature") from exc
         raise
-    inverses = {chart: frame.inverse_unit_det() for chart, frame in frames.items()}
-    transitions: dict[tuple[str, str], PolyMatrix] = {}
-    for pair, ov in atlas.overlaps.items():
-        s_a = frames[ov.alpha].extend_vars(ov.alpha_vars)
-        s_b_inv = inverses[ov.beta].map_entries(lambda f: pull_beta_function(ov, f))
-        transitions[pair] = relabel_matrix(s_b_inv @ H.transitions[pair] @ s_a, p)
-    return DescentResult(frames, inverses, H.rank, transitions)
+    return DescentResult(frames)
 
 
 # ---------- the converse functor ----------
@@ -411,18 +402,28 @@ def cartier(H: FlatSheaf, lift_choice: dict[str, int] | None = None) -> HiggsShe
 def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
     """The Higgs sheaf of psi in the flat frames of `untwist`'s output.
 
-    The frames prove the untwisted connection flat with zero p-curvature; its
-    gluing holds exactly when d kills S_b^-1 T S_a, i.e. when `relabel_matrix`
-    accepts it.  Its cocycle and the gluing of psi are the descended sheaf's,
-    checked by the one `check_higgs` below.
+    Each frame S is inverted once; psi_i and the transitions T are written in
+    the frames by one conjugate-and-relabel step, which accepts S^-1 M S' only
+    when d kills it: for T that is the untwisted gluing, for psi_i its
+    horizontality (psi commutes with zeta(psi)).  Relabelling is a ring
+    isomorphism, so one `check_higgs` proves psi commutative and checks the
+    cocycle and the gluing of psi.
     """
-    descent = flat_sections(untwisted)
-    p = untwisted.atlas.ctx.p
-    fields = {
-        chart: [relabel_matrix(descent.inverses[chart] @ m @ s, p) for m in psi.comps[chart]]
-        for chart, s in descent.frames.items()
+    atlas, p = untwisted.atlas, untwisted.atlas.ctx.p
+    frames = flat_sections(untwisted).frames
+    inverses = {chart: s.inverse_unit_det() for chart, s in frames.items()}
+
+    def in_frames(s_inv: PolyMatrix, m: PolyMatrix, s: PolyMatrix) -> PolyMatrix:
+        return relabel_matrix(s_inv @ m @ s, p)
+
+    transitions = {  # on an overlap, the beta-side inverse is the pulled-back chart inverse
+        pair: in_frames(inverses[ov.beta].map_entries(lambda f: pull_beta_function(ov, f)),
+                        untwisted.transitions[pair], frames[ov.alpha].extend_vars(ov.alpha_vars))
+        for pair, ov in atlas.overlaps.items()
     }
-    out = HiggsSheaf(untwisted.atlas, untwisted.rank, fields, descent.transitions)
+    fields = {chart: [in_frames(inverses[chart], m, s) for m in psi.comps[chart]]
+              for chart, s in frames.items()}
+    out = HiggsSheaf(atlas, untwisted.rank, fields, transitions)
     out_rep = check_higgs(out)
     if not out_rep.ok():
         raise TransformError(
@@ -440,11 +441,20 @@ class GaugeWitness:
     gauges: dict[str, PolyMatrix]
 
 
+def _matrices(sheaf1, sheaf2, flat: bool) -> tuple[dict, dict]:
+    """The connections of two flat sheaves (flat) or the fields of two Higgs sheaves."""
+    kind, attr = (FlatSheaf, "conn") if flat else (HiggsSheaf, "fields")
+    for sheaf in (sheaf1, sheaf2):
+        if not isinstance(sheaf, kind):
+            raise TransformError(f"flat={flat} needs two {kind.__name__}s, got a "
+                                 f"{type(sheaf).__name__}")
+    return getattr(sheaf1, attr), getattr(sheaf2, attr)
+
+
 def verify_gauge_witness(sheaf1, sheaf2, gauges: dict[str, PolyMatrix], flat: bool) -> bool:
     """Unit-determinant g with R_lambda(g; A_1, A_2) = 0 on every chart and g_b T_1 = T_2 g_a."""
     atlas = sheaf1.atlas
-    mats1 = sheaf1.conn if flat else sheaf1.fields
-    mats2 = sheaf2.conn if flat else sheaf2.fields
+    mats1, mats2 = _matrices(sheaf1, sheaf2, flat)
     for chart in atlas.charts:
         g = gauges[chart]
         if not g.det().is_unit():
@@ -466,8 +476,7 @@ def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
     atlas = sheaf1.atlas
     p = atlas.ctx.p
     r = sheaf1.rank
-    mats1 = sheaf1.conn if flat else sheaf1.fields
-    mats2 = sheaf2.conn if flat else sheaf2.fields
+    mats1, mats2 = _matrices(sheaf1, sheaf2, flat)
 
     unknowns = [
         (chart, m, i, j)
@@ -533,14 +542,13 @@ def gauge_compare(sheaf1, sheaf2, flat: bool = False) -> GaugeWitness | None:
     """
     atlas = sheaf1.atlas
     p = atlas.ctx.p
+    mats1, mats2 = _matrices(sheaf1, sheaf2, flat)
     if sheaf1.rank != sheaf2.rank:
         return None
     r = sheaf1.rank
     identity = {c: PolyMatrix.identity(r, atlas.chart_vars(c), p) for c in atlas.charts}
     if verify_gauge_witness(sheaf1, sheaf2, identity, flat):
         return GaugeWitness(identity)
-    mats1 = sheaf1.conn if flat else sheaf1.fields
-    mats2 = sheaf2.conn if flat else sheaf2.fields
     inputs = [*mats1.values(), *mats2.values(), sheaf1.transitions.values(),
               sheaf2.transitions.values()]
     top = max((m.max_abs_degree() for group in inputs for m in group), default=0) + p * r

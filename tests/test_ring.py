@@ -407,3 +407,36 @@ def test_same_ring_matrix_ops_skip_the_validating_constructor(monkeypatch):
             for x in row:
                 assert_canonical(x)
     assert len(calls) == 3 * 9  # assert_canonical itself validates
+
+
+def test_ring_constants_skip_the_validating_constructor(monkeypatch):
+    E = gallery("g6_a2_rank3", 5).sheaf
+    theta = next(m for mats in E.fields.values() for m in mats if not m.is_zero())
+    A, B = next(iter(inverse_cartier(E).conn.values()))
+    calls = []
+    init = LaurentPoly.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+    exp = trunc_exp(theta, E.atlas.ctx)
+    dets = [exp.det(), A.det(), B.det()]
+    assert calls == []
+    assert dets[0].is_one()  # exp of a nilpotent matrix is unipotent
+    assert exp != PolyMatrix.identity(3, theta.vars, 5)
+
+
+def test_ring_constants_keep_their_checks():
+    assert LaurentPoly.const(T, 3, 4) == poly("1")
+    assert LaurentPoly.const(T, 3, 3).is_zero()
+    for make in (LaurentPoly.zero, LaurentPoly.one):
+        with pytest.raises(RingError, match="bad modulus"):
+            make(T, 1)
+    for shape in ((0, 2), (2, 0)):
+        with pytest.raises(RingError, match="at least one entry"):
+            PolyMatrix.zero(*shape, T, 3)
+    with pytest.raises(RingError, match="at least one entry"):
+        PolyMatrix.identity(0, T, 3)
+    assert PolyMatrix.identity(2, T, 3) == PolyMatrix.from_int_rows([[1, 0], [0, 1]], T, 3)

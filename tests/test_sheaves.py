@@ -18,9 +18,11 @@ from xcartier.sheaves import (
     check_higgs,
     curvature,
     intertwining_residuals,
+    PCurvature,
     nilpotency_exponent,
     p_curvature,
     pull_back,
+    verify_p_curvature_invariants,
 )
 from xcartier.transforms import verify_gauge_witness
 
@@ -157,6 +159,25 @@ def test_rank_one_torus_p_curvature_matches_jacobson(p):
         psi = p_curvature(H)
         assert psi.comps["Gm"][0] == PolyMatrix([[oracle]])
         assert oracle.is_zero()  # Fermat: c^p - c = 0
+
+
+def test_p_curvature_invariants_reject_a_non_commuting_psi():
+    # constants are horizontal for the zero connection, but E_12 and E_21 do not commute
+    atlas = a2_atlas()
+    vars = atlas.chart_vars("A2")
+    H = FlatSheaf(atlas, 2, {"A2": [PolyMatrix.zero(2, 2, vars, 3)] * 2})
+    psi = PCurvature(2, {"A2": [e_mat(0, 1, 2, vars, 3), e_mat(1, 0, 2, vars, 3)]})
+    rep = verify_p_curvature_invariants(H, psi)
+    assert [e.check for e in rep.failures()] == ["psi commutativity[A2]"]
+
+
+def test_p_curvature_invariants_reject_a_non_horizontal_psi():
+    # t * E_12 is not killed by d, so it is not horizontal for the zero connection
+    atlas = a1_atlas()
+    H = FlatSheaf(atlas, 2, {"A1": [PolyMatrix.zero(2, 2, T, 3)]})
+    psi = PCurvature(2, {"A1": [e_mat(0, 1, 2, T, 3).scale(LaurentPoly.var(T, 3, "t"))]})
+    rep = verify_p_curvature_invariants(H, psi)
+    assert [e.check for e in rep.failures()] == ["psi horizontality[A1]"]
 
 
 def test_nilpotency_exponent_monomials():

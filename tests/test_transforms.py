@@ -174,7 +174,6 @@ def test_flat_sections_trivial():
     H = FlatSheaf(atlas, 1, {"A1": [PolyMatrix.zero(1, 1, T, 3)]})
     res = flat_sections(H)
     assert res.frames["A1"].is_identity()
-    assert res.rank == 1
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -275,8 +274,8 @@ def test_flat_sections_descended_transitions_relabel():
         c: [PolyMatrix.zero(2, 2, scene.atlas.chart_vars(c), 3)] for c in scene.atlas.charts
     }
     E = HiggsSheaf(scene.atlas, 2, zero_fields, E0.transitions)
-    res = flat_sections(canonical_connection(E))
-    assert res.transitions[("U0", "U1")] == E0.transitions[("U0", "U1")]
+    out = cartier(canonical_connection(E))
+    assert out.transitions[("U0", "U1")] == E0.transitions[("U0", "U1")]
 
 
 def test_relabel_rejects_an_exponent_not_divisible_by_p():
@@ -412,7 +411,26 @@ def test_transforms_check_each_invariant_once(monkeypatch, name):
     assert [args[0] for args in calls["p_curvature"]] == [H]
     assert [args[0] for args in calls["check_flat"]] == [H]
     assert [args[0] for args in calls["check_higgs"]] == [out]
-    assert len(inverses) == len(E.atlas.charts)  # each frame inverted once
+    assert len(inverses) == len(E.atlas.charts)  # each frame inverted once, in descend
+
+
+def test_p_curvature_only_computes(monkeypatch):
+    # psi's invariants are proven where psi is used, not by p_curvature
+    H = inverse_cartier(gallery("g5_p1_uniformizing", 5).sheaf)
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("curvature", "intertwining_residuals")}
+    p_curvature(H)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "curvature": 0, "intertwining_residuals": 0}
+
+
+def test_flat_sections_inverts_nothing(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("flat_sections inverted a frame")
+
+    monkeypatch.setattr(PolyMatrix, "inverse_unit_det", no_inverse)
+    for c in range(3):
+        assert set(flat_sections(gallery("g7_gm_rank1", 3, c=c).sheaf).frames) == {"Gm"}
 
 
 def test_criterion_4_untwists_each_sheaf_once(monkeypatch):
@@ -527,6 +545,24 @@ def test_gauge_compare_flat_variant_lift_independence():
     g_inv = g.inverse_unit_det()
     lhs = g @ h0.conn["A1"][0] @ g_inv - g.deriv("t") @ g_inv
     assert lhs == h1.conn["A1"][0]
+
+
+def test_gauge_checks_reject_a_flat_flag_that_contradicts_the_sheaves():
+    E = gallery("g2_a1_rank2", 3).sheaf
+    H0, H1 = (inverse_cartier(E, {"A1": k}) for k in (0, 1))
+    diag = {"A1": PolyMatrix.from_int_rows([[1, 0], [0, -1]], T, 3)}
+    with pytest.raises(TransformError, match="flat=False needs two HiggsSheafs, got a FlatSheaf"):
+        gauge_compare(H0, H1)
+    with pytest.raises(TransformError, match="flat=True needs two FlatSheafs, got a HiggsSheaf"):
+        verify_gauge_witness(E, E, diag, True)
+    with pytest.raises(TransformError, match="got a HiggsSheaf"):
+        _gauge_solution_space(H0, E, 0, flat=True)
+    # matching flags still find and verify the known witnesses
+    assert verify_gauge_witness(H0, H1, lift_change_gauge(E, {"A1": 0}, {"A1": 1}), True)
+    assert verify_gauge_witness(E, E.negated(), diag, False)
+    for pair, flat in (((H0, H1), True), ((E, E.negated()), False)):
+        w = gauge_compare(*pair, flat=flat)
+        assert w is not None and verify_gauge_witness(*pair, w.gauges, flat)
 
 
 # ------------------------------------------------------- twisted-bundle stress
