@@ -12,11 +12,12 @@ term order for text emission is graded lex, largest first: `2*s^4 + s^2`.
 The public constructors `LaurentPoly(...)` and `PolyMatrix(...)` validate
 their input: exponent lengths, negative exponents only on inverted variables,
 one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
-`deriv`, `frobenius`, matrix `@` and `scale`) keeps those invariants by
-construction, so it checks the operands' ring once per call and builds its
-result with the trusted `_make` constructors, which only reduce mod m and
-drop zeros.  So are the constants (`zero`, `const`, `one`, matrix `zero` and
-`identity`), which check only the modulus and the shape.  Operations that
+`deriv`, `frobenius`, matrix `@`, `scale` and the connection step `nabla`)
+keeps those invariants by construction, so it checks the operands' ring once
+per call and builds its result with the trusted `_make` constructors, which
+only reduce mod m and drop zeros.  So are the constants (`zero`, `const`,
+`one`, matrix `zero` and `identity`), which check only the modulus and the
+shape.  Operations that
 change the ring (`subst`, `extend_vars`, `reduce_mod`, `map_entries`) go
 through the validating constructors.
 `VarSpec.make` and `with_inverted` intern one VarSpec per (names, inverted),
@@ -307,12 +308,7 @@ class LaurentPoly:
     def deriv(self, name: str) -> "LaurentPoly":
         """Partial derivative; obeys Leibniz including negative exponents."""
         i = self.vars.index(name)
-        # lowering exponent i is injective, so no two terms meet
-        out = {
-            exps[:i] + (e - 1,) + exps[i + 1:]: c * e
-            for exps, c in self.terms.items() if (e := exps[i])
-        }
-        return LaurentPoly._make(self.vars, self.modulus, out)
+        return LaurentPoly._make(self.vars, self.modulus, _deriv_terms(self.terms, i))
 
     def frobenius(self) -> "LaurentPoly":
         """g -> g^p, term-wise since coefficients in F_p are Frobenius-fixed."""
@@ -411,6 +407,15 @@ def _sum_terms(a: dict, b: dict, sign: int) -> dict:
     for e, c in b.items():
         out[e] = out.get(e, 0) + sign * c
     return out
+
+
+def _deriv_terms(terms: dict, i: int) -> dict:
+    """The unreduced terms of the partial derivative along variable i."""
+    # lowering exponent i is injective, so no two terms meet
+    return {
+        exps[:i] + (e - 1,) + exps[i + 1:]: c * e
+        for exps, c in terms.items() if (e := exps[i])
+    }
 
 
 def _product_terms(out: dict, a: dict, b: dict) -> dict:
@@ -659,17 +664,37 @@ class PolyMatrix:
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """Each entry sum_k a_ik * b_kj is accumulated in one dict."""
+        return self._fused_product(other, None)
+
+    def nabla(self, A: "PolyMatrix", name: str) -> "PolyMatrix":
+        """d/d(name) self + A @ self, each entry accumulated in one dict.
+
+        One step of the connection d + A along one coordinate, applied to the
+        columns of self.
+        """
+        if A.rows != self.rows:
+            raise RingError(f"shape mismatch: {A.rows}x{A.cols} connection on {self.rows} rows")
+        i = self.vars.index(name)
+        start = [[_deriv_terms(x.terms, i) for x in row] for row in self.entries]
+        return A._fused_product(self, start)
+
+    def _fused_product(self, other: "PolyMatrix", start) -> "PolyMatrix":
+        """start[i][j] + sum_k a_ik * b_kj per entry, after one shape and ring check.
+
+        start is None (all entries start empty) or a grid of unreduced term
+        dicts, which are accumulated into in place.
+        """
         if self.cols != other.rows:
             raise RingError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         _check_ring(self, other)
         vars, m = self.vars, self.modulus
         cols = [[b.terms for b in col] for col in zip(*other.entries)]
         out = []
-        for row in self.entries:
+        for i, row in enumerate(self.entries):
             row_terms = [a.terms for a in row]
             new_row = []
-            for col in cols:
-                acc: dict[tuple[int, ...], int] = {}
+            for j, col in enumerate(cols):
+                acc: dict[tuple[int, ...], int] = {} if start is None else start[i][j]
                 for ta, tb in zip(row_terms, col):
                     if ta and tb:
                         _product_terms(acc, ta, tb)
@@ -790,17 +815,18 @@ def trunc_exp(M: PolyMatrix, ctx: PrimeContext) -> PolyMatrix:
     """Truncated exponential sum_{i<=p-2} M^i/i! of a matrix with M^(p-1) = 0.
 
     The enforced nilpotency makes the degree-(p-1) term of the exponential
-    vanish, so the (p-1)! denominator is never needed.
+    vanish, so the (p-1)! denominator is never needed.  The powers stop at
+    the first zero one, which proves M^(p-1) = 0.
     """
     if M.rows != M.cols:
         raise RingError("trunc_exp of a non-square matrix")
     p = ctx.p
     if M.modulus != p:
         raise RingError("trunc_exp expects a mod-p matrix")
-    powers = [PolyMatrix.identity(M.rows, M.vars, M.modulus)]
-    for _ in range(p - 1):
+    powers = [PolyMatrix.identity(M.rows, M.vars, M.modulus), M]
+    while len(powers) < p and not powers[-1].is_zero():
         powers.append(powers[-1] @ M)
-    top = powers[p - 1]
+    top = powers[-1]
     if not top.is_zero():
         witness = next(
             (i, j, str(top.entries[i][j]))
@@ -812,8 +838,8 @@ def trunc_exp(M: PolyMatrix, ctx: PrimeContext) -> PolyMatrix:
             f"matrix power {p - 1} is nonzero at entry {witness[:2]}: {witness[2]}"
         )
     acc = PolyMatrix.zero(M.rows, M.rows, M.vars, M.modulus)
-    for i in range(p - 1):
-        acc = acc + powers[i].scale(ctx.inv_factorials[i])
+    for i, power in enumerate(powers[:-1]):
+        acc = acc + power.scale(ctx.inv_factorials[i])
     return acc
 
 

@@ -3,8 +3,9 @@
 Both are lambda-connections (Ogus-Vologodsky): one matrix A_i per coordinate
 dt_i.  A Higgs field is a 0-connection, a connection d + A a 1-connection,
 and the p-curvature psi (one matrix per pulled-back basis element F*dt_i,
-computed by p-fold application of d/dt_i + A_i to the identity frame) a
-0-connection on the Frobenius pullback.  `flat` is lambda throughout.
+the p-fold application of d/dt_i + A_i to the identity frame: p-1 fused
+steps `PolyMatrix.nabla` from A_i) a 0-connection on the Frobenius
+pullback.  `flat` is lambda throughout.
 `p_curvature` proves no invariant of psi; they are proven where psi is used
 (`transforms.descend`, `verify_p_curvature_invariants`).
 
@@ -186,21 +187,21 @@ def pull_back(mats: list[PolyMatrix], J: PolyMatrix) -> list[PolyMatrix]:
 def nilpotency_exponent(mats: list[PolyMatrix], max_n: int) -> int | None:
     """Smallest n <= max_n with all degree-n monomials in mats zero, else None.
 
-    Integrability lets monomials stand in for arbitrary products.
+    Integrability lets monomials stand in for arbitrary products.  Level n
+    extends each nonzero monomial of level n-1 (indices nondecreasing) by one
+    right factor; a zero monomial has only zero extensions.
     """
+    level = [(k, m) for k, m in enumerate(mats) if not m.is_zero()]
     for n in range(1, max_n + 1):
-        all_zero = True
-        for combo in itertools.combinations_with_replacement(range(len(mats)), n):
-            prod = mats[combo[0]]
-            for k in combo[1:]:
-                prod = prod @ mats[k]
-                if prod.is_zero():
-                    break
-            if not prod.is_zero():
-                all_zero = False
-                break
-        if all_zero:
+        if not level:
             return n
+        if n < max_n:
+            level = [
+                (k, prod)
+                for j, mono in level
+                for k in range(j, len(mats))
+                if not (prod := mono @ mats[k]).is_zero()
+            ]
     return None
 
 
@@ -318,17 +319,19 @@ def check_field_gluing(
 def p_curvature(H: FlatSheaf) -> PCurvature:
     """Psi_i = (d/dt_i + A_i)^p applied to the identity frame, per chart.
 
-    H must be flat: `check_flat` (in `untwist`) and `parse_scene` check it.
+    The first step takes the identity frame to A_i; the other p-1 are fused
+    steps `b.nabla(A_i, t_i)` = d_i b + A_i b.  H must be flat: `check_flat`
+    (in `untwist`) and `parse_scene` check it.
     """
     p = H.atlas.ctx.p
     comps: dict[str, list[PolyMatrix]] = {}
     for chart, mats in H.conn.items():
         vars = H.atlas.chart_vars(chart)
         psis = []
-        for i, name in enumerate(vars.names):
-            b = PolyMatrix.identity(H.rank, vars, p)
-            for _ in range(p):
-                b = b.deriv(name) + mats[i] @ b
+        for a, name in zip(mats, vars.names):
+            b = a
+            for _ in range(p - 1):
+                b = b.nabla(a, name)
             psis.append(b)
         comps[chart] = psis
     return PCurvature(H.rank, comps)

@@ -311,7 +311,7 @@ def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
             return
         powers = [S]  # nabla_i^m S, until it vanishes
         while len(powers) < p:
-            nxt = powers[-1].deriv(vars.names[i]) + H.conn[chart][i] @ powers[-1]
+            nxt = powers[-1].nabla(H.conn[chart][i], vars.names[i])
             if nxt.is_zero():
                 break
             powers.append(nxt)

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from xcartier import acceptance
+from xcartier.ring import PolyMatrix
+from xcartier.sheaves import PCurvature
 
 BUDGETS = {
     "1": 10.0,   # lifting-homotopy identities, incl. seeded perturbations
@@ -30,7 +32,7 @@ BUDGETS = {
 DESCRIPTIONS = {
     "1": "coboundary and cocycle identities for lifting homotopies",
     "2": "forward transform yields flat, correctly glued sheaves",
-    "3": "one global p-curvature sign (-1) across the gallery",
+    "3": "one global p-curvature sign (-1) across the gallery; zero on a pure gauge",
     "4": "converse transform kills p-curvature and descends nilpotently",
     "5": "round trip lands on the sign-flipped input",
     "6": "descent frames on the model connections",
@@ -70,3 +72,44 @@ def test_verify_all_json_is_byte_identical_across_hash_seeds():
         for seed in ("0", "1")
     ]
     assert outs[0] and outs[0] == outs[1]
+
+
+def chain_p_curvature(step, length):
+    """A p_curvature built from `step(b, A_i, t_i)` applied `length(p)` times to the identity."""
+
+    def p_curvature(H):
+        p = H.atlas.ctx.p
+        comps = {}
+        for chart, mats in H.conn.items():
+            vars = H.atlas.chart_vars(chart)
+            psis = []
+            for a, name in zip(mats, vars.names):
+                b = PolyMatrix.identity(H.rank, vars, p)
+                for _ in range(length(p)):
+                    b = step(b, a, name)
+                psis.append(b)
+            comps[chart] = psis
+        return PCurvature(H.rank, comps)
+
+    return p_curvature
+
+
+P_CURVATURES = {
+    "correct": chain_p_curvature(lambda b, a, n: b.deriv(n) + a @ b, lambda p: p),
+    "A on the right": chain_p_curvature(lambda b, a, n: b.deriv(n) + b @ a, lambda p: p),
+    "p-1 steps": chain_p_curvature(lambda b, a, n: b.deriv(n) + a @ b, lambda p: p - 1),
+}
+
+
+@pytest.mark.parametrize("kind", list(P_CURVATURES))
+def test_criterion_3_reports_a_wrong_p_curvature_as_failed_entries(monkeypatch, kind):
+    monkeypatch.setattr(acceptance, "p_curvature", P_CURVATURES[kind])
+    report = acceptance.criterion_3()  # never raises
+    failed = {e.check: e.witness for e in report.failures()}
+    if kind == "correct":
+        assert report.ok()
+        return
+    assert any("pure gauge" in check for check in failed)
+    if kind == "p-1 steps":  # p_curvature_sign's error text is the witness
+        assert any("single sign" in check and "neither +/-" in witness[0]
+                   for check, witness in failed.items())

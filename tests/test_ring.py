@@ -218,6 +218,25 @@ def test_trunc_exp_jordan_block_mod_5():
     assert trunc_exp(m, ctx) == expected
 
 
+def test_trunc_exp_stops_at_the_first_zero_power(monkeypatch):
+    ctx = PrimeContext(7)
+    n = n_block(3, T, 7).scale(LaurentPoly.parse("t + 2", T, 7))
+    m = n @ n  # m^2 = 0
+    products = []
+    matmul = PolyMatrix.__matmul__
+
+    def counting_matmul(self, other):
+        products.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", counting_matmul)
+    assert trunc_exp(m, ctx) == PolyMatrix.identity(3, T, 7) + m
+    assert len(products) == 1
+    products.clear()
+    assert trunc_exp(n, ctx) == PolyMatrix.identity(3, T, 7) + n + m.scale(4)  # 1/2 = 4 mod 7
+    assert len(products) == 2
+
+
 def test_trunc_exp_rejects_non_nilpotent_with_witness():
     ctx = PrimeContext(3)
     m = PolyMatrix.from_int_rows([[1, 0], [0, 1]], T, 3)
@@ -279,17 +298,17 @@ def assert_canonical(r):
 
 
 @st.composite
-def rings(draw):
-    names = ["t", "u", "v"][:draw(st.integers(1, 3))]
+def rings(draw, max_arity=3):
+    names = ["t", "u", "v"][:draw(st.integers(1, max_arity))]
     inverted = draw(st.sets(st.sampled_from(names)))
     p = draw(st.sampled_from([3, 5, 7]))
     return VarSpec.make(names, inverted), p ** draw(st.integers(1, 2))
 
 
 @st.composite
-def matrices(draw, vars, modulus, rank):
+def matrices(draw, vars, modulus, rank, cols=None):
     return PolyMatrix([
-        [draw(laurent_polys(vars, modulus, max_terms=3, max_exp=3)) for _ in range(rank)]
+        [draw(laurent_polys(vars, modulus, max_terms=3, max_exp=3)) for _ in range(cols or rank)]
         for _ in range(rank)
     ])
 
@@ -334,6 +353,21 @@ def test_same_ring_matrix_ops_are_canonical(data):
                 assert_canonical(x)
 
 
+@given(st.data())
+@settings(max_examples=60)
+def test_nabla_is_the_derivative_plus_the_product(data):
+    vars, m = data.draw(rings(max_arity=2))
+    rank, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    A, S = data.draw(matrices(vars, m, rank)), data.draw(matrices(vars, m, rank, cols))
+    for name in vars.names:
+        R = S.nabla(A, name)
+        assert R == S.deriv(name) + A @ S
+        for row in R.entries:
+            for x in row:
+                assert x.vars is vars and x.modulus == m
+                assert_canonical(x)
+
+
 # ---------------------------------------------------------------- boundary
 
 
@@ -357,6 +391,9 @@ def test_mixed_ring_arithmetic_raises(other):
             op(A, B)
     with pytest.raises(RingError, match="different rings"):
         A.scale(other)
+    for S, conn in ((A, B), (B, A)):
+        with pytest.raises(RingError, match="different rings"):
+            S.nabla(conn, "t")
 
 
 def test_validating_constructors_still_reject():

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xcartier.atlas import Atlas, FrobLift, Overlap, SubstPair
-from xcartier.gallery import gallery
+from xcartier.gallery import GALLERY_NAMES, gallery
+from xcartier.identities import commuting_nilpotent_family
 from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, jacobian
 from xcartier.scene import Scene, emit_scene
 from xcartier.sheaves import (
@@ -24,7 +26,7 @@ from xcartier.sheaves import (
     pull_back,
     verify_p_curvature_invariants,
 )
-from xcartier.transforms import verify_gauge_witness
+from xcartier.transforms import inverse_cartier, verify_gauge_witness
 
 T = VarSpec.make(["t"])
 
@@ -184,6 +186,102 @@ def test_nilpotency_exponent_monomials():
     vars = VarSpec.make(["t1", "t2"])
     mats = [e_mat(0, 1, 3, vars, 5), e_mat(0, 2, 3, vars, 5)]
     assert nilpotency_exponent(mats, 4) == 2
+
+
+def exhaustive_nilpotency_exponent(mats, max_n):
+    """The reference: every degree-n monomial rebuilt from scratch at each n."""
+    for n in range(1, max_n + 1):
+        all_zero = True
+        for combo in itertools.combinations_with_replacement(range(len(mats)), n):
+            prod = mats[combo[0]]
+            for k in combo[1:]:
+                prod = prod @ mats[k]
+                if prod.is_zero():
+                    break
+            if not prod.is_zero():
+                all_zero = False
+                break
+        if all_zero:
+            return n
+    return None
+
+
+def seeded_jordan_fields(p, names, rank, seed):
+    """theta_i = sum_k c_ik N^k for one Jordan block N, seeded c_ik of degree <= 1."""
+    rng = random.Random(seed)
+    vars = VarSpec.make(names)
+    shifts = [PolyMatrix.from_int_rows(
+        [[1 if j == i + k else 0 for j in range(rank)] for i in range(rank)], vars, p
+    ) for k in range(1, rank)]
+    monomials = [e for e in itertools.product(range(2), repeat=len(names)) if sum(e) <= 1]
+    fields = []
+    for _ in names:
+        acc = PolyMatrix.zero(rank, rank, vars, p)
+        for n_k in shifts:
+            acc = acc + n_k.scale(LaurentPoly(vars, p, {e: rng.randrange(p) for e in monomials}))
+        fields.append(acc)
+    return fields
+
+
+def nilpotency_families():
+    for p in (3, 5, 7):
+        for name in GALLERY_NAMES:
+            scene = gallery(name, p)
+            if isinstance(scene.sheaf, HiggsSheaf):
+                yield from scene.sheaf.fields.values()
+                yield from p_curvature(inverse_cartier(scene.sheaf)).comps.values()
+            else:
+                yield from p_curvature(scene.sheaf).comps.values()
+        ctx = PrimeContext(p)
+        for seed in range(6):
+            names = ["t", "u", "v"][:seed % 3 + 1]
+            yield seeded_jordan_fields(p, names, 2 + seed % p, seed)
+            yield commuting_nilpotent_family(ctx, seed=seed, count=seed % 3 + 1)[0]
+        yield [e_mat(0, 1, 3, T, p), e_mat(1, 2, 3, T, p), e_mat(1, 0, 3, T, p)]  # not nilpotent
+
+
+def test_nilpotency_exponent_matches_the_exhaustive_reference():
+    count = 0
+    for mats in nilpotency_families():
+        p = mats[0].modulus
+        for max_n in range(p + 2):
+            assert nilpotency_exponent(mats, max_n) == exhaustive_nilpotency_exponent(mats, max_n)
+        count += 1
+    assert count == 90
+
+
+def count_matrix_calls(monkeypatch, name):
+    """Record every call of the PolyMatrix method `name`."""
+    calls = []
+    original = getattr(PolyMatrix, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(PolyMatrix, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,p", [("g5_p1_uniformizing", 3), ("g6_a2_rank3", 5)])
+def test_p_curvature_is_p_minus_one_fused_steps(monkeypatch, name, p):
+    H = inverse_cartier(gallery(name, p).sheaf)
+    nabla = count_matrix_calls(monkeypatch, "nabla")
+    matmul = count_matrix_calls(monkeypatch, "__matmul__")
+    psi = p_curvature(H)
+    steps = sum((p - 1) * H.atlas.chart_vars(chart).arity for chart in H.conn)
+    assert len(nabla) == steps and matmul == []
+    assert not psi.is_zero()
+
+
+@pytest.mark.parametrize("rank", [2, 4, 6])
+def test_nilpotency_exponent_of_a_jordan_block_makes_rank_minus_one_products(monkeypatch, rank):
+    block = PolyMatrix.from_int_rows(
+        [[1 if j == i + 1 else 0 for j in range(rank)] for i in range(rank)], T, 7
+    )
+    matmul = count_matrix_calls(monkeypatch, "__matmul__")
+    assert nilpotency_exponent([block], 6) == rank
+    assert len(matmul) == rank - 1
 
 
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2))
