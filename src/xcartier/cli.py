@@ -2,6 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage/parse/runtime
 error.  Reports and scenes go to stdout (or --out); diagnostics to stderr.
+The commands that print a report take --json; icartier, cartier and gallery
+print a scene, which is JSON already.  Reports hold no wall times, so they are
+byte-identical from run to run; `perfbench/run.py` measures time.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _emit_report(report: Report, args, extra_text: str = "") -> int:
     if args.json:
-        text = report.to_json(include_elapsed=args.timings) + "\n"
+        text = report.to_json() + "\n"
     else:
         text = "\n".join(report.lines()) + "\n"
     if extra_text:
@@ -58,10 +61,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd, scene=False):
+    def common(cmd, scene=False, report=True):
         cmd.add_argument("--out", help="write output to this file instead of stdout")
-        cmd.add_argument("--json", action="store_true", help="emit JSON reports")
-        cmd.add_argument("--timings", action="store_true", help="include elapsed times")
+        if report:
+            cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
         if scene:
             cmd.add_argument("--scene", required=True, help="input scene JSON file")
         return cmd
@@ -70,10 +73,11 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=int, default=0,
                    help="also check this many seeded lifting perturbations")
     c.add_argument("--seed", type=int, default=0)
-    c = common(sub.add_parser("pcurv", help="p-curvature of a flat scene"), scene=True)
-    c = common(sub.add_parser("icartier", help="inverse transform of a Higgs scene"), scene=True)
-    c = common(sub.add_parser("cartier", help="transform of a flat scene"), scene=True)
-    c = common(sub.add_parser("roundtrip", help="compose both transforms and compare"), scene=True)
+    common(sub.add_parser("pcurv", help="p-curvature of a flat scene"), scene=True)
+    common(sub.add_parser("icartier", help="inverse transform of a Higgs scene"),
+           scene=True, report=False)
+    common(sub.add_parser("cartier", help="transform of a flat scene"), scene=True, report=False)
+    common(sub.add_parser("roundtrip", help="compose both transforms and compare"), scene=True)
     c = common(sub.add_parser("fk", help="symmetrized tuple-sum vanishing"))
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--k", type=int, default=None, help="restrict to one k")
@@ -83,7 +87,7 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=int, default=20)
     c = common(sub.add_parser("wilson", help="derivative/model unit checks"))
     c.add_argument("--p", type=int, default=None, help="default: all odd primes <= 13")
-    c = common(sub.add_parser("gallery", help="emit a built-in scene"))
+    c = common(sub.add_parser("gallery", help="emit a built-in scene"), report=False)
     c.add_argument("name", choices=GALLERY_NAMES)
     c.add_argument("--p", type=int, default=3)
     common(sub.add_parser("verify-all", help="run the full acceptance suite"))
@@ -146,12 +150,16 @@ def run_cli(argv: list[str]) -> int:
                               {**scene.metadata, "derived": "roundtrip"})
             return _emit_report(report, args, extra_text=emit_scene(out_scene))
         if args.command == "fk":
+            if args.k is not None and not 1 <= args.k < args.p:
+                raise ValueError(f"--k must lie in 1..p-1, got {args.k} with p={args.p}")
             report = verify_symmetrized_vanishing([args.p])
             if args.k is not None:
                 kept = [e for e in report.entries if f"F_{args.k} " in e.check]
                 report = Report(kept)
             return _emit_report(report, args)
         if args.command == "taylor":
+            if args.trials < 1:
+                raise ValueError(f"--trials must be at least 1, got {args.trials}")
             ctx = PrimeContext(args.p)
             report = Report()
             for i in range(args.trials):
@@ -160,7 +168,7 @@ def run_cli(argv: list[str]) -> int:
                            taylor_cocycle_identity(ctx, mats, funcs))
             return _emit_report(report, args)
         if args.command == "wilson":
-            primes = [args.p] if args.p else [3, 5, 7, 11, 13]
+            primes = [args.p] if args.p is not None else [3, 5, 7, 11, 13]
             report = Report()
             for p in primes:
                 report.extend(wilson_unit_check(p))

@@ -1,9 +1,13 @@
-"""Pass/fail reports shared by the verification routines and the CLI."""
+"""Pass/fail reports shared by the verification routines and the CLI.
+
+A report records what was checked and whether it held, with a witness for
+each failure, and nothing else, so the same checks give byte-identical
+reports on every run.  Wall times are measured by `perfbench/run.py`.
+"""
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 
@@ -17,7 +21,6 @@ class ReportEntry:
     check: str
     status: str
     witness: tuple[str, ...] = ()
-    elapsed: float = 0.0
 
     def line(self) -> str:
         tag = {PASS: "PASS", FAIL: "FAIL", SKIP: "skip"}[self.status]
@@ -40,46 +43,31 @@ class Report:
     def ok(self) -> bool:
         return self.overall == PASS
 
-    def add(self, check: str, passed: bool, witness: tuple[str, ...] = (), elapsed: float = 0.0):
-        self.entries.append(ReportEntry(check, PASS if passed else FAIL, witness, elapsed))
+    def add(self, check: str, passed: bool, witness: tuple[str, ...] = ()):
+        self.entries.append(ReportEntry(check, PASS if passed else FAIL, witness))
 
     def skip(self, check: str, reason: str = ""):
         self.entries.append(ReportEntry(check, SKIP, (reason,) if reason else ()))
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for e in other.entries:
-            self.entries.append(
-                ReportEntry(prefix + e.check if prefix else e.check, e.status, e.witness, e.elapsed)
-            )
+            self.entries.append(ReportEntry(prefix + e.check, e.status, e.witness))
 
     def failures(self) -> list[ReportEntry]:
         return [e for e in self.entries if e.status == FAIL]
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
+    def to_dict(self) -> dict:
         entries = []
         for e in self.entries:
             item: dict = {"check": e.check, "status": e.status}
             if e.witness:
                 item["witness"] = list(e.witness)
-            if include_elapsed:
-                item["elapsed"] = round(e.elapsed, 6)
             entries.append(item)
         return {"overall": self.overall, "entries": entries}
 
-    def to_json(self, include_elapsed: bool = False) -> str:
-        return json.dumps(self.to_dict(include_elapsed=include_elapsed), indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def lines(self) -> list[str]:
         return [e.line() for e in self.entries] + [f"overall: {self.overall}"]
 
-
-class timed:
-    """Context manager measuring wall time for a report entry."""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False

@@ -452,7 +452,7 @@ def _parse_poly(text: str, vars: VarSpec, modulus: int) -> LaurentPoly:
     result = LaurentPoly.zero(vars, modulus)
     i = 0
 
-    def parse_factor(sign_ok: bool = False):
+    def parse_factor():
         nonlocal i
         if i >= len(tokens):
             raise ParseError(f"unexpected end of polynomial {text!r}")

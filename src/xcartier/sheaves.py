@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .atlas import Atlas, jacobian_beta_in_alpha, pull_beta_function
-from .report import Report, timed
+from .report import Report
 from .ring import NotAUnitError, PolyMatrix, VarSpec
 
 
@@ -212,17 +212,14 @@ def check_higgs(E: HiggsSheaf) -> Report:
     report = Report()
     p = E.atlas.ctx.p
     for chart, mats in E.fields.items():
-        with timed() as t:
-            curv = curvature(mats, E.atlas.chart_vars(chart), flat=False)
+        curv = curvature(mats, E.atlas.chart_vars(chart), flat=False)
         witness = () if curv is None else (f"[Theta_{curv[0]}, Theta_{curv[1]}] = {curv[2]}",)
-        report.add(f"integrability[{chart}]", curv is None, witness, t.elapsed)
-        with timed() as t:
-            exp = nilpotency_exponent(mats, p - 1)
+        report.add(f"integrability[{chart}]", curv is None, witness)
+        exp = nilpotency_exponent(mats, p - 1)
         report.add(
             f"nilpotency[{chart}] exponent <= {p - 1}",
             exp is not None,
             () if exp is not None else (f"no vanishing up to degree {p - 1}",),
-            t.elapsed,
         )
         if exp is not None:
             report.skip(f"nilpotency[{chart}] exponent", f"exponent = {exp}")
@@ -235,10 +232,9 @@ def check_higgs(E: HiggsSheaf) -> Report:
 def check_flat(H: FlatSheaf) -> Report:
     report = Report()
     for chart, mats in H.conn.items():
-        with timed() as t:
-            curv = curvature(mats, H.atlas.chart_vars(chart), flat=True)
+        curv = curvature(mats, H.atlas.chart_vars(chart), flat=True)
         witness = () if curv is None else (f"curvature dt_{curv[0]}^dt_{curv[1]} = {curv[2]}",)
-        report.add(f"zero curvature[{chart}]", curv is None, witness, t.elapsed)
+        report.add(f"zero curvature[{chart}]", curv is None, witness)
     _check_transition_cocycle(H.atlas, H.transitions, report)
     jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in H.atlas.overlaps.items()}
     report.extend(check_field_gluing(H.atlas, H.conn, H.transitions, jacobians, flat=True))
@@ -296,20 +292,17 @@ def check_field_gluing(
     report = Report()
     label = "connection gluing" if flat else "field gluing"
     for pair, ov in atlas.overlaps.items():
-        with timed() as t:
-            t_mat = transitions[pair]
-            det = t_mat.det()
-            if not det.is_unit():
-                raise NotAUnitError(f"matrix determinant '{det}' is not a unit")
-            beta_mats = [
-                m.map_entries(lambda f: pull_beta_function(ov, f)) for m in comps[ov.beta]
-            ]
-            transported = pull_back(beta_mats, jacobians[pair])
-            alpha_mats = [m.extend_vars(ov.alpha_vars) for m in comps[ov.alpha]]
-            residuals = intertwining_residuals(t_mat, alpha_mats, transported, ov.alpha_vars, flat)
-            bad = [(u, res) for u, res in zip(ov.alpha_vars.names, residuals) if not res.is_zero()]
-            witness = (f"coordinate {bad[0][0]}: residual {bad[0][1]}",) if bad else ()
-        report.add(f"{label}[{pair[0]}|{pair[1]}]", not witness, witness, t.elapsed)
+        t_mat = transitions[pair]
+        det = t_mat.det()
+        if not det.is_unit():
+            raise NotAUnitError(f"matrix determinant '{det}' is not a unit")
+        beta_mats = [m.map_entries(lambda f: pull_beta_function(ov, f)) for m in comps[ov.beta]]
+        transported = pull_back(beta_mats, jacobians[pair])
+        alpha_mats = [m.extend_vars(ov.alpha_vars) for m in comps[ov.alpha]]
+        residuals = intertwining_residuals(t_mat, alpha_mats, transported, ov.alpha_vars, flat)
+        bad = [(u, res) for u, res in zip(ov.alpha_vars.names, residuals) if not res.is_zero()]
+        witness = (f"coordinate {bad[0][0]}: residual {bad[0][1]}",) if bad else ()
+        report.add(f"{label}[{pair[0]}|{pair[1]}]", not witness, witness)
     return report
 
 

@@ -4,6 +4,7 @@ Everything here is exact symbolic arithmetic; there are no tolerances to
 tune.  Stated wall-clock budgets are generous upper bounds.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from xcartier import acceptance
+from xcartier import acceptance, transforms
+from xcartier.report import ReportEntry
 from xcartier.ring import PolyMatrix
 from xcartier.sheaves import PCurvature
 
@@ -61,6 +63,24 @@ def test_verify_all_aggregate():
     report = acceptance.verify_all()
     assert report.ok()
     assert len(report.entries) >= 100
+    # a report records outcomes only: no wall time, so runs are byte-identical
+    assert [f.name for f in dataclasses.fields(ReportEntry)] == ["check", "status", "witness"]
+    for item in report.to_dict()["entries"]:
+        assert set(item) in ({"check", "status"}, {"check", "status", "witness"})
+
+
+def test_verify_all_keeps_the_report_when_a_criterion_raises(monkeypatch):
+    homotopy_exp = transforms._homotopy_exp  # mutant: h_ba in place of h_ab
+    monkeypatch.setattr(transforms, "_homotopy_exp",
+                        lambda vars, a, b, phi, ctx: homotopy_exp(vars, b, a, phi, ctx))
+    report = acceptance.verify_all()  # never raises
+    assert not report.ok()
+    raised = {e.check: e.witness for e in report.failures() if e.check.endswith(" raised")}
+    assert raised["c4: criterion 4 raised"] == (
+        "input is not a valid flat sheaf: connection gluing[U0|U1]",
+    )
+    for number in ("1", "2", "3"):
+        assert any(e.check.startswith(f"c{number}: ") for e in report.entries)
 
 
 def test_verify_all_json_is_byte_identical_across_hash_seeds():

@@ -123,6 +123,49 @@ def test_cli_has_no_degree_bound(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+COMMANDS = ("lemma", "pcurv", "icartier", "cartier", "roundtrip",
+            "fk", "taylor", "wilson", "gallery", "verify-all")
+
+
+def valid_argv(tmp_path, command):
+    """An argument list that `command` accepts as it stands."""
+    if command in ("lemma", "icartier", "roundtrip"):
+        return [command, "--scene", write_scene(tmp_path, "g2_a1_rank2")]
+    if command in ("pcurv", "cartier"):
+        return [command, "--scene", write_scene(tmp_path, "g7_gm_rank1", c=1)]
+    return {
+        "fk": ["fk", "--p", "3"],
+        "taylor": ["taylor", "--p", "3", "--trials", "1"],
+        "wilson": ["wilson", "--p", "3"],
+        "gallery": ["gallery", "g1_trivial"],
+        "verify-all": ["verify-all"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_has_no_timings_option(tmp_path, capsys, command):
+    assert run_cli(valid_argv(tmp_path, command) + ["--timings"]) == 2
+    assert "unrecognized arguments: --timings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("icartier", "cartier", "gallery"))
+def test_cli_scene_commands_have_no_json_option(tmp_path, capsys, command):
+    assert run_cli(valid_argv(tmp_path, command) + ["--json"]) == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["wilson", "--p", "0"], "odd prime"),
+    (["fk", "--p", "5", "--k", "9"], "--k must lie in 1..p-1"),
+    (["fk", "--p", "5", "--k", "0"], "--k must lie in 1..p-1"),
+    (["taylor", "--p", "3", "--trials", "0"], "--trials must be at least 1"),
+], ids=["wilson p=0", "fk k=p+4", "fk k=0", "taylor trials=0"])
+def test_cli_rejects_out_of_range_numbers(capsys, argv, message):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_cli_pcurv(tmp_path, capsys):
     g7 = write_scene(tmp_path, "g7_gm_rank1", c=1)
     assert run_cli(["pcurv", "--scene", g7]) == 0
