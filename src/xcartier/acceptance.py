@@ -175,7 +175,11 @@ def criterion_3() -> Report:
 
 
 def criterion_4() -> Report:
-    """Untwisted connections kill p-curvature; descent outputs are nilpotent."""
+    """Untwisted connections kill p-curvature; descent outputs are nilpotent.
+
+    A scene whose untwist or descent raises fails its remaining entries, with
+    the error text as witness; the other scenes still run.
+    """
     report = Report()
     jobs = []
     for p in (3, 5):
@@ -189,29 +193,47 @@ def criterion_4() -> Report:
     for c in (0, 1, 2):
         jobs.append((f"g7_gm_rank1 c={c} (p=3)", gallery("g7_gm_rank1", 3, c=c).sheaf))
     for name, flat in jobs:
-        untwisted, psi = untwist(flat)
-        zero_psi = p_curvature(untwisted).is_zero()
-        report.add(f"c4: untwisted connection has zero p-curvature on {name}", zero_psi)
-        jacobians = {
-            pair: jacobian_beta_in_alpha(ov).frobenius() for pair, ov in flat.atlas.overlaps.items()
-        }
-        glue = check_field_gluing(
-            flat.atlas, psi.comps, untwisted.transitions, jacobians, flat=False
-        )
-        report.add(f"c4: p-curvature commutes with the twisted gluing on {name}", glue.ok())
-        descend(untwisted, psi)  # raises unless check_higgs, with its exponent bound, passes
-        report.add(f"c4: descended sheaf passes all checks on {name}", True)
+        checks = iter((
+            f"c4: untwisted connection has zero p-curvature on {name}",
+            f"c4: p-curvature commutes with the twisted gluing on {name}",
+            f"c4: descended sheaf passes all checks on {name}",
+        ))
+        try:
+            untwisted, psi = untwist(flat)
+            zero_psi = p_curvature(untwisted).is_zero()
+            report.add(next(checks), zero_psi)
+            jacobians = {
+                pair: jacobian_beta_in_alpha(ov).frobenius()
+                for pair, ov in flat.atlas.overlaps.items()
+            }
+            glue = check_field_gluing(
+                flat.atlas, psi.comps, untwisted.transitions, jacobians, flat=False
+            )
+            report.add(next(checks), glue.ok())
+            descend(untwisted, psi)  # raises unless check_higgs, with its exponent bound, passes
+            report.add(next(checks), True)
+        except ValueError as exc:  # every package error is a ValueError
+            for check in checks:
+                report.add(check, False, (str(exc),))
     return report
 
 
 def criterion_5() -> Report:
-    """Round trip equals the sign-flipped input exactly, on one chart or several."""
+    """Round trip equals the sign-flipped input exactly, on one chart or several.
+
+    A scene whose round trip raises fails its entry, with the error text as
+    witness; the other scenes still run.
+    """
     report = Report()
     for p in (3, 5):
         for name, scene in _higgs_gallery(p):
-            rep, _ = roundtrip_check(scene.sheaf)
-            report.add(f"c5: round trip exactly sign-flips {name} (p={p})",
-                       rep.ok(), tuple(e.check for e in rep.failures()))
+            check = f"c5: round trip exactly sign-flips {name} (p={p})"
+            try:
+                rep, _ = roundtrip_check(scene.sheaf)
+            except ValueError as exc:
+                report.add(check, False, (str(exc),))
+                continue
+            report.add(check, rep.ok(), tuple(e.check for e in rep.failures()))
     return report
 
 

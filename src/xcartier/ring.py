@@ -20,6 +20,17 @@ only reduce mod m and drop zeros.  So are the constants (`zero`, `const`,
 shape.  Operations that
 change the ring (`subst`, `extend_vars`, `reduce_mod`, `map_entries`) go
 through the validating constructors.
+
+Polynomials and matrices are immutable: nothing writes to `terms`,
+`entries`, `vars` or `modulus` after construction.  A result may therefore
+share entries with its operands, and one polynomial may fill several entries.
+The same-ring kernels use this to skip zeros, always after their ring check:
+- `a + 0`, `a - 0` and `0 + b` return the nonzero operand; `0 * b`, `a * 0`
+  and `-0` return the zero one;
+- matrix `+` and `-` keep the entry beside a zero entry, and negation,
+  `scale`, `deriv` and `frobenius` keep zero entries;
+- `@` and `nabla` multiply only pairs of nonzero entries, and the entries
+  that get no term share one zero per result matrix.
 `VarSpec.make` and `with_inverted` intern one VarSpec per (names, inverted),
 so the ring check is usually an identity test; a directly built VarSpec still
 compares equal.
@@ -264,19 +275,33 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_ring(self, other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return LaurentPoly._make(self.vars, self.modulus, _sum_terms(self.terms, other.terms, 1))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_ring(self, other)
+        if not other.terms:
+            return self
         return LaurentPoly._make(self.vars, self.modulus, _sum_terms(self.terms, other.terms, -1))
 
     def __neg__(self) -> "LaurentPoly":
+        if not self.terms:
+            return self
         return LaurentPoly._make(self.vars, self.modulus, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if not self.terms:
+                return self
             return LaurentPoly._make(self.vars, self.modulus, {e: c * other for e, c in self.terms.items()})
         _check_ring(self, other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         return LaurentPoly._make(self.vars, self.modulus, _product_terms({}, self.terms, other.terms))
 
     def __rmul__(self, other: int) -> "LaurentPoly":
@@ -312,9 +337,7 @@ class LaurentPoly:
 
     def frobenius(self) -> "LaurentPoly":
         """g -> g^p, term-wise since coefficients in F_p are Frobenius-fixed."""
-        p, level = char_of_modulus(self.modulus)
-        if level != 1:
-            raise RingError("frobenius is only defined on mod-p polynomials")
+        p = _frobenius_prime(self.modulus)
         return LaurentPoly._make(
             self.vars, self.modulus,
             {tuple(p * e for e in exps): c for exps, c in self.terms.items()},
@@ -399,6 +422,14 @@ class LaurentPoly:
     @classmethod
     def parse(cls, text: str, vars: VarSpec, modulus: int) -> "LaurentPoly":
         return _parse_poly(text, vars, modulus)
+
+
+def _frobenius_prime(modulus: int) -> int:
+    """p, for a mod-p ring; frobenius is refused on mod-p**2 rings."""
+    p, level = char_of_modulus(modulus)
+    if level != 1:
+        raise RingError("frobenius is only defined on mod-p polynomials")
+    return p
 
 
 def _sum_terms(a: dict, b: dict, sign: int) -> dict:
@@ -634,20 +665,28 @@ class PolyMatrix:
         return PolyMatrix([[fn(x) for x in row] for row in self.entries])
 
     def _map_same_ring(self, fn) -> "PolyMatrix":
-        """map_entries for an fn that keeps every entry in this matrix's ring."""
+        """map_entries for an fn that keeps every entry in this matrix's ring
+        and maps zero to zero; zero entries are kept as they are."""
         return PolyMatrix._make(
-            tuple([tuple([fn(x) for x in row]) for row in self.entries]), self.vars, self.modulus
+            tuple([tuple([fn(x) if x.terms else x for x in row]) for row in self.entries]),
+            self.vars, self.modulus,
         )
 
     def _zip_terms(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
-        """self + sign*other, after one shape and ring check."""
+        """self + sign*other, after one shape and ring check.
+
+        a + 0 is a and 0 + b is b; only the other pairs build an entry.
+        """
         self._check_shape(other)
         _check_ring(self, other)
         vars, m = self.vars, self.modulus
         return PolyMatrix._make(
             tuple([
-                tuple([LaurentPoly._make(vars, m, _sum_terms(a.terms, b.terms, sign))
-                       for a, b in zip(ra, rb)])
+                tuple([
+                    a if not b.terms else b if sign > 0 and not a.terms
+                    else LaurentPoly._make(vars, m, _sum_terms(a.terms, b.terms, sign))
+                    for a, b in zip(ra, rb)
+                ])
                 for ra, rb in zip(self.entries, other.entries)
             ]),
             vars, m,
@@ -682,23 +721,31 @@ class PolyMatrix:
         """start[i][j] + sum_k a_ik * b_kj per entry, after one shape and ring check.
 
         start is None (all entries start empty) or a grid of unreduced term
-        dicts, which are accumulated into in place.
+        dicts, which are accumulated into in place.  Only pairs of nonzero
+        a_ik, b_kj are multiplied, and every entry whose accumulator stays
+        empty is one shared zero.
         """
         if self.cols != other.rows:
             raise RingError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         _check_ring(self, other)
         vars, m = self.vars, self.modulus
-        cols = [[b.terms for b in col] for col in zip(*other.entries)]
+        zero = None
+        cols = [[(k, b.terms) for k, b in enumerate(col) if b.terms] for col in zip(*other.entries)]
         out = []
         for i, row in enumerate(self.entries):
             row_terms = [a.terms for a in row]
             new_row = []
             for j, col in enumerate(cols):
                 acc: dict[tuple[int, ...], int] = {} if start is None else start[i][j]
-                for ta, tb in zip(row_terms, col):
-                    if ta and tb:
+                for k, tb in col:
+                    if ta := row_terms[k]:
                         _product_terms(acc, ta, tb)
-                new_row.append(LaurentPoly._make(vars, m, acc))
+                if acc:
+                    new_row.append(LaurentPoly._make(vars, m, acc))
+                else:
+                    if zero is None:
+                        zero = LaurentPoly._make(vars, m, {})
+                    new_row.append(zero)
             out.append(tuple(new_row))
         return PolyMatrix._make(tuple(out), vars, m)
 
@@ -725,7 +772,7 @@ class PolyMatrix:
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(x.terms for row in self.entries for x in row)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -742,10 +789,14 @@ class PolyMatrix:
 
     # ---------- entry-wise semilinear maps ----------
 
+    # both validate before mapping, because _map_same_ring skips zero entries
+
     def deriv(self, name: str) -> "PolyMatrix":
-        return self._map_same_ring(lambda x: x.deriv(name))
+        i, vars, m = self.vars.index(name), self.vars, self.modulus
+        return self._map_same_ring(lambda x: LaurentPoly._make(vars, m, _deriv_terms(x.terms, i)))
 
     def frobenius(self) -> "PolyMatrix":
+        _frobenius_prime(self.modulus)
         return self._map_same_ring(lambda x: x.frobenius())
 
     def subst(self, images, target: VarSpec) -> "PolyMatrix":

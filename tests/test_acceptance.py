@@ -70,17 +70,40 @@ def test_verify_all_aggregate():
 
 
 def test_verify_all_keeps_the_report_when_a_criterion_raises(monkeypatch):
-    homotopy_exp = transforms._homotopy_exp  # mutant: h_ba in place of h_ab
-    monkeypatch.setattr(transforms, "_homotopy_exp",
-                        lambda vars, a, b, phi, ctx: homotopy_exp(vars, b, a, phi, ctx))
+    def raising():
+        raise transforms.TransformError("input is not a valid flat sheaf: connection gluing[U0|U1]")
+
+    criteria = dict(acceptance.CRITERIA)
+    criteria["4"] = raising
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria.items()))
     report = acceptance.verify_all()  # never raises
     assert not report.ok()
     raised = {e.check: e.witness for e in report.failures() if e.check.endswith(" raised")}
-    assert raised["c4: criterion 4 raised"] == (
-        "input is not a valid flat sheaf: connection gluing[U0|U1]",
-    )
-    for number in ("1", "2", "3"):
+    assert raised == {
+        "c4: criterion 4 raised": ("input is not a valid flat sheaf: connection gluing[U0|U1]",),
+    }
+    for number in ("1", "2", "3", "5"):
         assert any(e.check.startswith(f"c{number}: ") for e in report.entries)
+
+
+def test_criteria_4_and_5_fail_only_the_scenes_that_raise(monkeypatch):
+    homotopy_exp = transforms._homotopy_exp  # mutant: h_ba in place of h_ab
+    monkeypatch.setattr(transforms, "_homotopy_exp",
+                        lambda vars, a, b, phi, ctx: homotopy_exp(vars, b, a, phi, ctx))
+    report = acceptance.verify_all()
+    assert len(report.entries) == 111
+    assert not any(e.check.endswith(" raised") for e in report.entries)
+    failed = {e.check: e.witness for e in report.failures() if e.check.startswith(("c4:", "c5:"))}
+    g5 = [(f"image of g5_p1_uniformizing (p={p})", f"g5_p1_uniformizing (p={p})") for p in (3, 5)]
+    assert sorted(failed) == sorted(
+        [f"c4: {what} on {image}" for image, _ in g5 for what in (
+            "untwisted connection has zero p-curvature",
+            "p-curvature commutes with the twisted gluing",
+            "descended sheaf passes all checks",
+        )]
+        + [f"c5: round trip exactly sign-flips {scene}" for _, scene in g5]
+    )
+    assert set(failed.values()) == {("input is not a valid flat sheaf: connection gluing[U0|U1]",)}
 
 
 def test_verify_all_json_is_byte_identical_across_hash_seeds():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -366,6 +368,157 @@ def test_nabla_is_the_derivative_plus_the_product(data):
             for x in row:
                 assert x.vars is vars and x.modulus == m
                 assert_canonical(x)
+
+
+# ------------------------------------------------- zero-aware kernels
+
+
+def ref_poly(vars, m, terms):
+    """The validating constructor on plain dict arithmetic: no kernel involved."""
+    out = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly(vars, m, out)
+
+
+def ref_sum(a, b, sign=1):
+    return ref_poly(a.vars, a.modulus, [*a.terms.items(), *((e, sign * c) for e, c in b.terms.items())])
+
+
+def ref_product(a, b):
+    return ref_poly(a.vars, a.modulus, [
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.terms.items() for eb, cb in b.terms.items()
+    ])
+
+
+def ref_deriv(a, name):
+    i = a.vars.index(name)
+    return ref_poly(a.vars, a.modulus, [
+        (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in a.terms.items()
+    ])
+
+
+def random_sparse_poly(rng, vars, m, density):
+    if rng.random() > density:
+        return LaurentPoly.zero(vars, m)
+    return LaurentPoly(vars, m, {
+        tuple(rng.randint(-2 if name in vars.inverted else 0, 3) for name in vars.names):
+            rng.randrange(m)
+        for _ in range(rng.randint(1, 3))
+    })
+
+
+def random_sparse_matrix(rng, vars, m, rows, cols):
+    """Entries nonzero with a random density; some rows and columns all zero."""
+    density = rng.choice([0.0, 0.3, 0.6, 1.0])
+    zero_rows = {i for i in range(rows) if rng.random() < 0.25}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.25}
+    return PolyMatrix([
+        [LaurentPoly.zero(vars, m) if i in zero_rows or j in zero_cols
+         else random_sparse_poly(rng, vars, m, density) for j in range(cols)]
+        for i in range(rows)
+    ])
+
+
+def snapshot(*operands):
+    return [(x, dict(x.terms)) for M in operands for row in M.entries for x in row]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_zero_aware_kernels_match_the_entrywise_reference(seed):
+    rng = random.Random(seed)
+    names = ["t", "u", "v"][:rng.randint(1, 3)]
+    vars = VarSpec.make(names, [n for n in names if rng.random() < 0.5])
+    p = rng.choice([3, 5, 7])
+    m = p ** rng.randint(1, 2)
+    r, k, c = (rng.randint(1, 4) for _ in range(3))
+    A, B = random_sparse_matrix(rng, vars, m, r, k), random_sparse_matrix(rng, vars, m, r, k)
+    S = random_sparse_matrix(rng, vars, m, k, c)
+    conn = random_sparse_matrix(rng, vars, m, k, k)
+    f = random_sparse_poly(rng, vars, m, 0.5)
+    n = rng.randrange(-m, 2 * m)
+    before = snapshot(A, B, S, conn) + [(f, dict(f.terms))]
+
+    def check(R, want):
+        assert (R.rows, R.cols) == (len(want), len(want[0]))
+        for row, want_row in zip(R.entries, want):
+            for x, w in zip(row, want_row):
+                assert x == w
+                assert x.vars == vars and x.modulus == m
+                assert_canonical(x)
+
+    zero = LaurentPoly.zero(vars, m)
+    product = [[zero] * c for _ in range(r)]
+    for i in range(r):
+        for j in range(c):
+            for q in range(k):
+                product[i][j] = ref_sum(product[i][j], ref_product(A.entries[i][q], S.entries[q][j]))
+    check(A @ S, product)
+    for name in names:
+        want = [[zero] * c for _ in range(k)]
+        for i in range(k):
+            for j in range(c):
+                want[i][j] = ref_deriv(S.entries[i][j], name)
+                for q in range(k):
+                    want[i][j] = ref_sum(want[i][j], ref_product(conn.entries[i][q], S.entries[q][j]))
+        check(S.nabla(conn, name), want)
+        check(A.deriv(name), [[ref_deriv(x, name) for x in row] for row in A.entries])
+    pairs = list(zip(A.entries, B.entries))
+    check(A + B, [[ref_sum(a, b) for a, b in zip(ra, rb)] for ra, rb in pairs])
+    check(A - B, [[ref_sum(a, b, -1) for a, b in zip(ra, rb)] for ra, rb in pairs])
+    check(-A, [[ref_sum(zero, a, -1) for a in row] for row in A.entries])
+    const = LaurentPoly.const(vars, m, n)
+    check(A.scale(n), [[ref_product(a, const) for a in row] for row in A.entries])
+    check(A.scale(f), [[ref_product(a, f) for a in row] for row in A.entries])
+    for a, b in zip(sum(A.entries, ()), sum(B.entries, ())):  # the scalar fast paths too
+        assert a + b == ref_sum(a, b) and a - b == ref_sum(a, b, -1)
+        assert a * b == ref_product(a, b) and -a == ref_sum(zero, a, -1)
+    if m == p:
+        check(A.frobenius(), [[ref_poly(vars, m, [(tuple(p * x for x in e), c)
+                                                  for e, c in a.terms.items()])
+                               for a in row] for row in A.entries])
+    assert [(x, dict(x.terms)) for x, _ in before] == before
+
+
+def test_zero_entries_still_get_the_ring_checks():
+    Z = PolyMatrix.zero(2, 2, T, 9)
+    with pytest.raises(RingError, match="only defined on mod-p"):
+        Z.frobenius()
+    with pytest.raises(RingError, match="unknown variable"):
+        Z.deriv("u")
+    with pytest.raises(RingError, match="different rings"):
+        Z + PolyMatrix.zero(2, 2, T, 3)
+    with pytest.raises(RingError, match="different rings"):
+        Z @ PolyMatrix.zero(2, 2, T_INV, 9)
+    with pytest.raises(RingError, match="unknown variable"):
+        Z.nabla(Z, "u")
+    with pytest.raises(RingError, match="different rings"):
+        LaurentPoly.zero(T, 9) * LaurentPoly.zero(T, 3)
+
+
+def test_zero_times_anything_builds_one_shared_zero(monkeypatch):
+    vars = VarSpec.make(["t", "u"], ["u"])
+    rng = random.Random(5)
+    X = random_sparse_matrix(rng, vars, 25, 4, 3)
+    Z = PolyMatrix.zero(4, 4, vars, 25)
+    made = []
+    make = LaurentPoly._make
+
+    def counting_make(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(LaurentPoly, "_make", staticmethod(counting_make))
+    R = Z @ X
+    assert len(made) <= 1
+    assert R.is_zero() and len({id(x) for row in R.entries for x in row}) == 1
+    Z = PolyMatrix.zero(4, 3, vars, 25)
+    made.clear()
+    for R in (X + Z, Z + X):
+        assert R == X
+        assert all(x is y for rx, ry in zip(R.entries, X.entries) for x, y in zip(rx, ry) if y.terms)
+    assert made == []
 
 
 # ---------------------------------------------------------------- boundary

@@ -726,3 +726,24 @@ def test_roundtrip_p1():
     rep, rt = roundtrip_check(scene.sheaf)
     assert rep.ok()
     assert rt == scene.sheaf.negated()
+
+
+@pytest.mark.parametrize("name", ["g2_a1_rank2", "g3_a1_three_lifts"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_descent_is_gauge_covariant(name, p):
+    """Descending a forward image in a non-constant gauge still gives -theta.
+
+    The flat frame of the gauged connection is not the identity and does not
+    commute with psi, so this pins the direction of descent's conjugation.
+    """
+    E = gallery(name, p).sheaf
+    H = inverse_cartier(E)
+    (chart, mats), = H.conn.items()
+    vars = H.atlas.chart_vars(chart)
+    one, zero = LaurentPoly.one(vars, p), LaurentPoly.zero(vars, p)
+    g = PolyMatrix([[one, zero], [LaurentPoly.var(vars, p, "t", 2), one]])
+    g_inv = g.inverse_unit_det()
+    gauged = [(g @ A - g.deriv(u)) @ g_inv for A, u in zip(mats, vars.names)]
+    H_g = FlatSheaf(H.atlas, H.rank, {chart: gauged})
+    assert verify_gauge_witness(H, H_g, {chart: g}, True)
+    assert cartier(H_g) == E.negated()
