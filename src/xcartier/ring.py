@@ -12,12 +12,12 @@ term order for text emission is graded lex, largest first: `2*s^4 + s^2`.
 The public constructors `LaurentPoly(...)` and `PolyMatrix(...)` validate
 their input: exponent lengths, negative exponents only on inverted variables,
 one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
-`deriv`, `frobenius`, matrix `@`, `scale` and the connection step `nabla`)
-keeps those invariants by construction, so it checks the operands' ring once
-per call and builds its result with the trusted `_make` constructors, which
-only reduce mod m and drop zeros.  So are the constants (`zero`, `const`,
-`one`, matrix `zero` and `identity`), which check only the modulus and the
-shape.  Operations that
+`deriv`, `frobenius`, matrix `@`, `scale`, the connection step `nabla` and
+its chain `nabla_power`) keeps those invariants by construction, so it
+checks the operands' ring once per call and builds its result with the
+trusted `_make` constructors, which only reduce mod m and drop zeros.  So
+are the constants (`zero`, `const`, `one`, matrix `zero` and `identity`),
+which check only the modulus and the shape.  Operations that
 change the ring (`subst`, `extend_vars`, `reduce_mod`, `map_entries`) go
 through the validating constructors.
 
@@ -29,8 +29,10 @@ The same-ring kernels use this to skip zeros, always after their ring check:
   and `-0` return the zero one;
 - matrix `+` and `-` keep the entry beside a zero entry, and negation,
   `scale`, `deriv` and `frobenius` keep zero entries;
-- `@` and `nabla` multiply only pairs of nonzero entries, and the entries
-  that get no term share one zero per result matrix.
+- `@` and `nabla_power` multiply only pairs of nonzero entries, and the
+  entries that get no term share one zero per result matrix;
+- `nabla_power` runs its n steps on raw term dicts, builds polynomials only
+  for its result, and never writes to an operand's term dicts.
 `VarSpec.make` and `with_inverted` intern one VarSpec per (names, inverted),
 so the ring check is usually an identity test; a directly built VarSpec still
 compares equal.
@@ -223,7 +225,9 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, vars: VarSpec, modulus: int) -> "LaurentPoly":
-        return cls.const(vars, modulus, 0)
+        if modulus < 2:
+            raise RingError(f"bad modulus {modulus}")
+        return LaurentPoly._make(vars, modulus, {})
 
     @classmethod
     def const(cls, vars: VarSpec, modulus: int, c: int) -> "LaurentPoly":
@@ -450,13 +454,31 @@ def _deriv_terms(terms: dict, i: int) -> dict:
 
 
 def _product_terms(out: dict, a: dict, b: dict) -> dict:
-    """Accumulate the unreduced terms of a*b into out."""
+    """Accumulate the unreduced terms of a*b into out.
+
+    Exponent sums are unpacked in one and two variables, where building them
+    with `tuple(map(add, ...))` costs more than the rest of the loop.
+    """
+    if not a:
+        return out
     get = out.get
     b_items = b.items()
-    for ea, ca in a.items():
-        for eb, cb in b_items:
-            e = tuple(map(add, ea, eb))
-            out[e] = get(e, 0) + ca * cb
+    arity = len(next(iter(a)))
+    if arity == 1:
+        for (x,), ca in a.items():
+            for (y,), cb in b_items:
+                e = (x + y,)
+                out[e] = get(e, 0) + ca * cb
+    elif arity == 2:
+        for (x0, x1), ca in a.items():
+            for (y0, y1), cb in b_items:
+                e = (x0 + y0, x1 + y1)
+                out[e] = get(e, 0) + ca * cb
+    else:
+        for ea, ca in a.items():
+            for eb, cb in b_items:
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
     return out
 
 
@@ -641,6 +663,24 @@ class PolyMatrix:
         self.entries = rows
         return self
 
+    @staticmethod
+    def _from_terms(grid: list[list[dict]], vars: VarSpec, modulus: int) -> "PolyMatrix":
+        """Trusted constructor from rows of unreduced term dicts over (vars,
+        modulus); the empty dicts become one shared zero, built only if needed."""
+        zero = None
+        rows = []
+        for row in grid:
+            new_row = []
+            for t in row:
+                if t:
+                    new_row.append(LaurentPoly._make(vars, modulus, t))
+                else:
+                    if zero is None:
+                        zero = LaurentPoly._make(vars, modulus, {})
+                    new_row.append(zero)
+            rows.append(tuple(new_row))
+        return PolyMatrix._make(tuple(rows), vars, modulus)
+
     # ---------- constructors ----------
 
     @classmethod
@@ -651,8 +691,10 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, vars: VarSpec, modulus: int) -> "PolyMatrix":
-        one, rows = LaurentPoly.one(vars, modulus), cls.zero(n, n, vars, modulus).entries
-        rows = tuple(row[:i] + (one,) + row[i + 1:] for i, row in enumerate(rows))
+        if n < 1:
+            raise RingError("matrix needs at least one entry")
+        zero, one = LaurentPoly.zero(vars, modulus), LaurentPoly.one(vars, modulus)
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         return cls._make(rows, vars, modulus)
 
     @classmethod
@@ -702,52 +744,71 @@ class PolyMatrix:
         return self._map_same_ring(lambda x: -x)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Each entry sum_k a_ik * b_kj is accumulated in one dict."""
-        return self._fused_product(other, None)
+        """sum_k a_ik * b_kj per entry, accumulated in one dict, after one shape
+        and ring check.
 
-    def nabla(self, A: "PolyMatrix", name: str) -> "PolyMatrix":
-        """d/d(name) self + A @ self, each entry accumulated in one dict.
-
-        One step of the connection d + A along one coordinate, applied to the
-        columns of self.
-        """
-        if A.rows != self.rows:
-            raise RingError(f"shape mismatch: {A.rows}x{A.cols} connection on {self.rows} rows")
-        i = self.vars.index(name)
-        start = [[_deriv_terms(x.terms, i) for x in row] for row in self.entries]
-        return A._fused_product(self, start)
-
-    def _fused_product(self, other: "PolyMatrix", start) -> "PolyMatrix":
-        """start[i][j] + sum_k a_ik * b_kj per entry, after one shape and ring check.
-
-        start is None (all entries start empty) or a grid of unreduced term
-        dicts, which are accumulated into in place.  Only pairs of nonzero
-        a_ik, b_kj are multiplied, and every entry whose accumulator stays
-        empty is one shared zero.
+        Only pairs of nonzero a_ik, b_kj are multiplied, and every entry
+        whose accumulator stays empty is one shared zero.
         """
         if self.cols != other.rows:
             raise RingError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         _check_ring(self, other)
-        vars, m = self.vars, self.modulus
-        zero = None
         cols = [[(k, b.terms) for k, b in enumerate(col) if b.terms] for col in zip(*other.entries)]
-        out = []
-        for i, row in enumerate(self.entries):
+        grid = []
+        for row in self.entries:
             row_terms = [a.terms for a in row]
             new_row = []
-            for j, col in enumerate(cols):
-                acc: dict[tuple[int, ...], int] = {} if start is None else start[i][j]
+            for col in cols:
+                acc: dict[tuple[int, ...], int] = {}
                 for k, tb in col:
                     if ta := row_terms[k]:
                         _product_terms(acc, ta, tb)
-                if acc:
-                    new_row.append(LaurentPoly._make(vars, m, acc))
-                else:
-                    if zero is None:
-                        zero = LaurentPoly._make(vars, m, {})
-                    new_row.append(zero)
-            out.append(tuple(new_row))
-        return PolyMatrix._make(tuple(out), vars, m)
+                new_row.append(acc)
+            grid.append(new_row)
+        return PolyMatrix._from_terms(grid, self.vars, self.modulus)
+
+    def nabla(self, A: "PolyMatrix", name: str) -> "PolyMatrix":
+        """d/d(name) self + A @ self: one step of the connection d + A along
+        one coordinate, applied to the columns of self."""
+        return self.nabla_power(A, name, 1)
+
+    def nabla_power(self, A: "PolyMatrix", name: str, n: int) -> "PolyMatrix":
+        """(d/d(name) + A)^n applied to the columns of self: n fused steps
+        b -> d_name b + A b, after one shape and ring check.
+
+        The steps run on grids of raw term dicts.  Each step builds fresh
+        dicts from the derivative of the previous grid plus the products of
+        the nonzero entries of A (listed once per row) with the nonzero
+        entries of the grid, then reduces them mod m and drops zeros.
+        Polynomials are built only for the result, whose empty entries share
+        one zero.  n = 0 returns self.
+        """
+        if A.rows != self.rows:
+            raise RingError(f"shape mismatch: {A.rows}x{A.cols} connection on {self.rows} rows")
+        if A.cols != self.rows:
+            raise RingError(f"shape mismatch {A.rows}x{A.cols} @ {self.rows}x{self.cols}")
+        _check_ring(A, self)
+        i = self.vars.index(name)
+        if n < 0:
+            raise RingError(f"negative number of connection steps {n}")
+        if n == 0:
+            return self
+        vars, m = self.vars, self.modulus
+        a_rows = [[(k, a.terms) for k, a in enumerate(row) if a.terms] for row in A.entries]
+        grid = [[x.terms for x in row] for row in self.entries]
+        for _ in range(n):
+            new_grid = []
+            for a_row, row in zip(a_rows, grid):
+                new_row = []
+                for j, x in enumerate(row):
+                    acc = _deriv_terms(x, i) if x else {}
+                    for k, ta in a_row:
+                        if tb := grid[k][j]:
+                            _product_terms(acc, ta, tb)
+                    new_row.append({e: r for e, c in acc.items() if (r := c % m)} if acc else acc)
+                new_grid.append(new_row)
+            grid = new_grid
+        return PolyMatrix._from_terms(grid, vars, m)
 
     def scale(self, s) -> "PolyMatrix":
         """Entry-wise product with an int or a polynomial of this ring."""
@@ -814,14 +875,16 @@ class PolyMatrix:
         if n == 1:
             return self.entries[0][0]
         # cofactor expansion along the first row; fine at gallery sizes
-        acc = LaurentPoly.zero(self.vars, self.modulus)
-        for j in range(n):
-            a = self.entries[0][j]
+        acc = None
+        for j, a in enumerate(self.entries[0]):
             if a.is_zero():
                 continue
             term = a * self._minor(0, j).det()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
+            if acc is None:
+                acc = term if j % 2 == 0 else -term
+            else:
+                acc = acc + term if j % 2 == 0 else acc - term
+        return LaurentPoly.zero(self.vars, self.modulus) if acc is None else acc
 
     def _minor(self, i: int, j: int) -> "PolyMatrix":
         """The submatrix without row i and column j."""

@@ -3,9 +3,9 @@
 Both are lambda-connections (Ogus-Vologodsky): one matrix A_i per coordinate
 dt_i.  A Higgs field is a 0-connection, a connection d + A a 1-connection,
 and the p-curvature psi (one matrix per pulled-back basis element F*dt_i,
-the p-fold application of d/dt_i + A_i to the identity frame: p-1 fused
-steps `PolyMatrix.nabla` from A_i) a 0-connection on the Frobenius
-pullback.  `flat` is lambda throughout.
+the p-fold application of d/dt_i + A_i to the identity frame: one
+`PolyMatrix.nabla_power` chain of p-1 steps from A_i) a 0-connection on the
+Frobenius pullback.  `flat` is lambda throughout.
 `p_curvature` proves no invariant of psi; they are proven where psi is used
 (`transforms.descend`, `verify_p_curvature_invariants`).
 
@@ -312,21 +312,15 @@ def check_field_gluing(
 def p_curvature(H: FlatSheaf) -> PCurvature:
     """Psi_i = (d/dt_i + A_i)^p applied to the identity frame, per chart.
 
-    The first step takes the identity frame to A_i; the other p-1 are fused
-    steps `b.nabla(A_i, t_i)` = d_i b + A_i b.  H must be flat: `check_flat`
-    (in `untwist`) and `parse_scene` check it.
+    The first step takes the identity frame to A_i; the other p-1 are one
+    chain `A_i.nabla_power(A_i, t_i, p - 1)` of steps b -> d_i b + A_i b.
+    H must be flat: `check_flat` (in `untwist`) and `parse_scene` check it.
     """
     p = H.atlas.ctx.p
-    comps: dict[str, list[PolyMatrix]] = {}
-    for chart, mats in H.conn.items():
-        vars = H.atlas.chart_vars(chart)
-        psis = []
-        for a, name in zip(mats, vars.names):
-            b = a
-            for _ in range(p - 1):
-                b = b.nabla(a, name)
-            psis.append(b)
-        comps[chart] = psis
+    comps = {
+        chart: [a.nabla_power(a, t, p - 1) for a, t in zip(mats, H.atlas.chart_vars(chart).names)]
+        for chart, mats in H.conn.items()
+    }
     return PCurvature(H.rank, comps)
 
 

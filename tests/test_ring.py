@@ -14,6 +14,7 @@ from xcartier.ring import (
     PrimeContext,
     RingError,
     VarSpec,
+    _product_terms,
     divide_by_p,
     invert_unit,
     monomials_in_box,
@@ -519,6 +520,129 @@ def test_zero_times_anything_builds_one_shared_zero(monkeypatch):
         assert R == X
         assert all(x is y for rx, ry in zip(R.entries, X.entries) for x, y in zip(rx, ry) if y.terms)
     assert made == []
+
+
+def leibniz_det(M):
+    """The determinant as a signed sum over permutations: no cofactors."""
+    from itertools import permutations
+
+    n, acc = M.rows, LaurentPoly.zero(M.vars, M.modulus)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = LaurentPoly.const(M.vars, M.modulus, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * M.entries[i][j]
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_det_starts_from_its_first_nonzero_cofactor_term(monkeypatch, seed):
+    rng = random.Random(seed)
+    vars = VarSpec.make(["t", "u"][:rng.randint(1, 2)], ["t"] if rng.random() < 0.5 else [])
+    m = rng.choice([3, 5, 7]) ** rng.randint(1, 2)
+    M = random_sparse_matrix(rng, vars, m, *[rng.randint(1, 4)] * 2)
+    want = leibniz_det(M)
+    zeros = []
+    zero = LaurentPoly.zero.__func__
+    monkeypatch.setattr(LaurentPoly, "zero", classmethod(lambda *a: zeros.append(a) or zero(*a)))
+    assert M.det() == want
+    if not any(x.terms for row in M.entries for x in row):
+        assert len(zeros) <= 1
+    elif all(x.terms for row in M.entries for x in row):
+        assert zeros == []  # no cofactor sum starts from a built zero
+
+
+def test_constants_build_one_zero_directly():
+    with pytest.raises(RingError, match="bad modulus"):
+        LaurentPoly.zero(T, 1)
+    with pytest.raises(RingError, match="at least one entry"):
+        PolyMatrix.identity(0, T, 3)
+    for M in (PolyMatrix.identity(4, T_INV, 9), PolyMatrix.zero(3, 2, T_INV, 9)):
+        off = {id(x) for i, row in enumerate(M.entries) for j, x in enumerate(row) if i != j}
+        assert len(off) == 1 and all(not x.terms for i, row in enumerate(M.entries)
+                                     for j, x in enumerate(row) if i != j)
+    assert PolyMatrix.identity(4, T_INV, 9).is_identity()
+    assert PolyMatrix([[poly("0"), poly("t")], [poly("1"), poly("2")]]).det() == poly("-t")
+
+
+# ------------------------------------------------- connection chains
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nabla_power_matches_repeated_deriv_plus_product(seed):
+    rng = random.Random(seed)
+    names = ["t", "u", "v"][:rng.randint(1, 3)]
+    vars = VarSpec.make(names, [n for n in names if rng.random() < 0.5])
+    p = rng.choice([3, 5, 7])
+    m = p ** rng.randint(1, 2)
+    k, c = rng.randint(1, 4), rng.randint(1, 3)
+    A = random_sparse_matrix(rng, vars, m, k, k)
+    starts = [
+        PolyMatrix.zero(k, c, vars, m),
+        PolyMatrix.identity(k, vars, m),
+        random_sparse_matrix(rng, vars, m, k, c),
+        A,
+    ]
+    before = snapshot(A, *starts)
+    for S in starts:
+        for name in names:
+            want, steps = S, 0
+            for n in (0, 1, 2, p - 1, p):
+                while steps < n:  # the reference uses only deriv, @ and +
+                    want, steps = want.deriv(name) + A @ want, steps + 1
+                R = S.nabla_power(A, name, n)
+                assert R == want
+                for row in R.entries:
+                    for x in row:
+                        assert x.vars is vars and x.modulus == m
+                        assert_canonical(x)
+                zeros = {id(x) for row in R.entries for x in row if not x.terms}
+                assert n == 0 or len(zeros) <= 1
+            assert S.nabla_power(A, name, 1) == S.nabla(A, name)
+    assert [(x, dict(x.terms)) for x, _ in before] == before
+
+
+def test_nabla_power_checks_shape_ring_and_steps_once():
+    S = PolyMatrix.identity(2, T, 9)
+    with pytest.raises(RingError, match=r"shape mismatch: 3x3 connection on 2 rows"):
+        S.nabla(PolyMatrix.identity(3, T, 9), "t")
+    with pytest.raises(RingError, match=r"shape mismatch 2x3 @ 2x2"):
+        S.nabla_power(PolyMatrix.zero(2, 3, T, 9), "t", 2)
+    for n in (0, 3):
+        with pytest.raises(RingError, match="different rings"):
+            S.nabla_power(PolyMatrix.identity(2, T, 3), "t", n)
+        with pytest.raises(RingError, match="unknown variable"):
+            S.nabla_power(S, "u", n)
+    with pytest.raises(RingError, match="negative number"):
+        S.nabla_power(S, "t", -1)
+    assert S.nabla_power(S, "t", 0) is S
+
+
+def generic_product_terms(out, a, b):
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unpacked_product_terms_match_the_generic_path(seed):
+    rng = random.Random(seed)
+    for arity in range(4):
+        def terms():
+            return {
+                tuple(rng.randint(-3, 3) for _ in range(arity)): rng.randint(-50, 50)
+                for _ in range(rng.randint(0, 6))
+            }
+
+        a, b, start = terms(), terms(), terms()
+        frozen = [dict(a), dict(b)]
+        got = _product_terms(dict(start), a, b)
+        want = generic_product_terms(dict(start), a, b)
+        assert list(got.items()) == list(want.items())  # same terms, same order
+        assert [a, b] == frozen
 
 
 # ---------------------------------------------------------------- boundary

@@ -265,12 +265,18 @@ def count_matrix_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("name,p", [("g5_p1_uniformizing", 3), ("g6_a2_rank3", 5)])
 def test_p_curvature_is_p_minus_one_fused_steps(monkeypatch, name, p):
+    # one chain of p-1 steps per coordinate per chart, and no other product
     H = inverse_cartier(gallery(name, p).sheaf)
+    chains = count_matrix_calls(monkeypatch, "nabla_power")
     nabla = count_matrix_calls(monkeypatch, "nabla")
     matmul = count_matrix_calls(monkeypatch, "__matmul__")
     psi = p_curvature(H)
-    steps = sum((p - 1) * H.atlas.chart_vars(chart).arity for chart in H.conn)
-    assert len(nabla) == steps and matmul == []
+    want = [
+        (a, t) for chart, mats in H.conn.items() for a, t in zip(mats, H.atlas.chart_vars(chart).names)
+    ]
+    assert len(chains) == len(want)
+    assert all(got[0] is a and got[1:] == (t, p - 1) for got, (a, t) in zip(chains, want))
+    assert nabla == [] and matmul == []
     assert not psi.is_zero()
 
 
