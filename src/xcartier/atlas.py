@@ -19,6 +19,13 @@ h_ab[j] = (F_a(t_j) - F_b(t_j))/p, and
 
     jacobian(h_ab) = Z_a - Z_b         (coboundary identity)
     h_ab + h_bc = h_ac                 (cocycle identity)
+
+None of this depends on a sheaf, so an `Atlas` keeps it in one private memo,
+filled on first use: `zeta_form` per (chart, lifting index), the
+`lift_on_overlap` images per (overlap, chart, lifting index), whose
+corruption check therefore runs once.  `validate` and `parse_scene` fill
+none of it.  `add_chart`, `add_overlap` and `add_lift` clear it; an atlas is
+not to be changed any other way.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ class Atlas:
     charts: dict[str, Chart] = field(default_factory=dict)
     overlaps: dict[tuple[str, str], Overlap] = field(default_factory=dict)
     lifts: dict[str, list[FrobLift]] = field(default_factory=dict)
+    # data that depends only on the atlas, built on first use; the add_* methods clear it
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_chart(self, name: str, vars: VarSpec) -> Chart:
         if name in self.charts:
@@ -91,6 +100,7 @@ class Atlas:
         chart = Chart(name, vars)
         self.charts[name] = chart
         self.lifts.setdefault(name, [])
+        self._memo.clear()
         return chart
 
     def add_overlap(self, overlap: Overlap) -> None:
@@ -98,21 +108,50 @@ class Atlas:
             if c not in self.charts:
                 raise AtlasError(f"overlap references unknown chart {c!r}")
         self.overlaps[overlap.pair] = overlap
+        self._memo.clear()
 
     def add_lift(self, lift: FrobLift) -> None:
         if lift.chart not in self.charts:
             raise AtlasError(f"lift references unknown chart {lift.chart!r}")
         self.lifts[lift.chart].append(lift)
+        self._memo.clear()
 
     def chart_vars(self, name: str) -> VarSpec:
         return self.charts[name].vars
 
-    def lift_for(self, chart: str, choice: dict[str, int] | None = None) -> FrobLift:
-        idx = 0 if choice is None else choice.get(chart, 0)
-        lifts = self.lifts.get(chart, [])
-        if idx >= len(lifts):
+    def lift_index(self, chart: str, choice: dict[str, int] | None = None) -> int:
+        """The index of the lifting that choice picks on chart (default 0)."""
+        if choice and not choice.keys() <= self.charts.keys():
+            unknown = sorted(choice.keys() - self.charts.keys())
+            raise AtlasError(f"lifting choice names no chart: {unknown}")
+        idx = choice.get(chart, 0) if choice else 0
+        if not 0 <= idx < len(self.lifts.get(chart, [])):
             raise AtlasError(f"chart {chart!r} has no Frobenius lifting #{idx}")
-        return lifts[idx]
+        return idx
+
+    def lift_for(self, chart: str, choice: dict[str, int] | None = None) -> FrobLift:
+        return self.lifts[chart][self.lift_index(chart, choice)]
+
+    def _cached(self, key: tuple, build):
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def zeta(self, chart: str, choice: dict[str, int] | None = None) -> PolyMatrix:
+        """`zeta_form` of the chosen lifting on chart, built once per lifting."""
+        idx = self.lift_index(chart, choice)
+        return self._cached(("zeta", chart, idx), lambda: zeta_form(
+            self.chart_vars(chart), self.lifts[chart][idx].images))
+
+    def transported_lift(
+        self, pair: tuple[str, str], chart: str, choice: dict[str, int] | None = None
+    ) -> dict[str, LaurentPoly]:
+        """`lift_on_overlap` of the chosen lifting on chart, built once per lifting."""
+        idx = self.lift_index(chart, choice)
+        return self._cached(("lift", pair, chart, idx), lambda: lift_on_overlap(
+            self, self.overlaps[pair], self.lifts[chart][idx]))
 
     def validate(self) -> None:
         p, p2 = self.ctx.p, self.ctx.p2
@@ -248,8 +287,8 @@ def _domains_with_lifts(atlas: Atlas):
     for ov in atlas.overlaps.values():
         collected = []
         for side in (ov.alpha, ov.beta):
-            for i, lift in enumerate(atlas.lifts.get(side, [])):
-                collected.append((f"{side}#{i}", lift_on_overlap(atlas, ov, lift)))
+            for i in range(len(atlas.lifts.get(side, []))):
+                collected.append((f"{side}#{i}", atlas.transported_lift(ov.pair, side, {side: i})))
         if len(collected) >= 2:
             yield (f"overlap:{ov.alpha}|{ov.beta}", ov.alpha_vars, collected)
 

@@ -101,6 +101,8 @@ def run_cli(argv: list[str]) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         if args.command == "lemma":
+            if args.trials < 0:
+                raise ValueError(f"--trials must be at least 0, got {args.trials}")
             scene = _read_scene(args.scene)
             report = verify_deligne_illusie(scene.atlas)
             for k in range(args.trials):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atlas import h_pair, lift_on_overlap, pull_beta_function, zeta_form
+from .atlas import h_pair, pull_beta_function
 from .linalg import nullspace_mod_p
 from .report import Report
 from .ring import (
@@ -80,7 +80,15 @@ def canonical_connection(E: HiggsSheaf) -> FlatSheaf:
     """The flat sheaf on the Frobenius pullback of a zero-Higgs sheaf."""
     if not E.is_zero_field():
         raise TransformError("canonical connection requires a zero Higgs field")
-    conn = {chart: list(mats) for chart, mats in E.fields.items()}  # all zero
+    return _pulled_back_zero(E)
+
+
+def _pulled_back_zero(E: HiggsSheaf) -> FlatSheaf:
+    """The zero connection on E's bundle with Frobenius-pulled transitions; E's field is ignored."""
+    conn = {
+        chart: [PolyMatrix.zero(E.rank, E.rank, m.vars, m.modulus) for m in mats]
+        for chart, mats in E.fields.items()
+    }
     transitions = {pair: t.frobenius() for pair, t in E.transitions.items()}
     return FlatSheaf(E.atlas, E.rank, conn, transitions)
 
@@ -92,18 +100,18 @@ def _twist(
 
     phi holds one matrix per pulled-back basis element F*dt_j on every chart:
     F*theta in the forward direction, the p-curvature psi in the converse.
+    Z and the transported liftings come from the atlas's memo.
     """
     atlas = H0.atlas
     ctx = atlas.ctx
     conn: dict[str, list[PolyMatrix]] = {}
-    for chart_name, chart in atlas.charts.items():
-        zeta = zeta_form(chart.vars, atlas.lift_for(chart_name, lift_choice).images)
-        twist = pull_back(phi[chart_name], zeta)
-        conn[chart_name] = [a + b for a, b in zip(H0.conn[chart_name], twist)]
+    for chart in atlas.charts:
+        twist = pull_back(phi[chart], atlas.zeta(chart, lift_choice))
+        conn[chart] = [a + b for a, b in zip(H0.conn[chart], twist)]
     transitions: dict[tuple[str, str], PolyMatrix] = {}
     for pair, ov in atlas.overlaps.items():
-        img_a = lift_on_overlap(atlas, ov, atlas.lift_for(ov.alpha, lift_choice))
-        img_b = lift_on_overlap(atlas, ov, atlas.lift_for(ov.beta, lift_choice))
+        img_a = atlas.transported_lift(pair, ov.alpha, lift_choice)
+        img_b = atlas.transported_lift(pair, ov.beta, lift_choice)
         transitions[pair] = H0.transitions[pair] @ _homotopy_exp(
             ov.alpha_vars, img_a, img_b, phi[ov.alpha], ctx
         )
@@ -124,13 +132,8 @@ def inverse_cartier(E: HiggsSheaf, lift_choice: dict[str, int] | None = None) ->
             "input is not a valid nilpotent Higgs sheaf: "
             + "; ".join(e.check for e in rep.failures())
         )
-    zero = {
-        chart: [PolyMatrix.zero(E.rank, E.rank, m.vars, m.modulus) for m in mats]
-        for chart, mats in E.fields.items()
-    }
-    H0 = canonical_connection(HiggsSheaf(E.atlas, E.rank, zero, E.transitions))
     phi = {chart: [m.frobenius() for m in mats] for chart, mats in E.fields.items()}
-    return _twist(H0, phi, lift_choice)
+    return _twist(_pulled_back_zero(E), phi, lift_choice)
 
 
 def lift_change_gauge(

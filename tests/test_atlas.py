@@ -192,26 +192,44 @@ def test_lemma_on_gallery_scenes(p):
 # ------------------------------------------------------- translation gluing
 
 
-def translation_atlas(p):
-    """Two affine charts glued by y = x - 1; both carry the monomial lifting."""
+def translation_overlap(p, shift):
+    """V0 and V1 glued by y = x - shift."""
     from xcartier.atlas import Overlap, SubstPair
 
+    xv, yv = VarSpec.make(["x"]), VarSpec.make(["y"])
+    return Overlap(
+        "V0", "V1", xv, yv,
+        beta_in_alpha={"y": SubstPair(LaurentPoly.parse(f"x - {shift}", xv, p),
+                                      LaurentPoly.parse(f"x - {shift}", xv, p * p))},
+        alpha_in_beta={"x": SubstPair(LaurentPoly.parse(f"y + {shift}", yv, p),
+                                      LaurentPoly.parse(f"y + {shift}", yv, p * p))},
+    )
+
+
+def translation_atlas(p, shift=1):
+    """Two affine charts glued by y = x - shift; both carry the monomial lifting."""
     ctx = PrimeContext(p)
     xv, yv = VarSpec.make(["x"]), VarSpec.make(["y"])
     atlas = Atlas(ctx)
     atlas.add_chart("V0", xv)
     atlas.add_chart("V1", yv)
-    atlas.add_overlap(Overlap(
-        "V0", "V1", xv, yv,
-        beta_in_alpha={"y": SubstPair(
-            LaurentPoly.parse("x - 1", xv, p), LaurentPoly.parse("x - 1", xv, p * p))},
-        alpha_in_beta={"x": SubstPair(
-            LaurentPoly.parse("y + 1", yv, p), LaurentPoly.parse("y + 1", yv, p * p))},
-    ))
+    atlas.add_overlap(translation_overlap(p, shift))
     atlas.add_lift(FrobLift("V0", {"x": LaurentPoly.var(xv, ctx.p2, "x", p)}))
     atlas.add_lift(FrobLift("V1", {"y": LaurentPoly.var(yv, ctx.p2, "y", p)}))
     atlas.validate()
     return atlas
+
+
+def translation_sheaf(atlas):
+    """The constant nilpotent rank-2 Higgs field on both charts, glued by the identity."""
+    from xcartier.sheaves import HiggsSheaf
+
+    p = atlas.ctx.p
+    n_x, n_y = (PolyMatrix.from_int_rows([[0, 1], [0, 0]], atlas.chart_vars(c), p)
+                for c in ("V0", "V1"))
+    pair = ("V0", "V1")
+    return HiggsSheaf(atlas, 2, {"V0": [n_x], "V1": [n_y]},
+                      {pair: PolyMatrix.identity(2, atlas.overlaps[pair].alpha_vars, p)})
 
 
 def test_translation_homotopy_value():
@@ -231,18 +249,10 @@ def test_translation_atlas_satisfies_the_lemma(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_translation_atlas_full_transform_round_trip(p):
-    from xcartier.sheaves import HiggsSheaf, check_flat
+    from xcartier.sheaves import check_flat
     from xcartier.transforms import inverse_cartier, roundtrip_check
 
-    atlas = translation_atlas(p)
-    xv, yv = atlas.chart_vars("V0"), atlas.chart_vars("V1")
-    n_x = PolyMatrix.from_int_rows([[0, 1], [0, 0]], xv, p)
-    n_y = PolyMatrix.from_int_rows([[0, 1], [0, 0]], yv, p)
-    ov = atlas.overlaps[("V0", "V1")]
-    E = HiggsSheaf(
-        atlas, 2, {"V0": [n_x], "V1": [n_y]},
-        {("V0", "V1"): PolyMatrix.identity(2, ov.alpha_vars, p)},
-    )
+    E = translation_sheaf(translation_atlas(p))
     H = inverse_cartier(E)
     assert check_flat(H).ok()
     rep, rt = roundtrip_check(E)
@@ -268,3 +278,54 @@ def test_missing_lift_rejected():
     atlas.add_chart("A1", T)
     with pytest.raises(AtlasError, match="no Frobenius lifting"):
         atlas.validate()
+
+
+def test_lift_choice_names_exactly_one_lifting():
+    from xcartier.transforms import inverse_cartier, lift_change_gauge
+
+    E = gallery("g3_a1_three_lifts", 3).sheaf
+    assert E.atlas.lift_for("A1", {"A1": 2}) is E.atlas.lifts["A1"][2]
+    for choice, message in (({"A1": -1}, "no Frobenius lifting #-1"),
+                            ({"A1": 3}, "no Frobenius lifting #3"),
+                            ({"A2": 2}, r"lifting choice names no chart: \['A2'\]")):
+        with pytest.raises(AtlasError, match=message):
+            inverse_cartier(E, choice)
+        with pytest.raises(AtlasError, match=message):
+            lift_change_gauge(E, {"A1": 0}, choice)
+
+
+# ---------------------------------------------------------------- memo
+
+
+def test_adding_a_lift_clears_the_memo():
+    from xcartier.transforms import inverse_cartier
+
+    atlas = translation_atlas(5)
+    E = translation_sheaf(atlas)
+    before = inverse_cartier(E)
+    assert atlas._memo
+    yv = atlas.chart_vars("V1")
+    other = FrobLift("V1", {"y": LaurentPoly.parse("y^5 + 5*y^2", yv, 25)})
+    atlas.add_lift(other)
+    assert atlas._memo == {}
+    fresh = translation_atlas(5)
+    fresh.add_lift(other)
+    fresh.validate()
+    after = inverse_cartier(E, {"V1": 1})
+    assert after == inverse_cartier(translation_sheaf(fresh), {"V1": 1}) and after != before
+    assert inverse_cartier(E) == before
+
+
+def test_replacing_an_overlap_clears_the_memo():
+    from xcartier.transforms import cartier, inverse_cartier
+
+    atlas = translation_atlas(5)
+    E = translation_sheaf(atlas)
+    before = inverse_cartier(E)
+    assert atlas._memo
+    atlas.add_overlap(translation_overlap(5, 2))  # replaces the pair (V0, V1)
+    assert atlas._memo == {}
+    after = inverse_cartier(E)
+    fresh = translation_sheaf(translation_atlas(5, 2))
+    assert after == inverse_cartier(fresh) and after != before
+    assert cartier(after) == cartier(inverse_cartier(fresh)) == E.negated()

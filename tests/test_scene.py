@@ -159,7 +159,8 @@ def test_cli_scene_commands_have_no_json_option(tmp_path, capsys, command):
     (["fk", "--p", "5", "--k", "9"], "--k must lie in 1..p-1"),
     (["fk", "--p", "5", "--k", "0"], "--k must lie in 1..p-1"),
     (["taylor", "--p", "3", "--trials", "0"], "--trials must be at least 1"),
-], ids=["wilson p=0", "fk k=p+4", "fk k=0", "taylor trials=0"])
+    (["lemma", "--scene", "unread.json", "--trials", "-2"], "--trials must be at least 0"),
+], ids=["wilson p=0", "fk k=p+4", "fk k=0", "taylor trials=0", "lemma trials=-2"])
 def test_cli_rejects_out_of_range_numbers(capsys, argv, message):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
