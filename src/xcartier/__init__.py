@@ -37,6 +37,7 @@ from .sheaves import (
     check_flat,
     check_higgs,
     nilpotency_exponent,
+    nilpotent_within,
     p_curvature,
 )
 from .transforms import (

@@ -8,6 +8,7 @@ over the built-in gallery at the primes each criterion fixes (3 to 13).
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 
 from .atlas import Atlas, FrobLift, jacobian_beta_in_alpha, verify_deligne_illusie
 from .gallery import gallery
@@ -20,6 +21,7 @@ from .identities import (
 )
 from .report import Report
 from .ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
+from .scene import Scene
 from .sheaves import (
     FlatSheaf,
     HiggsSheaf,
@@ -66,17 +68,36 @@ def perturbed_atlas(atlas: Atlas, seed: int) -> Atlas:
     return out
 
 
+# the scenes built by the running `verify_all` call; None outside one
+_SCENES: ContextVar[dict | None] = ContextVar("scenes", default=None)
+
+
+def _scene(name: str, p: int, **options) -> Scene:
+    """`gallery(name, p, **options)`, built once per `verify_all` call.
+
+    The criteria only read their scenes, so they share one scene and with it
+    one atlas memo.  A criterion run on its own builds its scenes afresh.
+    """
+    scenes = _SCENES.get()
+    if scenes is None:
+        return gallery(name, p, **options)
+    key = (name, p, tuple(sorted(options.items())))
+    if key not in scenes:
+        scenes[key] = gallery(name, p, **options)
+    return scenes[key]
+
+
 def _higgs_gallery(p: int):
     items = [
-        ("g1_trivial", gallery("g1_trivial", p)),
-        ("g2_a1_rank2", gallery("g2_a1_rank2", p)),
-        ("g3_a1_three_lifts", gallery("g3_a1_three_lifts", p)),
-        ("g4_p1_lemma", gallery("g4_p1_lemma", p)),
-        ("g5_p1_uniformizing", gallery("g5_p1_uniformizing", p)),
-        ("g6_a2_rank3", gallery("g6_a2_rank3", p)),
+        ("g1_trivial", _scene("g1_trivial", p)),
+        ("g2_a1_rank2", _scene("g2_a1_rank2", p)),
+        ("g3_a1_three_lifts", _scene("g3_a1_three_lifts", p)),
+        ("g4_p1_lemma", _scene("g4_p1_lemma", p)),
+        ("g5_p1_uniformizing", _scene("g5_p1_uniformizing", p)),
+        ("g6_a2_rank3", _scene("g6_a2_rank3", p)),
     ]
     if p >= 5:
-        items.append(("g6_a2_rank3(exp3)", gallery("g6_a2_rank3", p, exponent3=True)))
+        items.append(("g6_a2_rank3(exp3)", _scene("g6_a2_rank3", p, exponent3=True)))
     return items
 
 
@@ -85,7 +106,7 @@ def criterion_1() -> Report:
     report = Report()
     for p in (3, 5, 7):
         for name in ("g3_a1_three_lifts", "g4_p1_lemma"):
-            scene = gallery(name, p)
+            scene = _scene(name, p)
             rep = verify_deligne_illusie(scene.atlas)
             report.add(f"c1: lemma identities on {name} (p={p})", rep.ok(),
                        tuple(e.check for e in rep.failures()))
@@ -102,7 +123,7 @@ def criterion_2() -> Report:
         items = [(n, s.sheaf) for n, s in _higgs_gallery(p)
                  if n.startswith(("g1", "g2", "g5", "g6"))]
         # the trivial scene at the remaining stated ranks
-        g1 = gallery("g1_trivial", p)
+        g1 = _scene("g1_trivial", p)
         for rank in (1, 2):
             fields = {
                 c: [PolyMatrix.zero(rank, rank, g1.atlas.chart_vars(c), p)
@@ -143,7 +164,7 @@ def criterion_3() -> Report:
         tuple(f"{n} (p={p}): {s:+d}" for n, p, s in signs) if not consistent else (),
     )
     # independent two-by-two reading: psi applied to the second basis vector
-    scene = gallery("g2_a1_rank2", 3)
+    scene = _scene("g2_a1_rank2", 3)
     psi = p_curvature(inverse_cartier(scene.sheaf))
     mat = psi.comps["A1"][0]
     oracle = None
@@ -159,7 +180,7 @@ def criterion_3() -> Report:
     )
     # A = -dF F^-1 does not commute with its derivative, so psi = 0 needs A
     # on the left of every step and all p of them
-    atlas = gallery("g1_trivial", 3).atlas
+    atlas = _scene("g1_trivial", 3).atlas
     vars = atlas.chart_vars("A1")
     inv = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row]
                       for row in (("1 + t^3", "t^2"), ("t", "1"))])
@@ -183,15 +204,15 @@ def criterion_4() -> Report:
     report = Report()
     jobs = []
     for p in (3, 5):
-        scene = gallery("g2_a1_rank2", p)
+        scene = _scene("g2_a1_rank2", p)
         jobs.append((f"image of g2_a1_rank2 (p={p})", inverse_cartier(scene.sheaf)))
         # two-chart image, so the gluing commutation check is not vacuous
         jobs.append(
             (f"image of g5_p1_uniformizing (p={p})",
-             inverse_cartier(gallery("g5_p1_uniformizing", p).sheaf))
+             inverse_cartier(_scene("g5_p1_uniformizing", p).sheaf))
         )
     for c in (0, 1, 2):
-        jobs.append((f"g7_gm_rank1 c={c} (p=3)", gallery("g7_gm_rank1", 3, c=c).sheaf))
+        jobs.append((f"g7_gm_rank1 c={c} (p=3)", _scene("g7_gm_rank1", 3, c=c).sheaf))
     for name, flat in jobs:
         checks = iter((
             f"c4: untwisted connection has zero p-curvature on {name}",
@@ -270,7 +291,7 @@ def criterion_6() -> Report:
             (str(res.frames["A1"]),) if res.frames["A1"] != expected else (),
         )
         for c in range(1, p):
-            tor = gallery("g7_gm_rank1", p, c=c)
+            tor = _scene("g7_gm_rank1", p, c=c)
             res = flat_sections(tor.sheaf)
             frame = res.frames["Gm"]
             want = PolyMatrix([[LaurentPoly.var(tor.atlas.chart_vars("Gm"), p, "t", p - c)]])
@@ -328,7 +349,7 @@ def criterion_10() -> Report:
     """Different liftings give forward transforms glued by the homotopy exponential."""
     report = Report()
     for p in (3, 5):
-        scene = gallery("g2_a1_rank2", p)
+        scene = _scene("g2_a1_rank2", p)
         first, second = {"A1": 0}, {"A1": 1}
         gauges = lift_change_gauge(scene.sheaf, first, second)
         ok = verify_gauge_witness(inverse_cartier(scene.sheaf, first),
@@ -356,11 +377,18 @@ CRITERIA = (
 
 
 def verify_all() -> Report:
-    """Every criterion in order; one that raises becomes a failed entry, and the rest still run."""
+    """Every criterion in order; one that raises becomes a failed entry, and the rest still run.
+
+    Each gallery scene is built once for the whole call (`_scene`).
+    """
     report = Report()
-    for number, fn in CRITERIA:
-        try:
-            report.extend(fn())
-        except ValueError as exc:  # every package error is a ValueError
-            report.add(f"c{number}: criterion {number} raised", False, (str(exc),))
+    token = _SCENES.set({})
+    try:
+        for number, fn in CRITERIA:
+            try:
+                report.extend(fn())
+            except ValueError as exc:  # every package error is a ValueError
+                report.add(f"c{number}: criterion {number} raised", False, (str(exc),))
+    finally:
+        _SCENES.reset(token)
     return report

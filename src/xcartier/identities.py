@@ -5,13 +5,18 @@ and sums the products
 
     (1 + T_k)^{a_k} (1 + T_k + T_{k-1})^{a_{k-1}} ... (1 + T_k + ... + T_1)^{a_1}
 
-mod p; `symmetrized_f` sums f over all k! variable permutations.  The
-symmetrization vanishes mod p for every k > 1 (checked by full expansion,
-no closed form), while k = 1 gives T_1^{p-1}.
+mod p; `symmetrized_f` sums f over all k! variable permutations, adding the
+permuted terms into one dict.  The symmetrization vanishes mod p for every
+k > 1 (checked by full expansion, no closed form), while k = 1 gives
+T_1^{p-1}.
 
 `taylor_cocycle_identity` checks that the truncated exponential of
 sum_l z_l N_l equals its multi-index Taylor regrouping for commuting
-jointly-nilpotent matrices N_l, and `wilson_unit_check` verifies the
+jointly-nilpotent matrices N_l.  The regrouping walks the multi-indices
+depth-first over power tables that stop at the first zero power, so a
+prefix of too much weight or with a zero product is not extended; the
+seeded families q_l(N) of one Jordan block N are built directly as
+upper-triangular Toeplitz matrices.  `wilson_unit_check` verifies the
 derivative identity d^{p-1}(t^{p-1}) = -1 together with the rank-two model
 connection whose p-curvature realizes that unit.
 """
@@ -19,6 +24,7 @@ connection whose p-curvature realizes that unit.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from .atlas import Atlas, FrobLift
@@ -31,7 +37,7 @@ from .ring import (
     VarSpec,
     trunc_exp,
 )
-from .sheaves import FlatSheaf, curvature, nilpotency_exponent, p_curvature
+from .sheaves import FlatSheaf, curvature, nilpotent_within, p_curvature
 
 MAX_K = 8  # k! symmetrization guard
 
@@ -72,27 +78,21 @@ def f_poly(p: int, k: int) -> LaurentPoly:
     return total
 
 
-def _permute_vars(poly: LaurentPoly, perm: tuple[int, ...]) -> LaurentPoly:
-    """Send T_i -> T_{perm[i]} by permuting exponent positions."""
-    out: dict[tuple[int, ...], int] = {}
-    for exps, c in poly.terms.items():
-        new = [0] * len(exps)
-        for pos, e in enumerate(exps):
-            new[perm[pos]] = e
-        key = tuple(new)
-        out[key] = (out.get(key, 0) + c) % poly.modulus
-    return LaurentPoly(poly.vars, poly.modulus, out)
-
-
 def symmetrized_f(p: int, k: int) -> LaurentPoly:
-    """Sum of f over all k! variable permutations."""
+    """Sum of f over all k! variable permutations T_i -> T_sigma(i), in one dict."""
     if k > MAX_K:
         raise RingError(f"k={k} exceeds the permutation-enumeration cap {MAX_K}")
     base = f_poly(p, k)
-    total = LaurentPoly.zero(base.vars, p)
+    terms = base.terms.items()
+    total: dict[tuple[int, ...], int] = {}
+    get = total.get
     for sigma in itertools.permutations(range(k)):
-        total = total + _permute_vars(base, sigma)
-    return total
+        # T_i -> T_sigma(i) moves exponent position i to sigma(i)
+        inverse = sorted(range(k), key=sigma.__getitem__)
+        for exps, c in terms:
+            key = tuple([exps[i] for i in inverse])
+            total[key] = get(key, 0) + c
+    return LaurentPoly._make(base.vars, p, total)
 
 
 def verify_symmetrized_vanishing(p_list: list[int]) -> Report:
@@ -127,42 +127,58 @@ def taylor_cocycle_identity(
     if curvature(nilpotents, nilpotents[0].vars, flat=False) is not None:
         raise RingError("matrices do not commute")
     n = nilpotents[0].rows
-    if nilpotency_exponent(nilpotents, p - 1) is None:
+    if not nilpotent_within(nilpotents, p - 1, commuting=True):
         raise RingError(f"matrices are not jointly nilpotent of exponent <= {p - 1}")
     total = PolyMatrix.zero(n, n, nilpotents[0].vars, p)
     for nl, z in zip(nilpotents, functions):
         total = total + nl.scale(z)
-    lhs = trunc_exp(total, ctx)
+    return trunc_exp(total, ctx) == _taylor_sum(ctx, nilpotents, functions)
 
-    # N_l^k and z_l^k for k <= p-2, computed once per family
-    vars = nilpotents[0].vars
-    mat_powers, fn_powers = [], []
-    for nl, z in zip(nilpotents, functions):
-        mats = [PolyMatrix.identity(n, vars, p)]
-        fns = [LaurentPoly.one(vars, p)]
-        for _ in range(p - 2):
-            mats.append(mats[-1] @ nl)
-            fns.append(fns[-1] * z)
-        mat_powers.append(mats)
-        fn_powers.append(fns)
 
-    rhs = PolyMatrix.identity(n, vars, p)
+def _powers(x, top: int, times) -> list:
+    """[x, x^2, ..., x^top] under the product `times`, cut before the first zero power."""
+    out = [x]
+    while len(out) < top and not out[-1].is_zero():
+        out.append(times(out[-1], x))
+    return out[:-1] if out[-1].is_zero() else out
+
+
+def _taylor_sum(
+    ctx: PrimeContext, nilpotents: list[PolyMatrix], functions: list[LaurentPoly]
+) -> PolyMatrix:
+    """1 + sum over multi-indices j of weight 1..p-2 of N^j z^j / j!.
+
+    The multi-indices are walked depth-first, one coordinate l at a time,
+    extending the products N^j and z^j of the prefix; a prefix whose weight
+    reaches p-2 or whose product is zero has no further nonzero extensions.
+    """
+    p = ctx.p
+    vars, n = nilpotents[0].vars, nilpotents[0].rows
+    top = p - 2
+    mat_powers = [_powers(nl, top, operator.matmul) for nl in nilpotents]
+    fn_powers = [_powers(z, top, operator.mul) for z in functions]
+    inv_fact = ctx.inv_factorials
     d = len(nilpotents)
-    for j in itertools.product(range(p - 1), repeat=d):
-        weight = sum(j)
-        if not 1 <= weight <= p - 2:
-            continue
-        coeff = 1
-        for jl in j:
-            coeff = coeff * ctx.inv_factorials[jl] % p
-        mat = None
-        scalar = LaurentPoly.const(vars, p, coeff)
-        for l, jl in enumerate(j):
-            if jl:
-                mat = mat_powers[l][jl] if mat is None else mat @ mat_powers[l][jl]
-                scalar = scalar * fn_powers[l][jl]
-        rhs = rhs + mat.scale(scalar)
-    return lhs == rhs
+    rhs = PolyMatrix.identity(n, vars, p)
+
+    def walk(l: int, weight: int, mat, scalar, coeff: int) -> None:
+        nonlocal rhs
+        if l == d:
+            if weight:
+                rhs = rhs + mat.scale(scalar * coeff)
+            return
+        walk(l + 1, weight, mat, scalar, coeff)  # j_l = 0
+        for jl, (mp, fp) in enumerate(zip(mat_powers[l], fn_powers[l]), start=1):
+            if weight + jl > top:
+                break
+            m = mp if mat is None else mat @ mp
+            z = fp if scalar is None else scalar * fp
+            if m.is_zero() or z.is_zero():
+                break  # every higher power of N_l or z_l extends this zero
+            walk(l + 1, weight + jl, m, z, coeff * inv_fact[jl] % p)
+
+    walk(0, 0, None, None, 1)
+    return rhs
 
 
 def commuting_nilpotent_family(
@@ -171,23 +187,20 @@ def commuting_nilpotent_family(
     """Seeded family {q_l(N)} for one Jordan block N, plus coefficient functions of degree <= 3.
 
     Zero constant terms in the q_l guarantee commutativity and the joint
-    nilpotency bound (block size drawn from 2..p-1) cheaply.
+    nilpotency bound (block size drawn from 2..p-1) cheaply.  q(N) =
+    sum_{k >= 1} c_k N^k is the upper-triangular Toeplitz matrix with c_k
+    on the k-th superdiagonal.
     """
     p = ctx.p
     rng = random.Random(seed)
     size = rng.randint(2, p - 1)
     vars = VarSpec.make(["t"])
-    shift = PolyMatrix.from_int_rows(
-        [[1 if j == i + 1 else 0 for j in range(size)] for i in range(size)], vars, p
-    )
     mats = []
     for _ in range(count):
-        acc = PolyMatrix.zero(size, size, vars, p)
-        power = shift
-        for _ in range(1, size):
-            acc = acc + power.scale(rng.randrange(p))
-            power = power @ shift
-        mats.append(acc)
+        c = [0] + [rng.randrange(p) for _ in range(1, size)]
+        mats.append(PolyMatrix.from_int_rows(
+            [[c[j - i] if j > i else 0 for j in range(size)] for i in range(size)], vars, p
+        ))
     funcs = [
         LaurentPoly(vars, p, {(e,): rng.randrange(p) for e in range(4)})
         for _ in range(count)

@@ -314,6 +314,11 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return invert_poly(self) ** (-n)
+        if len(self.terms) == 1:  # (c t^e)^n = c^n t^(n e)
+            (exps, c), = self.terms.items()
+            return LaurentPoly._make(
+                self.vars, self.modulus, {tuple(n * e for e in exps): pow(c, n, self.modulus)}
+            )
         result = LaurentPoly._make(self.vars, self.modulus, {(0,) * self.vars.arity: 1})
         base = self
         while n:
@@ -587,18 +592,23 @@ def divide_by_p(q: LaurentPoly) -> LaurentPoly:
 
 
 def invert_poly(u: LaurentPoly) -> LaurentPoly:
-    """Invert a unit; dispatches on the modulus level."""
-    p, level = char_of_modulus(u.modulus)
-    if level == 1:
-        if len(u.terms) != 1:
-            raise NotAUnitError(f"'{u}' is not a unit (not a single term)")
+    """Invert a unit; dispatches on the modulus level.
+
+    A single-term unit c t^e has the inverse c^-1 t^-e at either level; the
+    other mod-p**2 units m*(1 + p*x) go through `invert_unit`.
+    """
+    if u.is_unit():
         (exps, coeff), = u.terms.items()
-        inv_exps = tuple(-e for e in exps)
-        try:
-            return LaurentPoly.monomial(u.vars, u.modulus, pow(coeff, p - 2, p), inv_exps)
-        except RingError as exc:
-            raise NotAUnitError(f"'{u}' is not a unit: {exc}") from exc
-    return invert_unit(u)
+        return LaurentPoly._make(
+            u.vars, u.modulus, {tuple(-e for e in exps): pow(coeff, -1, u.modulus)}
+        )
+    if char_of_modulus(u.modulus)[1] == 2:
+        return invert_unit(u)
+    if len(u.terms) != 1:
+        raise NotAUnitError(f"'{u}' is not a unit (not a single term)")
+    (exps, _), = u.terms.items()
+    name = next(n for n, e in zip(u.vars.names, exps) if e and not u.vars.allows_negative(n))
+    raise NotAUnitError(f"'{u}' is not a unit: variable {name!r} is not inverted")
 
 
 def invert_unit(u: LaurentPoly) -> LaurentPoly:

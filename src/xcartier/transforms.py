@@ -44,7 +44,7 @@ from .sheaves import (
     check_flat,
     check_higgs,
     intertwining_residuals,
-    nilpotency_exponent,
+    nilpotent_within,
     p_curvature,
     pull_back,
 )
@@ -392,7 +392,8 @@ def untwist(
         )
     psi = p_curvature(H)
     p = H.atlas.ctx.p
-    if any(nilpotency_exponent(mats, p - 1) is None for mats in psi.comps.values()):
+    # psi of a flat connection commutes (Katz 1970, §5): the nabla_i commute
+    if not all(nilpotent_within(mats, p - 1, commuting=True) for mats in psi.comps.values()):
         raise TransformError(f"p-curvature is not nilpotent of exponent <= {p - 1}")
     return _twist(H, psi.comps, lift_choice), psi
 

@@ -69,6 +69,29 @@ def test_verify_all_aggregate():
         assert set(item) in ({"check", "status"}, {"check", "status", "witness"})
 
 
+def count_gallery_builds(monkeypatch):
+    builds = []
+    gallery = acceptance.gallery
+    monkeypatch.setattr(acceptance, "gallery",
+                        lambda *args, **kwargs: builds.append((args, kwargs)) or gallery(*args, **kwargs))
+    return builds
+
+
+def test_verify_all_builds_each_scene_once_per_call(monkeypatch):
+    builds = count_gallery_builds(monkeypatch)
+    assert acceptance.verify_all().ok()
+    assert len(builds) == 22  # distinct (name, p, options) across the ten criteria
+    assert len({repr(b) for b in builds}) == 22
+    builds.clear()
+    acceptance.verify_all()  # no scene outlives its call
+    assert len(builds) == 22
+    builds.clear()
+    acceptance.criterion_1()  # on its own, a criterion builds its own scenes
+    acceptance.criterion_1()
+    assert len(builds) == 2 * 6
+    assert acceptance._SCENES.get() is None
+
+
 def test_verify_all_keeps_the_report_when_a_criterion_raises(monkeypatch):
     def raising():
         raise transforms.TransformError("input is not a valid flat sheaf: connection gluing[U0|U1]")

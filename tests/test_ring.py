@@ -13,9 +13,11 @@ from xcartier.ring import (
     PolyMatrix,
     PrimeContext,
     RingError,
+    SubstitutionError,
     VarSpec,
     _product_terms,
     divide_by_p,
+    invert_poly,
     invert_unit,
     monomials_in_box,
     trunc_exp,
@@ -181,6 +183,67 @@ def test_invert_unit_rejects_non_units():
         invert_unit(poly("t + 1", T, 9))
     with pytest.raises(NotAUnitError):
         invert_unit(poly("t", T, 9))  # t not inverted
+
+
+# ------------------------------------------------- single-term powers and inverses
+
+
+def general_power(u, n):
+    """u^n by repeated multiplication."""
+    out = LaurentPoly.one(u.vars, u.modulus)
+    for _ in range(n):
+        out = out * u
+    return out
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_single_term_power_and_inverse_match_the_general_paths(seed):
+    rng = random.Random(seed)
+    names = ["t", "u", "v"][:rng.randint(1, 3)]
+    vars = VarSpec.make(names, [n for n in names if rng.random() < 0.5])
+    p = rng.choice([3, 5, 7])
+    m = p ** (1 + seed % 2)
+    exps = tuple(rng.randint(-3 if name in vars.inverted else 0, 3) for name in names)
+    c = rng.randrange(1, m)  # p-divisible for some seeds mod p**2
+    u = LaurentPoly.monomial(vars, m, c, exps)
+    for n in range(5):
+        assert u ** n == general_power(u, n)
+    if not u.is_unit():
+        with pytest.raises(NotAUnitError):
+            invert_poly(u)
+        with pytest.raises(NotAUnitError):
+            u ** -1
+        return
+    inv = invert_poly(u)
+    assert (u * inv).is_one()
+    if m == p:  # the mod-p formula c^(p-2) t^-e
+        assert inv == LaurentPoly.monomial(vars, m, pow(c, p - 2, p), tuple(-e for e in exps))
+    else:  # the m*(1 + p*x) Newton step
+        assert inv == invert_unit(u)
+    for n in range(1, 4):
+        assert u ** -n == general_power(inv, n)
+
+
+@pytest.mark.parametrize("m", [3, 9])
+def test_single_term_non_units_raise_as_before(m):
+    one = LaurentPoly.one(T, m)
+    t = poly("t", T, m)  # t not inverted
+    assert t ** 0 == one and t ** 3 == poly("t^3", T, m)
+    for call in (lambda: invert_poly(t), lambda: t ** -2):
+        with pytest.raises(NotAUnitError):
+            call()
+    w = poly("w^-2", W_INV, m)
+    assert w ** 0 == LaurentPoly.one(W_INV, m) and invert_poly(w) == poly("w^2", W_INV, m)
+    if m == 9:
+        divisible = poly("3*w^2", W_INV, 9)
+        assert divisible ** 2 == LaurentPoly.zero(W_INV, 9) == general_power(divisible, 2)
+        for call in (lambda: invert_poly(divisible), lambda: divisible ** -1,
+                     lambda: invert_unit(divisible)):
+            with pytest.raises(NotAUnitError):
+                call()
+    s = VarSpec.make(["s"], ["s"])
+    with pytest.raises(SubstitutionError):  # 1/t with t not inverted in the target
+        poly("s^-1", s, m).subst({"s": t}, T)
 
 
 # ---------------------------------------------------------------- trunc_exp

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xcartier import sheaves
 from xcartier.atlas import Atlas, FrobLift, Overlap, SubstPair
 from xcartier.gallery import GALLERY_NAMES, gallery
 from xcartier.identities import commuting_nilpotent_family
@@ -22,6 +23,7 @@ from xcartier.sheaves import (
     intertwining_residuals,
     PCurvature,
     nilpotency_exponent,
+    nilpotent_within,
     p_curvature,
     pull_back,
     verify_p_curvature_invariants,
@@ -248,6 +250,59 @@ def test_nilpotency_exponent_matches_the_exhaustive_reference():
             assert nilpotency_exponent(mats, max_n) == exhaustive_nilpotency_exponent(mats, max_n)
         count += 1
     assert count == 90
+
+
+def count_scans(monkeypatch):
+    """Record the bound of every nilpotency_exponent scan made from sheaves."""
+    scans = []
+    scan = sheaves.nilpotency_exponent
+    monkeypatch.setattr(sheaves, "nilpotency_exponent",
+                        lambda mats, max_n: scans.append(max_n) or scan(mats, max_n))
+    return scans
+
+
+def test_nilpotent_within_matches_the_exhaustive_reference(monkeypatch):
+    scans = count_scans(monkeypatch)
+    count = squared = 0
+    for mats in nilpotency_families():
+        p = mats[0].modulus
+        commuting = curvature(mats, mats[0].vars, flat=False) is None
+        for bound in range(1, p + 2):
+            want = exhaustive_nilpotency_exponent(mats, bound) is not None
+            scans.clear()
+            assert nilpotent_within(mats, bound, commuting) == want
+            # squaring decides exactly the commuting families of rank <= bound
+            assert scans == ([] if commuting and mats[0].rows <= bound else [bound])
+            squared += not scans
+            scans.clear()  # a failed integrability check always scans
+            assert nilpotent_within(mats, bound, False) == want
+            assert scans == [bound]
+        count += 1
+    assert count == 90 and squared > 0
+
+
+def test_nilpotent_within_scans_what_squaring_cannot_decide(monkeypatch):
+    scans = count_scans(monkeypatch)
+    plane = VarSpec.make(["t", "u"])
+    # commuting, rank 2 <= 4: squaring decides, and e_00 is not nilpotent
+    assert not nilpotent_within([e_mat(0, 0, 2, T, 5)], 4, True) and scans == []
+    # each matrix squares to zero, but they do not commute and e_01 e_10 = e_00
+    non_commuting = [e_mat(0, 1, 2, plane, 5), e_mat(1, 0, 2, plane, 5)]
+    assert curvature(non_commuting, plane, flat=False) is not None
+    assert not nilpotent_within(non_commuting, 2, False) and scans == [2]
+    scans.clear()  # why squaring must never decide a family that does not commute
+    assert nilpotent_within(non_commuting, 2, True) and scans == []
+    # not nilpotent and not commuting: e_01 e_10 = e_00
+    assert not nilpotent_within([e_mat(0, 1, 3, T, 5), e_mat(1, 2, 3, T, 5),
+                                 e_mat(1, 0, 3, T, 5)], 2, False) and scans == [2]
+    scans.clear()  # rank 4 > bound 3: N^4 = 0 but N^3 != 0
+    block = PolyMatrix.from_int_rows(
+        [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)], T, 5)
+    assert not nilpotent_within([block], 3, True) and scans == [3]
+    scans.clear()  # rank 4 > bound 2, and N^2 of the block has exponent 2
+    assert nilpotent_within([block @ block], 2, True) and scans == [2]
+    scans.clear()  # mod p**2 rings are not domains: [5] squares to zero mod 25
+    assert nilpotent_within([PolyMatrix.from_int_rows([[5]], T, 25)], 2, True) and scans == [2]
 
 
 def count_matrix_calls(monkeypatch, name):

@@ -433,7 +433,7 @@ def test_every_check_goes_through_curvature_and_one_residual(monkeypatch):
 @pytest.mark.parametrize("name", ["g5_p1_uniformizing", "g6_a2_rank3"])
 def test_transforms_check_each_invariant_once(monkeypatch, name):
     E = gallery(name, 3).sheaf
-    scans = count_calls(monkeypatch, "nilpotency_exponent")
+    scans = count_calls(monkeypatch, "nilpotent_within")
     H = inverse_cartier(E)
     assert len(scans) == len(E.atlas.charts)  # check_higgs, once per chart
     calls = {name: count_calls(monkeypatch, name)
