@@ -262,11 +262,8 @@ def criterion_6() -> Report:
     """Descent frames on the three model connections, exact values."""
     report = Report()
     for p in (3, 5):
-        ctx = PrimeContext(p)
-        vars = VarSpec.make(["t"])
-        atlas = Atlas(ctx)
-        atlas.add_chart("A1", vars)
-        atlas.add_lift(FrobLift("A1", {"t": LaurentPoly.var(vars, ctx.p2, "t", p)}))
+        atlas = _scene("g1_trivial", p).atlas  # the affine line with the lifting t^p
+        vars = atlas.chart_vars("A1")
         for rank in (1, 2, 3):
             triv = FlatSheaf(
                 atlas, rank,
@@ -305,11 +302,8 @@ def criterion_6() -> Report:
 
 def criterion_7() -> Report:
     """Full symbolic vanishing of the symmetrized tuple sums."""
-    report = verify_symmetrized_vanishing([3, 5, 7])
     out = Report()
-    for e in report.entries:
-        e.check = "c7: " + e.check
-        out.entries.append(e)
+    out.extend(verify_symmetrized_vanishing([3, 5, 7]), prefix="c7: ")
     f1 = symmetrized_f(3, 1)
     want = LaurentPoly.parse("T1^2", VarSpec.make(["T1"]), 3)
     out.add("c7: F_1 at p=3 equals T1^2 (recorded, not zero)", f1 == want, (str(f1),))

@@ -35,6 +35,15 @@ def _read_scene(path: str) -> Scene:
         return parse_scene(fh.read())
 
 
+# the sheaf each scene command needs, and its name in the usage message
+_SHEAF_KINDS = {
+    "pcurv": (FlatSheaf, "flat"),
+    "icartier": (HiggsSheaf, "Higgs"),
+    "cartier": (FlatSheaf, "flat"),
+    "roundtrip": (HiggsSheaf, "Higgs"),
+}
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -109,11 +118,13 @@ def run_cli(argv: list[str]) -> int:
                 perturbed = acceptance.perturbed_atlas(scene.atlas, args.seed + k)
                 report.extend(verify_deligne_illusie(perturbed), prefix=f"perturbed[{args.seed + k}] ")
             return _emit_report(report, args)
-        if args.command == "pcurv":
+        if args.command in _SHEAF_KINDS:
             scene = _read_scene(args.scene)
-            if not isinstance(scene.sheaf, FlatSheaf):
-                print("pcurv needs a scene with a flat sheaf", file=sys.stderr)
+            kind, name = _SHEAF_KINDS[args.command]
+            if not isinstance(scene.sheaf, kind):
+                print(f"{args.command} needs a scene with a {name} sheaf", file=sys.stderr)
                 return USAGE_ERROR
+        if args.command == "pcurv":
             psi = p_curvature(scene.sheaf)
             report = Report()
             for chart, mats in sorted(psi.comps.items()):
@@ -123,30 +134,18 @@ def run_cli(argv: list[str]) -> int:
             report.add("p-curvature computed and invariants verified", ok)
             return _emit_report(report, args)
         if args.command == "icartier":
-            scene = _read_scene(args.scene)
-            if not isinstance(scene.sheaf, HiggsSheaf):
-                print("icartier needs a scene with a Higgs sheaf", file=sys.stderr)
-                return USAGE_ERROR
             flat = inverse_cartier(scene.sheaf)
             out_scene = Scene(scene.ctx, scene.atlas, flat,
                               {**scene.metadata, "derived": "inverse-cartier"})
             _write_output(emit_scene(out_scene), args.out)
             return 0
         if args.command == "cartier":
-            scene = _read_scene(args.scene)
-            if not isinstance(scene.sheaf, FlatSheaf):
-                print("cartier needs a scene with a flat sheaf", file=sys.stderr)
-                return USAGE_ERROR
             higgs = cartier(scene.sheaf)
             out_scene = Scene(scene.ctx, scene.atlas, higgs,
                               {**scene.metadata, "derived": "cartier"})
             _write_output(emit_scene(out_scene), args.out)
             return 0
         if args.command == "roundtrip":
-            scene = _read_scene(args.scene)
-            if not isinstance(scene.sheaf, HiggsSheaf):
-                print("roundtrip needs a scene with a Higgs sheaf", file=sys.stderr)
-                return USAGE_ERROR
             report, result = roundtrip_check(scene.sheaf)
             out_scene = Scene(scene.ctx, scene.atlas, result,
                               {**scene.metadata, "derived": "roundtrip"})

@@ -127,7 +127,7 @@ def taylor_cocycle_identity(
     if curvature(nilpotents, nilpotents[0].vars, flat=False) is not None:
         raise RingError("matrices do not commute")
     n = nilpotents[0].rows
-    if not nilpotent_within(nilpotents, p - 1, commuting=True):
+    if not nilpotent_within(nilpotents, p - 1):
         raise RingError(f"matrices are not jointly nilpotent of exponent <= {p - 1}")
     total = PolyMatrix.zero(n, n, nilpotents[0].vars, p)
     for nl, z in zip(nilpotents, functions):

@@ -9,6 +9,15 @@ only on variables the VarSpec marks as inverted (localization data).  The
 The zero polynomial is the empty map.  Equality is structural.  Canonical
 term order for text emission is graded lex, largest first: `2*s^4 + s^2`.
 
+Text syntax (`LaurentPoly.parse`): a sum of signed terms, each a `*`-product
+of integer literals and `name` or `name^int` factors, for example
+`2*t^2*u^-1 - 3 + t`.  Whitespace may separate any two tokens and may open
+or close the text.  Every term after the first opens with `+` or `-`; a
+negative literal such as the `-2` of `t^2 -2*t` carries its own sign.
+Exponents are `int` or `-int`, and negative ones are legal only on inverted
+variables.  Anything else (`3t`, `t^2^3`, `t*-t`, `t^--3`, empty text) is a
+ParseError.
+
 The public constructors `LaurentPoly(...)` and `PolyMatrix(...)` validate
 their input: exponent lengths, negative exponents only on inverted variables,
 one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
@@ -40,6 +49,7 @@ compares equal.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -180,6 +190,14 @@ def _term_sort_key(exps: tuple[int, ...]) -> tuple:
 def monomial_sort_key(exps: tuple[int, ...]) -> tuple:
     """Ascending 'simple first' order used for solver bases: by total |degree|."""
     return (sum(abs(e) for e in exps), exps)
+
+
+# the text syntax of the module docstring: one regex per term, one per factor
+_FACTOR = r"-?\d+|[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*-?\s*\d+)?"
+_TERM_RE = re.compile(
+    rf"\s*(?P<sign>[+-]?)\s*(?P<body>(?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*"
+)
+_FACTOR_RE = re.compile(r"(-?\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(-?)\s*(\d+))?")
 
 
 class LaurentPoly:
@@ -430,7 +448,32 @@ class LaurentPoly:
 
     @classmethod
     def parse(cls, text: str, vars: VarSpec, modulus: int) -> "LaurentPoly":
-        return _parse_poly(text, vars, modulus)
+        """Read the text syntax of the module docstring."""
+        terms: dict[tuple[int, ...], int] = {}
+        pos = 0
+        while True:
+            m = _TERM_RE.match(text, pos)
+            if m is None or (pos and not m["sign"]):
+                raise ParseError(f"bad term at {text[pos:pos + 10]!r} in polynomial {text!r}")
+            coeff = -1 if m["sign"] == "-" else 1
+            exps = [0] * vars.arity
+            for literal, name, minus, exp in _FACTOR_RE.findall(m["body"]):
+                if literal:
+                    coeff *= int(literal)
+                    continue
+                if name not in vars.names:
+                    raise ParseError(f"unknown variable {name!r} in polynomial {text!r}")
+                e = int(minus + exp) if exp else 1
+                if e < 0 and not vars.allows_negative(name):
+                    raise ParseError(
+                        f"negative exponent on non-inverted variable {name!r} in {text!r}"
+                    )
+                exps[vars.index(name)] += e
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + coeff
+            pos = m.end()
+            if pos == len(text):
+                return cls(vars, modulus, terms)
 
 
 def _frobenius_prime(modulus: int) -> int:
@@ -485,93 +528,6 @@ def _product_terms(out: dict, a: dict, b: dict) -> dict:
                 e = tuple(map(add, ea, eb))
                 out[e] = get(e, 0) + ca * cb
     return out
-
-
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+-]))")
-
-
-def _parse_poly(text: str, vars: VarSpec, modulus: int) -> LaurentPoly:
-    """Parse the documented syntax: signed integer coefficients, `*`, `^`."""
-    pos = 0
-    tokens: list[tuple[str, str]] = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad token at {text[pos:pos + 10]!r} in polynomial {text!r}")
-        pos = m.end()
-        for kind in ("int", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    if text.strip() == "":
-        raise ParseError("empty polynomial string")
-
-    result = LaurentPoly.zero(vars, modulus)
-    i = 0
-
-    def parse_factor():
-        nonlocal i
-        if i >= len(tokens):
-            raise ParseError(f"unexpected end of polynomial {text!r}")
-        kind, val = tokens[i]
-        if kind == "int":
-            i += 1
-            return LaurentPoly.const(vars, modulus, int(val))
-        if kind == "name":
-            if val not in vars.names:
-                raise ParseError(f"unknown variable {val!r} in polynomial {text!r}")
-            i += 1
-            exp = 1
-            if i < len(tokens) and tokens[i] == ("op", "^"):
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "int":
-                    exp = int(tokens[i][1])
-                    i += 1
-                elif i + 1 < len(tokens) and tokens[i] == ("op", "-") and tokens[i + 1][0] == "int":
-                    exp = -int(tokens[i + 1][1])
-                    i += 2
-                else:
-                    raise ParseError(f"expected integer exponent after '^' in {text!r}")
-            if exp < 0 and not vars.allows_negative(val):
-                raise ParseError(
-                    f"negative exponent on non-inverted variable {val!r} in {text!r}"
-                )
-            return LaurentPoly.var(vars, modulus, val, exp)
-        raise ParseError(f"unexpected token {val!r} in polynomial {text!r}")
-
-    def parse_term():
-        nonlocal i
-        term = parse_factor()
-        while i < len(tokens) and tokens[i] == ("op", "*"):
-            i += 1
-            term = term * parse_factor()
-        return term
-
-    sign = 1
-    if i < len(tokens) and tokens[i] == ("op", "-"):
-        sign = -1
-        i += 1
-    elif i < len(tokens) and tokens[i] == ("op", "+"):
-        i += 1
-    result = result + parse_term() * sign
-    while i < len(tokens):
-        kind, val = tokens[i]
-        if (kind, val) == ("op", "+"):
-            sign = 1
-        elif (kind, val) == ("op", "-"):
-            sign = -1
-        elif kind == "int" and val.startswith("-"):
-            # "a -3*t" style: negative integer literal acts as separator+coeff
-            tokens[i] = ("int", val[1:])
-            sign = -1
-            result = result + parse_term() * sign
-            continue
-        else:
-            raise ParseError(f"expected '+' or '-' before {val!r} in {text!r}")
-        i += 1
-        result = result + parse_term() * sign
-    return result
 
 
 # ---------- division and inversion ----------
@@ -980,21 +936,7 @@ def monomials_in_box(vars: VarSpec, bound: int) -> list[tuple[int, ...]]:
 
     Sorted 'simple first' so that solver bases are deterministic.
     """
-    ranges = []
-    for name in vars.names:
-        if vars.allows_negative(name):
-            ranges.append(range(-bound, bound + 1))
-        else:
-            ranges.append(range(0, bound + 1))
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], rest: list[range]) -> None:
-        if not rest:
-            out.append(prefix)
-            return
-        for e in rest[0]:
-            rec(prefix + (e,), rest[1:])
-
-    rec((), ranges)
-    out.sort(key=monomial_sort_key)
-    return out
+    ranges = [
+        range(-bound if vars.allows_negative(name) else 0, bound + 1) for name in vars.names
+    ]
+    return sorted(itertools.product(*ranges), key=monomial_sort_key)

@@ -1,21 +1,26 @@
 """JSON scene format: prime, atlas, optional sheaf, metadata.
 
-Scenes are the only wire format.  Polynomials are strings in the canonical
-text syntax, matrices are row-major string arrays, transitions are keyed by
+Scenes are the only wire format.  Polynomials are strings: a sum of signed
+terms, each a `*`-product of integer literals and `name` or `name^int`
+factors, with whitespace allowed between any two tokens (`ring` module
+docstring).  Matrices are row-major string arrays, transitions are keyed by
 the ordered chart pair "alpha,beta".  Parsing validates every structural
 invariant (odd prime, lifting reductions, overlap round trips, sheaf
-integrability/nilpotency/gluing) and rejects bad scenes with a field path
-in the diagnostic; emission is canonical, so emit(parse(emit(x))) == emit(x).
+integrability/nilpotency/gluing) and rejects bad scenes with a SceneError
+"<field path>: <message>"; `_at` gives that form to a package error raised
+while a field is read.  Emission is canonical, so
+emit(parse(emit(x))) == emit(x).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .atlas import Atlas, AtlasError, FrobLift, Overlap, SubstPair
-from .ring import LaurentPoly, PolyMatrix, PrimeContext, RingError, VarSpec
-from .sheaves import FlatSheaf, HiggsSheaf, SheafError, check_flat, check_higgs
+from .atlas import Atlas, FrobLift, Overlap, SubstPair
+from .ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
+from .sheaves import FlatSheaf, HiggsSheaf, check_flat, check_higgs
 
 
 class SceneError(ValueError):
@@ -34,13 +39,22 @@ class Scene:
         return self.ctx.p
 
 
+@contextmanager
+def _at(where: str):
+    """Re-raise a package error from the block as a SceneError at field path `where`."""
+    try:
+        yield
+    except SceneError:  # a nested field's error keeps its own path
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SceneError(f"{where}: {exc}") from exc
+
+
 def _poly(text, vars: VarSpec, modulus: int, where: str) -> LaurentPoly:
     if not isinstance(text, str):
         raise SceneError(f"{where}: expected a polynomial string, got {text!r}")
-    try:
+    with _at(where):
         return LaurentPoly.parse(text, vars, modulus)
-    except RingError as exc:
-        raise SceneError(f"{where}: {exc}") from exc
 
 
 def _matrix(strings, rank: int, vars: VarSpec, modulus: int, where: str) -> PolyMatrix:
@@ -77,10 +91,8 @@ def parse_scene(text: str) -> Scene:
     if not isinstance(data, dict):
         raise SceneError("top level must be a JSON object")
     p = _expect(data.get("p"), int, "p")
-    try:
+    with _at("p"):
         ctx = PrimeContext(p)
-    except ValueError as exc:
-        raise SceneError(f"p: {exc}") from exc
     p, p2 = ctx.p, ctx.p2
 
     atlas_data = data.get("atlas")
@@ -89,17 +101,15 @@ def parse_scene(text: str) -> Scene:
     atlas = Atlas(ctx)
     for idx, chart in enumerate(_expect(atlas_data.get("charts", []), list, "atlas.charts")):
         where = f"atlas.charts[{idx}]"
-        try:
+        with _at(where):
             vars = VarSpec.make(
                 _names(chart["coords"], f"{where}.coords"),
                 _names(chart.get("inverted", []), f"{where}.inverted"),
             )
             atlas.add_chart(chart["name"], vars)
-        except (KeyError, TypeError, RingError, AtlasError) as exc:
-            raise SceneError(f"{where}: {exc}") from exc
     for idx, ov in enumerate(_expect(atlas_data.get("overlaps", []), list, "atlas.overlaps")):
         where = f"atlas.overlaps[{idx}]"
-        try:
+        with _at(where):
             alpha, beta = ov["alpha"], ov["beta"]
             a_chart, b_chart = atlas.charts[alpha], atlas.charts[beta]
             a_vars = a_chart.vars.with_inverted(
@@ -124,27 +134,17 @@ def parse_scene(text: str) -> Scene:
             atlas.add_overlap(
                 Overlap(alpha, beta, a_vars, b_vars, beta_in_alpha, alpha_in_beta)
             )
-        except SceneError:
-            raise
-        except (KeyError, TypeError, RingError, AtlasError) as exc:
-            raise SceneError(f"{where}: {exc}") from exc
     for idx, lift in enumerate(_expect(atlas_data.get("lifts", []), list, "atlas.lifts")):
         where = f"atlas.lifts[{idx}]"
-        try:
+        with _at(where):
             chart = atlas.charts[lift["chart"]]
             images = {
                 coord: _poly(img, chart.vars, p2, f"{where}.images[{coord}]")
                 for coord, img in _expect(lift["images"], dict, f"{where}.images").items()
             }
             atlas.add_lift(FrobLift(lift["chart"], images))
-        except SceneError:
-            raise
-        except (KeyError, TypeError, RingError, AtlasError) as exc:
-            raise SceneError(f"{where}: {exc}") from exc
-    try:
+    with _at("atlas"):
         atlas.validate()
-    except (RingError, AtlasError) as exc:
-        raise SceneError(f"atlas: {exc}") from exc
 
     sheaf = None
     sheaf_data = data.get("sheaf")
@@ -187,15 +187,13 @@ def parse_scene(text: str) -> Scene:
             transitions[tuple(names)] = _matrix(
                 strings, rank, ov.alpha_vars, p, f"sheaf.transitions[{key}]"
             )
-        try:
+        with _at("sheaf"):
             if kind == "higgs":
                 sheaf = HiggsSheaf(atlas, rank, matrices, transitions)
                 rep = check_higgs(sheaf)
             else:
                 sheaf = FlatSheaf(atlas, rank, matrices, transitions)
                 rep = check_flat(sheaf)
-        except (SheafError, RingError) as exc:
-            raise SceneError(f"sheaf: {exc}") from exc
         if not rep.ok():
             raise SceneError(
                 "sheaf: invariants fail: "

@@ -25,13 +25,15 @@ which for unit-determinant g means  g A g^-1 - lambda (dg) g^-1 = B:
   * gauge: R(g; A, B) = 0 on every chart;
   * flat frame: R_1(S; 0, A) = 0;  horizontality of psi: R_1(psi_i; A, A) = 0.
 
-Nilpotency of exponent <= p-1 is `nilpotent_within`: for a commuting family
-of rank r <= p-1 it squares each matrix ceil(log2 r) times (commuting
-nilpotent matrices over a domain are simultaneously strictly upper
-triangular, so r of them multiply to zero); any other family is scanned
-monomial by monomial (`nilpotency_exponent`).  `check_higgs` passes its
-integrability verdict; `untwist` passes True for psi, which commutes
-because the connection is flat (Katz 1970, section 5).
+Nilpotency of exponent <= p-1 is `nilpotent_within`, which takes a
+commuting family: for rank r <= p-1 it squares each matrix ceil(log2 r)
+times (commuting nilpotent matrices over a domain are simultaneously
+strictly upper triangular, so r of them multiply to zero); above that rank,
+or mod p**2, it scans monomial by monomial (`nilpotency_exponent`).  The
+families are the Higgs field of a chart that `check_higgs` found integrable
+(it leaves the nilpotency of a non-integrable chart undecided: the monomial
+scan stands for every product only when the family commutes) and psi,
+which commutes because the connection is flat (Katz 1970, section 5).
 """
 
 from __future__ import annotations
@@ -213,8 +215,8 @@ def nilpotency_exponent(mats: list[PolyMatrix], max_n: int) -> int | None:
     return None
 
 
-def nilpotent_within(mats: list[PolyMatrix], bound: int, commuting: bool) -> bool:
-    """Whether every product of `bound` matrices of the family is zero.
+def nilpotent_within(mats: list[PolyMatrix], bound: int) -> bool:
+    """Whether every product of `bound` matrices of a commuting family is zero.
 
     Commuting nilpotent r x r matrices over a domain are simultaneously
     strictly upper triangular over the closure of its fraction field, so
@@ -222,11 +224,12 @@ def nilpotent_within(mats: list[PolyMatrix], bound: int, commuting: bool) -> boo
     A^r = 0 (Cayley-Hamilton).  Chart rings F_p[t, some 1/t] are domains, so
     for a commuting mod-p family of rank r <= bound the answer is whether
     every A^(2^k) vanishes, 2^k the least power of two >= r: k squarings per
-    matrix.  A family that does not commute, is not mod p or has rank above
-    `bound` is scanned by `nilpotency_exponent`; `commuting` is the caller's
-    verdict on the family (its integrability check, or a theorem).
+    matrix.  A family that is not mod p or has rank above `bound` is scanned
+    by `nilpotency_exponent`, whose monomials stand for every product of a
+    commuting family.  The caller proves that the family commutes (its
+    integrability check, or a theorem).
     """
-    if not (mats and commuting and mats[0].rows <= bound and is_prime(mats[0].modulus)):
+    if not (mats and mats[0].rows <= bound and is_prime(mats[0].modulus)):
         return nilpotency_exponent(mats, bound) is not None
     squarings = (mats[0].rows - 1).bit_length()
     for a in mats:
@@ -249,12 +252,12 @@ def check_higgs(E: HiggsSheaf) -> Report:
         curv = curvature(mats, E.atlas.chart_vars(chart), flat=False)
         witness = () if curv is None else (f"[Theta_{curv[0]}, Theta_{curv[1]}] = {curv[2]}",)
         report.add(f"integrability[{chart}]", curv is None, witness)
-        nilpotent = nilpotent_within(mats, p - 1, commuting=curv is None)
-        report.add(
-            f"nilpotency[{chart}] exponent <= {p - 1}",
-            nilpotent,
-            () if nilpotent else (f"no vanishing up to degree {p - 1}",),
-        )
+        check = f"nilpotency[{chart}] exponent <= {p - 1}"
+        if curv is not None:
+            report.skip(check, "not decided: the field is not integrable")
+            continue
+        nilpotent = nilpotent_within(mats, p - 1)
+        report.add(check, nilpotent, () if nilpotent else (f"no vanishing up to degree {p - 1}",))
     _check_transition_cocycle(E.atlas, E.transitions, report)
     jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in E.atlas.overlaps.items()}
     report.extend(check_field_gluing(E.atlas, E.fields, E.transitions, jacobians, flat=False))

@@ -393,7 +393,7 @@ def untwist(
     psi = p_curvature(H)
     p = H.atlas.ctx.p
     # psi of a flat connection commutes (Katz 1970, §5): the nabla_i commute
-    if not all(nilpotent_within(mats, p - 1, commuting=True) for mats in psi.comps.values()):
+    if not all(nilpotent_within(mats, p - 1) for mats in psi.comps.values()):
         raise TransformError(f"p-curvature is not nilpotent of exponent <= {p - 1}")
     return _twist(H, psi.comps, lift_choice), psi
 

@@ -94,7 +94,8 @@ def test_parse_multivariate():
     assert LaurentPoly.parse(str(f), vars, 5) == f
 
 
-@pytest.mark.parametrize("bad", ["", "t^", "2*", "*t", "2^3", "t+", "t^x"])
+@pytest.mark.parametrize("bad", ["", "t^", "2*", "*t", "2^3", "t+", "t^x",
+                                 "t^--3", "3t", "t^2^3", "t*-t"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         poly(bad)
@@ -102,6 +103,59 @@ def test_parse_rejects_malformed(bad):
 
 def test_parse_negative_literal_as_separator():
     assert poly("t^2 -2*t") == poly("t^2 + t")  # -2 = 1 mod 3
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def written_terms(draw, vars, first):
+    """(text, coefficient, exponents) of one term, written in a random style."""
+    sp = lambda: draw(SPACES)  # noqa: E731
+    coeff = draw(st.integers(-12, 12))
+    exps = tuple(
+        draw(st.integers(-3 if vars.allows_negative(name) else 0, 3)) for name in vars.names
+    )
+    factors = []
+    for name, e in zip(vars.names, exps):
+        if e == 1 and draw(st.booleans()):
+            factors.append(name)
+        elif e or draw(st.booleans()):
+            minus = f"-{sp()}" if e < 0 else ""
+            factors.append(f"{name}{sp()}^{sp()}{minus}{abs(e)}")
+    factors = draw(st.permutations(factors))
+    # how the sign is written: '+ c', '- (-c)', a leading negative literal, or none at all
+    styles = ["plus", "minus"] + ["literal"] * (coeff < 0) + ["none"] * first
+    style = draw(st.sampled_from(styles))
+    literal = -coeff if style == "minus" else coeff
+    if style in ("literal", "none") and not (literal == 1 and factors and draw(st.booleans())):
+        factors = [str(literal)] + factors
+    elif literal != 1 or not factors:
+        factors.insert(draw(st.integers(0, len(factors))), str(literal))
+    body = f"{sp()}*{sp()}".join(factors)
+    sign = {"plus": "+", "minus": "-"}.get(style)
+    return (f"{sign}{sp()}{body}" if sign else body), coeff, exps
+
+
+@st.composite
+def poly_texts(draw):
+    """(text, vars, modulus, polynomial) for a random sum of written terms."""
+    vars = draw(st.sampled_from([T, T_INV, VarSpec.make(["t", "u"], ["u"]),
+                                 VarSpec.make(["x", "y1", "z_"], ["x", "z_"])]))
+    modulus = draw(st.sampled_from([3, 5, 9, 25]))
+    text, terms = "", {}
+    for k in range(draw(st.integers(1, 5))):
+        term, coeff, exps = draw(written_terms(vars, first=k == 0))
+        text += draw(SPACES) + term
+        terms[exps] = terms.get(exps, 0) + coeff
+    return text + draw(SPACES), vars, modulus, LaurentPoly(vars, modulus, terms)
+
+
+@given(poly_texts())
+@settings(max_examples=300)
+def test_parse_reads_every_written_form(case):
+    text, vars, modulus, want = case
+    assert LaurentPoly.parse(text, vars, modulus) == want
 
 
 @st.composite
@@ -348,10 +402,19 @@ def test_matrix_inverse_unit_det():
 
 
 def test_monomial_box_respects_inversion():
-    box = monomials_in_box(T, 2)
-    assert box == [(0,), (1,), (2,)]
-    box_inv = monomials_in_box(T_INV, 1)
-    assert box_inv == [(0,), (-1,), (1,)]
+    assert [monomials_in_box(T, bound) for bound in range(3)] == [
+        [(0,)], [(0,), (1,)], [(0,), (1,), (2,)],
+    ]
+    assert [monomials_in_box(T_INV, bound) for bound in range(3)] == [
+        [(0,)], [(0,), (-1,), (1,)], [(0,), (-1,), (1,), (-2,), (2,)],
+    ]
+    plane = VarSpec.make(["t", "u"], ["u"])
+    assert [monomials_in_box(plane, bound) for bound in range(3)] == [
+        [(0, 0)],
+        [(0, 0), (0, -1), (0, 1), (1, 0), (1, -1), (1, 1)],
+        [(0, 0), (0, -1), (0, 1), (1, 0), (0, -2), (0, 2), (1, -1), (1, 1), (2, 0),
+         (1, -2), (1, 2), (2, -1), (2, 1), (2, -2), (2, 2)],
+    ]
 
 
 # ------------------------------------------- trusted same-ring arithmetic

@@ -191,9 +191,27 @@ def test_cli_rejects_bad_scene_with_exit_2(tmp_path, capsys):
     assert "nilpotency" in err
 
 
-def test_cli_wrong_sheaf_kind(tmp_path, capsys):
-    g7 = write_scene(tmp_path, "g7_gm_rank1")
-    assert run_cli(["icartier", "--scene", g7]) == 2
+@pytest.mark.parametrize("command, name, kind", [
+    pytest.param("pcurv", "g2_a1_rank2", "flat", id="pcurv"),
+    pytest.param("icartier", "g7_gm_rank1", "Higgs", id="icartier"),
+    pytest.param("cartier", "g2_a1_rank2", "flat", id="cartier"),
+    pytest.param("roundtrip", "g7_gm_rank1", "Higgs", id="roundtrip"),
+])
+def test_cli_wrong_sheaf_kind(tmp_path, capsys, command, name, kind):
+    assert run_cli([command, "--scene", write_scene(tmp_path, name)]) == 2
+    assert capsys.readouterr() == ("", f"{command} needs a scene with a {kind} sheaf\n")
+
+
+def test_polynomial_entries_may_end_in_whitespace(tmp_path, capsys):
+    data = json.loads(emit_scene(gallery("g2_a1_rank2", 3)))
+    data["sheaf"]["matrices"]["A1"]["t"][1] = "1 "
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(data))
+    assert emit_scene(parse_scene(path.read_text())) == emit_scene(gallery("g2_a1_rank2", 3))
+    assert run_cli(["icartier", "--scene", str(path)]) == 0
+    spaced = capsys.readouterr()
+    assert run_cli(["icartier", "--scene", write_scene(tmp_path, "g2_a1_rank2")]) == 0
+    assert spaced == capsys.readouterr() and spaced.err == ""
 
 
 def test_cli_fk(capsys):

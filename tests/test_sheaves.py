@@ -269,40 +269,60 @@ def test_nilpotent_within_matches_the_exhaustive_reference(monkeypatch):
         commuting = curvature(mats, mats[0].vars, flat=False) is None
         for bound in range(1, p + 2):
             want = exhaustive_nilpotency_exponent(mats, bound) is not None
+            # the scan's own row: what a rank above the bound falls back to
+            assert (nilpotency_exponent(mats, bound) is not None) == want
+            if not commuting:  # check_higgs leaves these undecided
+                continue
             scans.clear()
-            assert nilpotent_within(mats, bound, commuting) == want
-            # squaring decides exactly the commuting families of rank <= bound
-            assert scans == ([] if commuting and mats[0].rows <= bound else [bound])
+            assert nilpotent_within(mats, bound) == want
+            # squaring decides exactly the families of rank <= bound
+            assert scans == ([] if mats[0].rows <= bound else [bound])
             squared += not scans
-            scans.clear()  # a failed integrability check always scans
-            assert nilpotent_within(mats, bound, False) == want
-            assert scans == [bound]
         count += 1
     assert count == 90 and squared > 0
 
 
+def affine_atlas(p, names):
+    ctx = PrimeContext(p)
+    vars = VarSpec.make(names)
+    atlas = Atlas(ctx)
+    atlas.add_chart("A", vars)
+    atlas.add_lift(FrobLift("A", {t: LaurentPoly.var(vars, ctx.p2, t, p) for t in names}))
+    atlas.validate()
+    return atlas
+
+
+@pytest.mark.parametrize("names,rank,pairs", [
+    # each matrix squares to zero, but they do not commute and e_01 e_10 = e_00
+    pytest.param(["t", "u"], 2, [(0, 1), (1, 0)], id="plane"),
+    # not nilpotent and not commuting: e_01 e_10 = e_00
+    pytest.param(["t", "u", "v"], 3, [(0, 1), (1, 2), (1, 0)], id="space"),
+])
+def test_nilpotency_of_a_non_integrable_chart_is_not_decided(monkeypatch, names, rank, pairs):
+    scans = count_scans(monkeypatch)
+    atlas = affine_atlas(5, names)
+    vars = atlas.chart_vars("A")
+    E = HiggsSheaf(atlas, rank, {"A": [e_mat(i, j, rank, vars, 5) for i, j in pairs]})
+    rep = check_higgs(E)
+    assert [e.check for e in rep.failures()] == ["integrability[A]"]
+    assert [(e.check, e.status, e.witness) for e in rep.entries if "nilpotency" in e.check] == [
+        ("nilpotency[A] exponent <= 4", "skip", ("not decided: the field is not integrable",)),
+    ]
+    assert scans == []
+
+
 def test_nilpotent_within_scans_what_squaring_cannot_decide(monkeypatch):
     scans = count_scans(monkeypatch)
-    plane = VarSpec.make(["t", "u"])
-    # commuting, rank 2 <= 4: squaring decides, and e_00 is not nilpotent
-    assert not nilpotent_within([e_mat(0, 0, 2, T, 5)], 4, True) and scans == []
-    # each matrix squares to zero, but they do not commute and e_01 e_10 = e_00
-    non_commuting = [e_mat(0, 1, 2, plane, 5), e_mat(1, 0, 2, plane, 5)]
-    assert curvature(non_commuting, plane, flat=False) is not None
-    assert not nilpotent_within(non_commuting, 2, False) and scans == [2]
-    scans.clear()  # why squaring must never decide a family that does not commute
-    assert nilpotent_within(non_commuting, 2, True) and scans == []
-    # not nilpotent and not commuting: e_01 e_10 = e_00
-    assert not nilpotent_within([e_mat(0, 1, 3, T, 5), e_mat(1, 2, 3, T, 5),
-                                 e_mat(1, 0, 3, T, 5)], 2, False) and scans == [2]
-    scans.clear()  # rank 4 > bound 3: N^4 = 0 but N^3 != 0
+    # rank 2 <= 4: squaring decides, and e_00 is not nilpotent
+    assert not nilpotent_within([e_mat(0, 0, 2, T, 5)], 4) and scans == []
+    # rank 4 > bound 3: N^4 = 0 but N^3 != 0
     block = PolyMatrix.from_int_rows(
         [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)], T, 5)
-    assert not nilpotent_within([block], 3, True) and scans == [3]
+    assert not nilpotent_within([block], 3) and scans == [3]
     scans.clear()  # rank 4 > bound 2, and N^2 of the block has exponent 2
-    assert nilpotent_within([block @ block], 2, True) and scans == [2]
+    assert nilpotent_within([block @ block], 2) and scans == [2]
     scans.clear()  # mod p**2 rings are not domains: [5] squares to zero mod 25
-    assert nilpotent_within([PolyMatrix.from_int_rows([[5]], T, 25)], 2, True) and scans == [2]
+    assert nilpotent_within([PolyMatrix.from_int_rows([[5]], T, 25)], 2) and scans == [2]
 
 
 def count_matrix_calls(monkeypatch, name):
