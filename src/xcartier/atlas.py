@@ -26,6 +26,11 @@ filled on first use: `zeta_form` per (chart, lifting index), the
 corruption check therefore runs once.  `validate` and `parse_scene` fill
 none of it.  `add_chart`, `add_overlap` and `add_lift` clear it; an atlas is
 not to be changed any other way.
+
+`validate` checks the liftings (`validate_lifts`) and then every overlap
+(`_validate_overlap`).  An atlas that reuses another's validated Overlap
+objects and replaces only its liftings, as `acceptance.perturbed_atlas`
+does, needs only `validate_lifts`.
 """
 
 from __future__ import annotations
@@ -154,6 +159,13 @@ class Atlas:
             self, self.overlaps[pair], self.lifts[chart][idx]))
 
     def validate(self) -> None:
+        """The lifting part (`validate_lifts`), then every overlap."""
+        self.validate_lifts()
+        for ov in self.overlaps.values():
+            self._validate_overlap(ov)
+
+    def validate_lifts(self) -> None:
+        """Every chart has a lifting, and each image is congruent to t^p mod p."""
         p, p2 = self.ctx.p, self.ctx.p2
         for name, lifts in self.lifts.items():
             if not lifts:
@@ -171,10 +183,9 @@ class Atlas:
                             f"lift image of {coord!r} on {name!r} is '{img}', "
                             f"not congruent to {coord}^{p} mod {p}"
                         )
-        for ov in self.overlaps.values():
-            self._validate_overlap(ov)
 
     def _validate_overlap(self, ov: Overlap) -> None:
+        """The coordinate changes round-trip at both levels, with a unit Jacobian."""
         a_chart, b_chart = self.charts[ov.alpha], self.charts[ov.beta]
         if ov.alpha_vars.names != a_chart.vars.names:
             raise AtlasError(f"overlap {ov.pair}: alpha-side names must match chart {ov.alpha!r}")

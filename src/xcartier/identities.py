@@ -14,11 +14,14 @@ T_1^{p-1}.
 sum_l z_l N_l equals its multi-index Taylor regrouping for commuting
 jointly-nilpotent matrices N_l.  The regrouping walks the multi-indices
 depth-first over power tables that stop at the first zero power, so a
-prefix of too much weight or with a zero product is not extended; the
+prefix of too much weight or with a zero product is not extended.  Both
+sides' sums (sum_l z_l N_l, and the regrouping's terms N^j z^j / j!) are
+one `PolyMatrix.combine` each, accumulated on one grid of term dicts.  The
 seeded families q_l(N) of one Jordan block N are built directly as
-upper-triangular Toeplitz matrices.  `wilson_unit_check` verifies the
-derivative identity d^{p-1}(t^{p-1}) = -1 together with the rank-two model
-connection whose p-curvature realizes that unit.
+upper-triangular Toeplitz matrices, whose zero entries share one zero.
+`wilson_unit_check` verifies the derivative identity d^{p-1}(t^{p-1}) = -1
+together with the rank-two model connection whose p-curvature realizes
+that unit.
 """
 
 from __future__ import annotations
@@ -126,12 +129,9 @@ def taylor_cocycle_identity(
         raise RingError("need one coefficient function per nilpotent matrix")
     if curvature(nilpotents, nilpotents[0].vars, flat=False) is not None:
         raise RingError("matrices do not commute")
-    n = nilpotents[0].rows
     if not nilpotent_within(nilpotents, p - 1):
         raise RingError(f"matrices are not jointly nilpotent of exponent <= {p - 1}")
-    total = PolyMatrix.zero(n, n, nilpotents[0].vars, p)
-    for nl, z in zip(nilpotents, functions):
-        total = total + nl.scale(z)
+    total = PolyMatrix.combine(zip(functions, nilpotents))
     return trunc_exp(total, ctx) == _taylor_sum(ctx, nilpotents, functions)
 
 
@@ -159,13 +159,12 @@ def _taylor_sum(
     fn_powers = [_powers(z, top, operator.mul) for z in functions]
     inv_fact = ctx.inv_factorials
     d = len(nilpotents)
-    rhs = PolyMatrix.identity(n, vars, p)
+    terms = [(1, PolyMatrix.identity(n, vars, p))]
 
     def walk(l: int, weight: int, mat, scalar, coeff: int) -> None:
-        nonlocal rhs
         if l == d:
             if weight:
-                rhs = rhs + mat.scale(scalar * coeff)
+                terms.append((scalar * coeff, mat))
             return
         walk(l + 1, weight, mat, scalar, coeff)  # j_l = 0
         for jl, (mp, fp) in enumerate(zip(mat_powers[l], fn_powers[l]), start=1):
@@ -178,7 +177,7 @@ def _taylor_sum(
             walk(l + 1, weight + jl, m, z, coeff * inv_fact[jl] % p)
 
     walk(0, 0, None, None, 1)
-    return rhs
+    return PolyMatrix.combine(terms)
 
 
 def commuting_nilpotent_family(
@@ -202,7 +201,7 @@ def commuting_nilpotent_family(
             [[c[j - i] if j > i else 0 for j in range(size)] for i in range(size)], vars, p
         ))
     funcs = [
-        LaurentPoly(vars, p, {(e,): rng.randrange(p) for e in range(4)})
+        LaurentPoly._make(vars, p, {(e,): rng.randrange(p) for e in range(4)})
         for _ in range(count)
     ]
     return mats, funcs

@@ -16,19 +16,22 @@ or close the text.  Every term after the first opens with `+` or `-`; a
 negative literal such as the `-2` of `t^2 -2*t` carries its own sign.
 Exponents are `int` or `-int`, and negative ones are legal only on inverted
 variables.  Anything else (`3t`, `t^2^3`, `t*-t`, `t^--3`, empty text) is a
-ParseError.
+ParseError, and so is an integer past Python's limit on integer-string
+conversion (4300 digits).
 
 The public constructors `LaurentPoly(...)` and `PolyMatrix(...)` validate
 their input: exponent lengths, negative exponents only on inverted variables,
 one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
-`deriv`, `frobenius`, matrix `@`, `scale`, the connection step `nabla` and
-its chain `nabla_power`) keeps those invariants by construction, so it
-checks the operands' ring once per call and builds its result with the
-trusted `_make` constructors, which only reduce mod m and drop zeros.  So
-are the constants (`zero`, `const`, `one`, matrix `zero` and `identity`),
-which check only the modulus and the shape.  Operations that
-change the ring (`subst`, `extend_vars`, `reduce_mod`, `map_entries`) go
-through the validating constructors.
+`deriv`, `frobenius`, matrix `@`, `scale`, the linear combination
+`PolyMatrix.combine`, the connection step `nabla` and its chain
+`nabla_power`) keeps those invariants by construction, so it checks the
+operands' ring once per call and builds its result with the trusted `_make`
+constructors, which only reduce mod m and drop zeros.  So are the constants
+(`zero`, `const`, `one`, matrix `zero`, `identity` and `from_int_rows`),
+which check only the modulus and the shape.  `subst` checks that every
+image lives in the target ring and builds its result the same way.  The
+other operations that change the ring (`extend_vars`, `reduce_mod`,
+`map_entries`) go through the validating constructors.
 
 Polynomials and matrices are immutable: nothing writes to `terms`,
 `entries`, `vars` or `modulus` after construction.  A result may therefore
@@ -41,7 +44,14 @@ The same-ring kernels use this to skip zeros, always after their ring check:
 - `@` and `nabla_power` multiply only pairs of nonzero entries, and the
   entries that get no term share one zero per result matrix;
 - `nabla_power` runs its n steps on raw term dicts, builds polynomials only
-  for its result, and never writes to an operand's term dicts.
+  for its result, and never writes to an operand's term dicts;
+- `combine` (sum_k s_k M_k, behind `trunc_exp` and the Taylor check) adds
+  every product into one grid of term dicts; an int s_k scales
+  coefficients without a polynomial product, an entry whose one
+  contribution has s_k = 1 is that operand's entry, and the entries with
+  none share one zero, as do the zero entries of `from_int_rows`;
+- `subst` keeps its image powers as term dicts and accumulates every term
+  into one dict, building one polynomial at the end.
 `VarSpec.make` and `with_inverted` intern one VarSpec per (names, inverted),
 so the ring check is usually an identity test; a directly built VarSpec still
 compares equal.
@@ -386,39 +396,44 @@ class LaurentPoly:
 
         Variables without an explicit image must exist in target under the
         same name (identity substitution).  Negative powers invert the image,
-        which must be a unit of the target ring.
+        which must be a unit of the target ring.  The image powers are
+        cached as term dicts, every term is accumulated into one dict, and
+        one polynomial is built at the end.
         """
-        cache: dict[tuple[str, int], LaurentPoly] = {}
+        m = self.modulus
+        cache: dict[tuple[str, int], dict] = {}
 
-        def image_power(name: str, e: int) -> LaurentPoly:
+        def image_power(name: str, e: int) -> dict:
             key = (name, e)
             if key in cache:
                 return cache[key]
             if name in images:
                 img = images[name]
-                if img.vars != target or img.modulus != self.modulus:
+                if img.vars != target or img.modulus != m:
                     raise SubstitutionError(
                         f"image of {name!r} lives in the wrong ring for this substitution"
                     )
             else:
                 if name not in target.names:
                     raise SubstitutionError(f"no image for variable {name!r}")
-                img = LaurentPoly.var(target, self.modulus, name)
+                img = LaurentPoly.var(target, m, name)
             try:
-                val = img ** e
+                val = cache[key] = (img ** e).terms
             except RingError as exc:
                 raise SubstitutionError(f"substituting {name!r}^{e}: {exc}") from exc
-            cache[key] = val
             return val
 
-        out = LaurentPoly.zero(target, self.modulus)
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        constant = (0,) * target.arity
         for exps, c in self.terms.items():
-            term = LaurentPoly.const(target, self.modulus, c)
+            term = {constant: c}
             for name, e in zip(self.vars.names, exps):
                 if e != 0:
-                    term = term * image_power(name, e)
-            out = out + term
-        return out
+                    term = _product_terms({}, term, image_power(name, e))
+            for e, ct in term.items():
+                out[e] = get(e, 0) + ct
+        return LaurentPoly._make(target, m, out)
 
     # ---------- text form ----------
 
@@ -459,11 +474,11 @@ class LaurentPoly:
             exps = [0] * vars.arity
             for literal, name, minus, exp in _FACTOR_RE.findall(m["body"]):
                 if literal:
-                    coeff *= int(literal)
+                    coeff *= _int(literal, text)
                     continue
                 if name not in vars.names:
                     raise ParseError(f"unknown variable {name!r} in polynomial {text!r}")
-                e = int(minus + exp) if exp else 1
+                e = _int(minus + exp, text) if exp else 1
                 if e < 0 and not vars.allows_negative(name):
                     raise ParseError(
                         f"negative exponent on non-inverted variable {name!r} in {text!r}"
@@ -474,6 +489,17 @@ class LaurentPoly:
             pos = m.end()
             if pos == len(text):
                 return cls(vars, modulus, terms)
+
+
+def _int(digits: str, text: str) -> int:
+    """int(digits); Python's limit on integer-string conversion is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer of {len(digits.lstrip('-'))} digits is too long in polynomial "
+            f"{text[:20]!r}..."
+        ) from None
 
 
 def _frobenius_prime(modulus: int) -> int:
@@ -630,16 +656,17 @@ class PolyMatrix:
         return self
 
     @staticmethod
-    def _from_terms(grid: list[list[dict]], vars: VarSpec, modulus: int) -> "PolyMatrix":
+    def _from_terms(grid: list[list], vars: VarSpec, modulus: int) -> "PolyMatrix":
         """Trusted constructor from rows of unreduced term dicts over (vars,
-        modulus); the empty dicts become one shared zero, built only if needed."""
+        modulus); the empty dicts (and None) become one shared zero, built
+        only if needed, and a cell that is already a polynomial is kept."""
         zero = None
         rows = []
         for row in grid:
             new_row = []
             for t in row:
                 if t:
-                    new_row.append(LaurentPoly._make(vars, modulus, t))
+                    new_row.append(LaurentPoly._make(vars, modulus, t) if type(t) is dict else t)
                 else:
                     if zero is None:
                         zero = LaurentPoly._make(vars, modulus, {})
@@ -665,7 +692,16 @@ class PolyMatrix:
 
     @classmethod
     def from_int_rows(cls, rows: Iterable[Iterable[int]], vars: VarSpec, modulus: int) -> "PolyMatrix":
-        return cls([[LaurentPoly.const(vars, modulus, c) for c in row] for row in rows])
+        """Constant entries, built without per-entry validation; the zero ones share one zero."""
+        if modulus < 2:
+            raise RingError(f"bad modulus {modulus}")
+        constant = (0,) * vars.arity
+        grid = [[{constant: c} if c % modulus else {} for c in row] for row in rows]
+        if not grid or not grid[0]:
+            raise RingError("matrix needs at least one entry")
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise RingError("ragged matrix")
+        return cls._from_terms(grid, vars, modulus)
 
     # ---------- basic algebra ----------
 
@@ -775,6 +811,53 @@ class PolyMatrix:
                 new_grid.append(new_row)
             grid = new_grid
         return PolyMatrix._from_terms(grid, vars, m)
+
+    @staticmethod
+    def combine(pairs: Iterable[tuple]) -> "PolyMatrix":
+        """sum_k s_k * M_k over the (s_k, M_k) of pairs, accumulated on one grid
+        of term dicts, after one shape and ring check per pair.
+
+        Each s_k is an int, which scales coefficients without a polynomial
+        product, or a polynomial of the matrices' ring.  An entry with exactly
+        one contribution, by the int 1, is that operand's entry (as a + 0 is
+        a); the entries with none share one zero.
+        """
+        pairs = list(pairs)
+        if not pairs:
+            raise RingError("combine needs at least one matrix")
+        first = pairs[0][1]
+        grid: list[list] = [[None] * first.cols for _ in range(first.rows)]
+        for s, mat in pairs:
+            first._check_shape(mat)
+            _check_ring(first, mat)
+            if isinstance(s, int):
+                ts = None
+                if s % first.modulus == 0:
+                    continue
+            else:
+                _check_ring(first, s)
+                ts = s.terms
+                if not ts:
+                    continue
+            for cells, row in zip(grid, mat.entries):
+                for j, x in enumerate(row):
+                    if not x.terms:
+                        continue
+                    acc = cells[j]
+                    if acc is None and ts is None and s == 1:
+                        cells[j] = x
+                        continue
+                    if acc is None:
+                        acc = cells[j] = {}
+                    elif type(acc) is not dict:
+                        acc = cells[j] = dict(acc.terms)
+                    if ts is None:
+                        get = acc.get
+                        for e, c in x.terms.items():
+                            acc[e] = get(e, 0) + c * s
+                    else:
+                        _product_terms(acc, x.terms, ts)
+        return PolyMatrix._from_terms(grid, first.vars, first.modulus)
 
     def scale(self, s) -> "PolyMatrix":
         """Entry-wise product with an int or a polynomial of this ring."""
@@ -917,10 +1000,7 @@ def trunc_exp(M: PolyMatrix, ctx: PrimeContext) -> PolyMatrix:
         raise NilpotencyError(
             f"matrix power {p - 1} is nonzero at entry {witness[:2]}: {witness[2]}"
         )
-    acc = PolyMatrix.zero(M.rows, M.rows, M.vars, M.modulus)
-    for i, power in enumerate(powers[:-1]):
-        acc = acc + power.scale(ctx.inv_factorials[i])
-    return acc
+    return PolyMatrix.combine(zip(ctx.inv_factorials, powers[:-1]))
 
 
 # ---------- differentials ----------

@@ -101,6 +101,7 @@ def parse_scene(text: str) -> Scene:
     atlas = Atlas(ctx)
     for idx, chart in enumerate(_expect(atlas_data.get("charts", []), list, "atlas.charts")):
         where = f"atlas.charts[{idx}]"
+        _expect(chart, dict, where)
         with _at(where):
             vars = VarSpec.make(
                 _names(chart["coords"], f"{where}.coords"),
@@ -109,6 +110,7 @@ def parse_scene(text: str) -> Scene:
             atlas.add_chart(chart["name"], vars)
     for idx, ov in enumerate(_expect(atlas_data.get("overlaps", []), list, "atlas.overlaps")):
         where = f"atlas.overlaps[{idx}]"
+        _expect(ov, dict, where)
         with _at(where):
             alpha, beta = ov["alpha"], ov["beta"]
             a_chart, b_chart = atlas.charts[alpha], atlas.charts[beta]
@@ -136,6 +138,7 @@ def parse_scene(text: str) -> Scene:
             )
     for idx, lift in enumerate(_expect(atlas_data.get("lifts", []), list, "atlas.lifts")):
         where = f"atlas.lifts[{idx}]"
+        _expect(lift, dict, where)
         with _at(where):
             chart = atlas.charts[lift["chart"]]
             images = {

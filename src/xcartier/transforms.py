@@ -19,10 +19,20 @@ gluing by `descend`, which inverts each frame once and checks the result.
 The sign of the p-curvature of the forward output relative to the
 Frobenius-pulled-back Higgs field is convention-dependent; it is measured
 by `p_curvature_sign`, not hard-coded.
+
+`gauge_compare` solves the intertwining constraints for an unknown gauge
+sum c t^m E_ij over a box of exponents m.  The constraints are linear, and
+R_lambda(t^m g) = t^m R_lambda(g) - lambda d(t^m) g for a constant g, so the
+residual of each matrix unit E_ij (one `intertwining_residuals` call per
+unit and chart) and its overlap products T_2 E_ij and E_ij T_1 are computed
+once per search; every degree bound reads its rows off them by exponent
+shifts, the derivative term and, on the beta side of an overlap, the
+product with pull_beta_function(t^m).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +43,7 @@ from .ring import (
     LaurentPoly,
     PolyMatrix,
     VarSpec,
+    _product_terms,
     monomial_sort_key,
     monomials_in_box,
     trunc_exp,
@@ -475,45 +486,78 @@ def verify_gauge_witness(sheaf1, sheaf2, gauges: dict[str, PolyMatrix], flat: bo
     return True
 
 
-def _gauge_solution_space(sheaf1, sheaf2, bound: int, flat: bool):
-    """The unknowns (chart, exponent, i, j) and the nullspace of the intertwining constraints."""
+def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
+    """solution_space(bound): the unknowns (chart, exponent, i, j) up to the
+    degree bound and the nullspace of the intertwining constraints on them.
+
+    The residuals and overlap products of the matrix units E_ij are computed
+    here, once for every bound; each bound shifts and multiplies their terms
+    (module docstring).
+    """
     atlas = sheaf1.atlas
     p = atlas.ctx.p
     r = sheaf1.rank
     mats1, mats2 = _matrices(sheaf1, sheaf2, flat)
+    charts = sorted(atlas.charts)
 
-    unknowns = [
-        (chart, m, i, j)
-        for chart in sorted(atlas.charts)
-        for m in monomials_in_box(atlas.chart_vars(chart), bound)
-        for i in range(r)
-        for j in range(r)
-    ]
-    rows: dict[tuple, dict[int, int]] = {}  # one row per (block, entry, exponent)
+    def nonzero(mat: PolyMatrix):
+        return [(a, b, x.terms) for a, row in enumerate(mat.entries)
+                for b, x in enumerate(row) if x.terms]
 
-    def add_matrix_terms(key_prefix, mat: PolyMatrix, col):
-        for a in range(mat.rows):
-            for b in range(mat.cols):
-                for exps, c in mat.entries[a][b].terms.items():
-                    row = rows.setdefault(key_prefix + (a, b, exps), {})
-                    row[col] = (row.get(col, 0) + c) % p
-
-    for col, (chart, m, i, j) in enumerate(unknowns):
+    # (chart, i, j) -> [(row key prefix, nonzero entries, overlap on whose beta side or None)]
+    blocks: dict[tuple, list] = {}
+    for chart in charts:
         vars = atlas.chart_vars(chart)
-        mono, zero = LaurentPoly.monomial(vars, p, 1, m), LaurentPoly.zero(vars, p)
-        basis = PolyMatrix([[mono if (a, b) == (i, j) else zero for b in range(r)] for a in range(r)])
-        residuals = intertwining_residuals(basis, mats1[chart], mats2[chart], vars, flat)
-        for k, res in enumerate(residuals):
-            add_matrix_terms(("chart", chart, k), res, col)
-        for pair, ov in atlas.overlaps.items():
-            if chart == ov.alpha:
-                g_a = basis.extend_vars(ov.alpha_vars)
-                add_matrix_terms(("overlap", pair), -(sheaf2.transitions[pair] @ g_a), col)
-            if chart == ov.beta:
-                g_b = basis.map_entries(lambda f: pull_beta_function(ov, f))
-                add_matrix_terms(("overlap", pair), g_b @ sheaf1.transitions[pair], col)
+        for i, j in itertools.product(range(r), repeat=2):
+            ints = [[int((a, b) == (i, j)) for b in range(r)] for a in range(r)]
+            unit = PolyMatrix.from_int_rows(ints, vars, p)
+            residuals = intertwining_residuals(unit, mats1[chart], mats2[chart], vars, flat)
+            out = [(("chart", chart, k), nonzero(res), None) for k, res in enumerate(residuals)]
+            for pair, ov in atlas.overlaps.items():
+                unit_ov = PolyMatrix.from_int_rows(ints, ov.alpha_vars, p)
+                if chart == ov.alpha:
+                    out.append((("overlap", pair), nonzero(-(sheaf2.transitions[pair] @ unit_ov)),
+                                None))
+                if chart == ov.beta:
+                    out.append((("overlap", pair), nonzero(unit_ov @ sheaf1.transitions[pair]), ov))
+            blocks[chart, i, j] = out
+    pulled: dict[tuple, dict] = {}  # (pair, m) -> terms of pull_beta_function(t^m)
 
-    return unknowns, nullspace_mod_p(list(rows.values()), len(unknowns), p)
+    def multiplier(m: tuple[int, ...], ov) -> dict:
+        if ov is None:
+            return {m: 1}
+        if (ov.pair, m) not in pulled:
+            mono = LaurentPoly.monomial(atlas.chart_vars(ov.beta), p, 1, m)
+            pulled[ov.pair, m] = pull_beta_function(ov, mono).terms
+        return pulled[ov.pair, m]
+
+    def solution_space(bound: int):
+        unknowns = [
+            (chart, m, i, j)
+            for chart in charts
+            for m in monomials_in_box(atlas.chart_vars(chart), bound)
+            for i in range(r)
+            for j in range(r)
+        ]
+        rows: dict[tuple, dict[int, int]] = {}  # one row per (block, entry, exponent)
+
+        def add(key, col, c):
+            row = rows.setdefault(key, {})
+            row[col] = (row.get(col, 0) + c) % p
+
+        for col, (chart, m, i, j) in enumerate(unknowns):
+            for prefix, entries, ov in blocks[chart, i, j]:
+                mult = multiplier(m, ov)
+                for a, b, terms in entries:
+                    for e, c in _product_terms({}, terms, mult).items():
+                        add(prefix + (a, b, e), col, c)
+            if flat:  # -lambda d(t^m) E_ij = -sum_k m_k t^(m - e_k) E_ij dt_k
+                for k, mk in enumerate(m):
+                    if mk:
+                        add(("chart", chart, k, i, j, m[:k] + (mk - 1,) + m[k + 1:]), col, -mk)
+        return unknowns, nullspace_mod_p(list(rows.values()), len(unknowns), p)
+
+    return solution_space
 
 
 def _combine(basis, coeffs, unknowns, atlas, r) -> dict[str, PolyMatrix]:
@@ -526,10 +570,7 @@ def _combine(basis, coeffs, unknowns, atlas, r) -> dict[str, PolyMatrix]:
                 cell = cells[chart][i][j]
                 cell[m] = cell.get(m, 0) + c * v
     return {
-        chart: PolyMatrix([
-            [LaurentPoly(atlas.chart_vars(chart), atlas.ctx.p, cell) for cell in row]
-            for row in rows
-        ])
+        chart: PolyMatrix._from_terms(rows, atlas.chart_vars(chart), atlas.ctx.p)
         for chart, rows in cells.items()
     }
 
@@ -556,9 +597,10 @@ def gauge_compare(sheaf1, sheaf2, flat: bool = False) -> GaugeWitness | None:
     inputs = [*mats1.values(), *mats2.values(), sheaf1.transitions.values(),
               sheaf2.transitions.values()]
     top = max((m.max_abs_degree() for group in inputs for m in group), default=0) + p * r
+    solution_space = _gauge_solution_spaces(sheaf1, sheaf2, flat)
     bound = 0
     while True:
-        unknowns, basis = _gauge_solution_space(sheaf1, sheaf2, bound, flat)
+        unknowns, basis = solution_space(bound)
         total = p ** len(basis)
         if total > 200_000:
             return None

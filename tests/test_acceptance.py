@@ -179,3 +179,36 @@ def test_criterion_3_reports_a_wrong_p_curvature_as_failed_entries(monkeypatch, 
     if kind == "p-1 steps":  # p_curvature_sign's error text is the witness
         assert any("single sign" in check and "neither +/-" in witness[0]
                    for check, witness in failed.items())
+
+
+def test_perturbed_atlas_validates_its_lifts_and_criterion_1_the_overlaps(monkeypatch):
+    from xcartier.atlas import Atlas, AtlasError, FrobLift
+    from xcartier.gallery import gallery
+    from xcartier.ring import LaurentPoly, PrimeContext, VarSpec
+
+    # a corrupt source lifting stays corrupt under p*r(t) noise
+    t = VarSpec.make(["t"])
+    corrupt = Atlas(PrimeContext(3))
+    corrupt.add_chart("A1", t)
+    corrupt.add_lift(FrobLift("A1", {"t": LaurentPoly.parse("t^3 + t", t, 9)}))
+    with pytest.raises(AtlasError, match="not congruent to t\\^3 mod 3"):
+        acceptance.perturbed_atlas(corrupt, 0)
+    # the perturbed copies share the source overlaps, which criterion 1 validates once
+    source = gallery("g4_p1_lemma", 3).atlas
+    copy = acceptance.perturbed_atlas(source, 0)
+    assert all(copy.overlaps[pair] is ov for pair, ov in source.overlaps.items())
+    checked = []
+    validate_overlap = Atlas._validate_overlap
+    monkeypatch.setattr(Atlas, "_validate_overlap",
+                        lambda self, ov: checked.append(ov.pair) or validate_overlap(self, ov))
+    assert acceptance.criterion_1().ok()
+    assert checked == [("U0", "U1")] * 3  # g4 at p = 3, 5, 7
+
+    def broken(self, ov):
+        raise AtlasError(f"overlap {ov.pair}: coordinate 's' does not round-trip")
+
+    monkeypatch.setattr(Atlas, "_validate_overlap", broken)
+    report = acceptance.verify_all()
+    failed = {e.check: e.witness for e in report.failures()}
+    assert failed == {"c1: criterion 1 raised": (
+        "overlap ('U0', 'U1'): coordinate 's' does not round-trip",)}

@@ -880,3 +880,199 @@ def test_ring_constants_keep_their_checks():
     with pytest.raises(RingError, match="at least one entry"):
         PolyMatrix.identity(0, T, 3)
     assert PolyMatrix.identity(2, T, 3) == PolyMatrix.from_int_rows([[1, 0], [0, 1]], T, 3)
+
+
+# ---------------------------------------------------------------- parse limits
+
+
+@pytest.mark.parametrize("text, vars", [
+    ("9" * 5000, T),
+    ("2*t + " + "9" * 5000, T),
+    ("-" + "9" * 5000 + "*t", T),
+    ("t^" + "9" * 5000, T),
+    ("t^-" + "9" * 5000, T_INV),
+], ids=["literal", "second-literal", "negative-literal", "exponent", "negative-exponent"])
+def test_overlong_literals_are_parse_errors(text, vars):
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long"):
+        LaurentPoly.parse(text, vars, 3)
+    assert LaurentPoly.parse("9" * 4000, T, 3).is_zero()  # under Python's limit
+
+
+# ---------------------------------------------------------------- combine
+
+
+@st.composite
+def scalars(draw, vars, modulus):
+    return draw(st.one_of(st.integers(-2 * modulus, 2 * modulus),
+                          laurent_polys(vars, modulus, max_terms=3, max_exp=3)))
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_combine_is_the_fold_of_scale_and_add(data):
+    vars, m = data.draw(rings())
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    zero = PolyMatrix.zero(rows, cols, vars, m)
+    mats = st.one_of(matrices(vars, m, rows, cols), st.just(zero))
+    pairs = data.draw(st.lists(st.tuples(scalars(vars, m), mats), min_size=1, max_size=4))
+    want = zero
+    for s, M in pairs:
+        want = want + M.scale(s)
+    got = PolyMatrix.combine(pairs)
+    assert got == want and (got.rows, got.cols) == (rows, cols)
+    for row in got.entries:
+        for x in row:
+            assert x.vars is vars and x.modulus == m
+            assert_canonical(x)
+
+
+def test_combine_scales_by_ints_without_a_product_and_keeps_lone_entries(monkeypatch):
+    import xcartier.ring as ring
+
+    A = PolyMatrix([[poly("t + 1"), poly("0")], [poly("2*t^2"), poly("t")]])
+    B = PolyMatrix([[poly("0"), poly("t^2")], [poly("t"), poly("0")]])
+    products = []
+    product_terms = ring._product_terms
+    monkeypatch.setattr(ring, "_product_terms", lambda *a: products.append(a) or product_terms(*a))
+    Z = PolyMatrix.zero(2, 2, T, 3)
+    got = PolyMatrix.combine([(1, A), (1, Z), (2, B), (3, B)])
+    assert products == []
+    assert got == A + B.scale(2)
+    assert got.entries[0][0] is A.entries[0][0]  # a + 0 is a
+    assert got.entries[0][1] == B.entries[0][1] * 2
+    lone = PolyMatrix.combine([(1, Z), (1, A)])
+    assert all(x is y for rx, ry in zip(lone.entries, A.entries) for x, y in zip(rx, ry)
+               if y.terms)
+    empty = PolyMatrix.combine([(0, A), (poly("0"), B)])
+    assert empty.is_zero() and empty.entries[0][0] is empty.entries[1][1]  # one shared zero
+    PolyMatrix.combine([(poly("t"), A)])
+    assert len(products) == 3  # one product per nonzero entry of A
+
+
+@pytest.mark.parametrize("other", [
+    PolyMatrix.from_int_rows([[1, 0], [0, 1]], VarSpec.make(["t", "u"]), 3),
+    PolyMatrix.from_int_rows([[1, 0], [0, 1]], T_INV, 3),
+    PolyMatrix.from_int_rows([[1, 0], [0, 1]], T, 9),
+])
+def test_combine_of_mixed_rings_raises(other):
+    A = PolyMatrix.from_int_rows([[1, 2], [0, 1]], T, 3)
+    for pairs in ([(1, A), (1, other)], [(1, other), (2, A)]):
+        with pytest.raises(RingError, match="different rings"):
+            PolyMatrix.combine(pairs)
+    scalar = other.entries[0][0]
+    with pytest.raises(RingError, match="different rings"):
+        PolyMatrix.combine([(scalar, A)])
+    with pytest.raises(RingError, match="shape mismatch"):
+        PolyMatrix.combine([(1, A), (1, PolyMatrix.from_int_rows([[1]], T, 3))])
+    with pytest.raises(RingError, match="at least one matrix"):
+        PolyMatrix.combine([])
+
+
+def test_from_int_rows_shares_one_zero_and_validates_nothing(monkeypatch):
+    calls = []
+    init = LaurentPoly.__init__
+    monkeypatch.setattr(LaurentPoly, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    M = PolyMatrix.from_int_rows([[0, 1, 3], [4, 0, -2]], T, 3)
+    assert calls == []
+    zeros = [x for row in M.entries for x in row if x.is_zero()]
+    assert len(zeros) == 3 and all(z is zeros[0] for z in zeros)
+    monkeypatch.undo()
+    assert M == PolyMatrix([[LaurentPoly.const(T, 3, c) for c in row]
+                            for row in ([0, 1, 3], [4, 0, -2])])
+    with pytest.raises(RingError, match="at least one entry"):
+        PolyMatrix.from_int_rows([], T, 3)
+    with pytest.raises(RingError, match="ragged"):
+        PolyMatrix.from_int_rows([[1, 0], [1]], T, 3)
+    with pytest.raises(RingError, match="bad modulus"):
+        PolyMatrix.from_int_rows([[1]], T, 1)
+
+
+# ---------------------------------------------------------------- subst
+
+
+def subst_reference(f, images, target):
+    """Term by term: each term a constant times its image powers, added one at a time."""
+    out = LaurentPoly.zero(target, f.modulus)
+    for exps, c in f.terms.items():
+        term = LaurentPoly.const(target, f.modulus, c)
+        for name, e in zip(f.vars.names, exps):
+            if not e:
+                continue
+            if name in images:
+                img = images[name]
+                if img.vars != target or img.modulus != f.modulus:
+                    raise SubstitutionError(
+                        f"image of {name!r} lives in the wrong ring for this substitution")
+            elif name in target.names:
+                img = LaurentPoly.var(target, f.modulus, name)
+            else:
+                raise SubstitutionError(f"no image for variable {name!r}")
+            try:
+                term = term * img ** e
+            except RingError as exc:
+                raise SubstitutionError(f"substituting {name!r}^{e}: {exc}") from exc
+        out = out + term
+    return out
+
+
+def outcome(call):
+    try:
+        return call()
+    except SubstitutionError as exc:
+        return f"SubstitutionError: {exc}"
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_subst_matches_the_term_by_term_reference(seed):
+    rng = random.Random(seed)
+    p = rng.choice([3, 5, 7])
+    m = p ** rng.randint(1, 2)
+    names = ["s", "w"][:rng.randint(1, 2)]
+    source = VarSpec.make(names, [n for n in names if rng.random() < 0.7])
+    target_names = ["x", "y"][:rng.randint(1, 2)] + (["w"] if rng.random() < 0.3 else [])
+    target = VarSpec.make(target_names, [n for n in target_names if rng.random() < 0.6])
+    f = random_sparse_poly(rng, source, m, 0.9)
+    images = {}
+    for name in names:
+        if name == "w" and "w" in target.names and rng.random() < 0.5:
+            continue  # identity substitution
+        kind = rng.choice(["unit", "unit", "poly", "non-unit"])
+        x = rng.choice(target.names)
+        if kind == "unit":  # a single term c t^e: inverted negative powers have an inverse
+            e = rng.randint(-2, 3) if x in target.inverted else rng.randint(0, 3)
+            exps = tuple(e if n == x else 0 for n in target.names)
+            images[name] = LaurentPoly.monomial(target, m, rng.randrange(1, p), exps)
+        elif kind == "poly":
+            images[name] = random_sparse_poly(rng, target, m, 0.8)
+        else:  # inverting a variable the target does not invert, or a sum
+            images[name] = LaurentPoly.var(target, m, x) + LaurentPoly.one(target, m)
+    got = outcome(lambda: f.subst(images, target))
+    want = outcome(lambda: subst_reference(f, images, target))
+    assert got == want
+    if isinstance(got, LaurentPoly):
+        assert got.vars is target and got.modulus == m
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("m", [3, 9])
+def test_subst_keeps_its_error_messages(m):
+    s = VarSpec.make(["s"], ["s"])
+    f = poly("s^-1 + 1", s, m)
+    cases = [
+        ({"s": poly("t + 1", T, m)}, T),                 # a non-unit image, inverted
+        ({"s": poly("t", T, m)}, T),                     # t is not inverted in the target
+        ({"s": poly("t", T_INV, m)}, T),                 # an image in another ring
+        ({}, T),                                         # no image at all
+    ]
+    messages = []
+    for images, target in cases:
+        with pytest.raises(SubstitutionError) as info:
+            f.subst(images, target)
+        assert outcome(lambda: subst_reference(f, images, target)) == (
+            f"SubstitutionError: {info.value}")
+        messages.append(str(info.value))
+    assert messages[2] == "image of 's' lives in the wrong ring for this substitution"
+    assert messages[3] == "no image for variable 's'"
+    assert poly("s^-2", s, m).subst({"s": poly("2*t^-1", T_INV, m)}, T_INV) == poly(
+        f"{pow(4, -1, m)}*t^2", T_INV, m)

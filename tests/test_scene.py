@@ -304,3 +304,13 @@ def test_malformed_scene_fields_are_parse_errors(tmp_path, capsys, path, value, 
     scene_path.write_text(text)
     assert run_cli(["icartier", "--scene", str(scene_path)]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [["name", "U0"], "U0"], ids=["list", "string"])
+@pytest.mark.parametrize("field", ["charts", "overlaps", "lifts"])
+def test_atlas_entries_that_are_not_objects_are_parse_errors(field, value):
+    data = json.loads(emit_scene(gallery("g5_p1_uniformizing", 3)))
+    data["atlas"][field][0] = value
+    with pytest.raises(SceneError) as info:
+        parse_scene(json.dumps(data))
+    assert str(info.value) == f"atlas.{field}[0]: expected a JSON object, got {value!r}"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import xcartier.atlas
@@ -18,7 +20,7 @@ from xcartier.sheaves import (
 )
 from xcartier.transforms import (
     TransformError,
-    _gauge_solution_space,
+    _gauge_solution_spaces,
     canonical_connection,
     cartier,
     descend,
@@ -421,8 +423,19 @@ def test_every_check_goes_through_curvature_and_one_residual(monkeypatch):
         counts.append((len(curv), len(res)))
         curv.clear(), res.clear()
     assert counts == [(2, 1), (2, 1), (2, 2), (0, 2)]
-    unknowns, _ = _gauge_solution_space(E, E, 0, flat=False)
-    assert len(res) == len(unknowns) == 2 * 4  # one residual per unknown, each on its chart
+    # the gauge constraints: one residual per matrix unit E_ij and chart, at every
+    # bound, while the unknowns t^m E_ij grow with the bound
+    sizes = []
+    for bound in (0, 2):
+        unknowns, _ = _gauge_solution_spaces(E, E, flat=False)(bound)
+        sizes.append(len(unknowns))
+        assert len(res) == 2 * 4
+        res.clear()
+    assert sizes == [2 * 4, 2 * 3 * 4]
+    solution_space = _gauge_solution_spaces(E, E, flat=False)
+    for bound in (0, 1, 2, 4):  # gauge_compare's bounds share the one set of residuals
+        solution_space(bound)
+    assert len(res) == 2 * 4
     monkeypatch.undo()
     res = count_calls(monkeypatch, "intertwining_residuals")
     zero = {c: [PolyMatrix.zero(2, 2, E.atlas.chart_vars(c), 3)] for c in E.atlas.charts}
@@ -517,8 +530,7 @@ def test_gauge_compare_equal_inputs_identity():
 
 
 def test_gauge_compare_sign_flip():
-    # diag(1, -1, ...) is a witness on each; at the default degree bound the solution
-    # spaces of g2 at p >= 5 and of g6 are too large to enumerate
+    # diag(1, -1, ...) is a witness on each
     cases = [HiggsSheaf(a1_atlas(), 2, {"A1": [n12(T, 3)]})]
     cases += [gallery("g2_a1_rank2", p).sheaf for p in (3, 5, 7)]
     cases.append(gallery("g6_a2_rank3", 3).sheaf)
@@ -593,13 +605,88 @@ def test_gauge_checks_reject_a_flat_flag_that_contradicts_the_sheaves():
     with pytest.raises(TransformError, match="flat=True needs two FlatSheafs, got a HiggsSheaf"):
         verify_gauge_witness(E, E, diag, True)
     with pytest.raises(TransformError, match="got a HiggsSheaf"):
-        _gauge_solution_space(H0, E, 0, flat=True)
+        _gauge_solution_spaces(H0, E, flat=True)
     # matching flags still find and verify the known witnesses
     assert verify_gauge_witness(H0, H1, lift_change_gauge(E, {"A1": 0}, {"A1": 1}), True)
     assert verify_gauge_witness(E, E.negated(), diag, False)
     for pair, flat in (((H0, H1), True), ((E, E.negated()), False)):
         w = gauge_compare(*pair, flat=flat)
         assert w is not None and verify_gauge_witness(*pair, w.gauges, flat)
+
+
+def gauge_solution_space_per_unknown(sheaf1, sheaf2, bound, flat):
+    """The gauge constraints one unknown t^m E_ij at a time, each from its own
+    intertwining residuals and overlap products."""
+    from xcartier.atlas import pull_beta_function
+    from xcartier.linalg import nullspace_mod_p
+    from xcartier.ring import monomials_in_box
+
+    atlas, p, r = sheaf1.atlas, sheaf1.atlas.ctx.p, sheaf1.rank
+    attr = "conn" if flat else "fields"
+    mats1, mats2 = getattr(sheaf1, attr), getattr(sheaf2, attr)
+    unknowns = [(chart, m, i, j) for chart in sorted(atlas.charts)
+                for m in monomials_in_box(atlas.chart_vars(chart), bound)
+                for i in range(r) for j in range(r)]
+    rows = {}
+
+    def add(prefix, mat, col):
+        for a, row in enumerate(mat.entries):
+            for b, x in enumerate(row):
+                for exps, c in x.terms.items():
+                    cell = rows.setdefault(prefix + (a, b, exps), {})
+                    cell[col] = (cell.get(col, 0) + c) % p
+
+    for col, (chart, m, i, j) in enumerate(unknowns):
+        vars = atlas.chart_vars(chart)
+        mono, zero = LaurentPoly.monomial(vars, p, 1, m), LaurentPoly.zero(vars, p)
+        g = PolyMatrix([[mono if (a, b) == (i, j) else zero for b in range(r)] for a in range(r)])
+        for k, res in enumerate(sheaves.intertwining_residuals(g, mats1[chart], mats2[chart],
+                                                               vars, flat)):
+            add(("chart", chart, k), res, col)
+        for pair, ov in atlas.overlaps.items():
+            if chart == ov.alpha:
+                add(("overlap", pair), -(sheaf2.transitions[pair] @ g.extend_vars(ov.alpha_vars)),
+                    col)
+            if chart == ov.beta:
+                g_b = g.map_entries(lambda f: pull_beta_function(ov, f))
+                add(("overlap", pair), g_b @ sheaf1.transitions[pair], col)
+    return unknowns, nullspace_mod_p(list(rows.values()), len(unknowns), p)
+
+
+def gauge_pairs(name, p):
+    """A Higgs pair (E, -E) and a flat pair (two liftings, or one) of one gallery scene."""
+    E = gallery(name, p).sheaf
+    last = {c: len(lifts) - 1 for c, lifts in E.atlas.lifts.items()}
+    return [(E, E.negated(), False), (inverse_cartier(E), inverse_cartier(E, last), True)]
+
+
+@pytest.mark.parametrize("name, p", [("g2_a1_rank2", 3), ("g2_a1_rank2", 5),
+                                     ("g3_a1_three_lifts", 3), ("g3_a1_three_lifts", 5),
+                                     ("g5_p1_uniformizing", 3), ("g5_p1_uniformizing", 5),
+                                     ("g6_a2_rank3", 3)])
+def test_gauge_constraints_by_linearity_match_the_per_unknown_reference(name, p):
+    for sheaf1, sheaf2, flat in gauge_pairs(name, p):
+        solution_space = _gauge_solution_spaces(sheaf1, sheaf2, flat)
+        for bound in (0, 1, 2):
+            assert solution_space(bound) == gauge_solution_space_per_unknown(
+                sheaf1, sheaf2, bound, flat)
+
+
+def test_gauge_witnesses_of_the_benchmark_pairs_are_pinned():
+    # the lift pairs and sign flips of the verify_suite workload, plus g6
+    gauges = []
+    for p in (3, 5, 7, 11):
+        E = gallery("g3_a1_three_lifts", p).sheaf
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            H_a, H_b = inverse_cartier(E, {"A1": a}), inverse_cartier(E, {"A1": b})
+            gauges.append(gauge_compare(H_a, H_b, flat=True).gauges)
+    for name in ("g2_a1_rank2", "g5_p1_uniformizing", "g6_a2_rank3"):
+        for p in (3, 5, 7):
+            E = gallery(name, p).sheaf
+            gauges.append(gauge_compare(E, E.negated()).gauges)
+    text = "\n".join(str({c: str(g) for c, g in sorted(w.items())}) for w in gauges)
+    assert str(gauges[0]["A1"]) == "[2, t; 0, 2]"
+    assert hashlib.md5(text.encode()).hexdigest() == "f74adfe1c4a6339ec49972edede8bc19"
 
 
 # ------------------------------------------------------- twisted-bundle stress
