@@ -8,6 +8,7 @@ over the built-in gallery at the primes each criterion fixes (3 to 13).
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from contextvars import ContextVar
 
 from .atlas import Atlas, FrobLift, jacobian_beta_in_alpha, verify_deligne_illusie
@@ -31,12 +32,12 @@ from .sheaves import (
 )
 from .transforms import (
     TransformError,
+    cartier,
     descend,
     flat_sections,
     inverse_cartier,
     lift_change_gauge,
     p_curvature_sign,
-    roundtrip_check,
     untwist,
     verify_gauge_witness,
 )
@@ -73,39 +74,75 @@ def perturbed_atlas(atlas: Atlas, seed: int) -> Atlas:
     return out
 
 
-# the scenes built by the running `verify_all` call; None outside one
+# the scenes and forward images of the running `verify_all` call, or of a
+# criterion run on its own; None outside both
 _SCENES: ContextVar[dict | None] = ContextVar("scenes", default=None)
 
 
+@contextmanager
+def _scene_cache():
+    """Open a cache for `_scene` and `_image` unless one is open already.
+
+    `verify_all` opens one for all its criteria, and a criterion that reads
+    scenes opens its own when it runs on its own; none outlives its call.
+    """
+    if _SCENES.get() is not None:
+        yield
+        return
+    token = _SCENES.set({})
+    try:
+        yield
+    finally:
+        _SCENES.reset(token)
+
+
 def _scene(name: str, p: int, **options) -> Scene:
-    """`gallery(name, p, **options)`, built once per `verify_all` call.
+    """`gallery(name, p, **options)`, built once per cache (`_scene_cache`).
 
     The criteria only read their scenes, so they share one scene and with it
-    one atlas memo.  A criterion run on its own builds its scenes afresh.
+    one atlas memo.
     """
     scenes = _SCENES.get()
-    if scenes is None:
-        return gallery(name, p, **options)
-    key = (name, p, tuple(sorted(options.items())))
+    key = _key(name, p, options)
     if key not in scenes:
         scenes[key] = gallery(name, p, **options)
     return scenes[key]
 
 
-def _higgs_gallery(p: int):
-    items = [
-        ("g1_trivial", _scene("g1_trivial", p)),
-        ("g2_a1_rank2", _scene("g2_a1_rank2", p)),
-        ("g3_a1_three_lifts", _scene("g3_a1_three_lifts", p)),
-        ("g4_p1_lemma", _scene("g4_p1_lemma", p)),
-        ("g5_p1_uniformizing", _scene("g5_p1_uniformizing", p)),
-        ("g6_a2_rank3", _scene("g6_a2_rank3", p)),
-    ]
+def _key(name: str, p: int, options: dict) -> tuple:
+    return (name, p, tuple(sorted(options.items())))
+
+
+def _image(name: str, p: int, lift_choice: dict[str, int] | None = None,
+           **options) -> FlatSheaf:
+    """`inverse_cartier` of a gallery scene's sheaf, computed once per cache.
+
+    The key is the scene's key with the lifting index that lift_choice
+    resolves to on each chart, so a choice that names the default liftings
+    shares the default image.  Criteria 2-5 and 10 only read the images.
+    """
+    scene = _scene(name, p, **options)
+    atlas = scene.atlas
+    key = (_key(name, p, options),
+           tuple(atlas.lift_index(chart, lift_choice) for chart in atlas.charts))
+    scenes = _SCENES.get()
+    if key not in scenes:
+        scenes[key] = inverse_cartier(scene.sheaf, lift_choice)
+    return scenes[key]
+
+
+def _higgs_gallery(p: int) -> list[tuple[str, str, dict]]:
+    """(label, gallery name, options) of the Higgs scenes the criteria run at p."""
+    items = [(name, name, {}) for name in (
+        "g1_trivial", "g2_a1_rank2", "g3_a1_three_lifts", "g4_p1_lemma",
+        "g5_p1_uniformizing", "g6_a2_rank3",
+    )]
     if p >= 5:
-        items.append(("g6_a2_rank3(exp3)", _scene("g6_a2_rank3", p, exponent3=True)))
+        items.append(("g6_a2_rank3(exp3)", "g6_a2_rank3", {"exponent3": True}))
     return items
 
 
+@_scene_cache()
 def criterion_1() -> Report:
     """Lifting-homotopy identities on g3 and g4, plus 20 perturbed liftings.
 
@@ -126,12 +163,13 @@ def criterion_1() -> Report:
     return report
 
 
+@_scene_cache()
 def criterion_2() -> Report:
     """The forward transform produces genuinely flat, well-glued sheaves."""
     report = Report()
     for p in (3, 5):
-        items = [(n, s.sheaf) for n, s in _higgs_gallery(p)
-                 if n.startswith(("g1", "g2", "g5", "g6"))]
+        items = [(label, _image(name, p, **options)) for label, name, options in _higgs_gallery(p)
+                 if label.startswith(("g1", "g2", "g5", "g6"))]
         # the trivial scene at the remaining stated ranks
         g1 = _scene("g1_trivial", p)
         for rank in (1, 2):
@@ -140,31 +178,32 @@ def criterion_2() -> Report:
                     for _ in g1.atlas.chart_vars(c).names]
                 for c in g1.atlas.charts
             }
-            items.append((f"g1_trivial(rank {rank})", HiggsSheaf(g1.atlas, rank, fields)))
-        for name, higgs in items:
-            flat = inverse_cartier(higgs)
+            items.append((f"g1_trivial(rank {rank})",
+                          inverse_cartier(HiggsSheaf(g1.atlas, rank, fields))))
+        for name, flat in items:
             rep = check_flat(flat)
             report.add(f"c2: forward output flat and glued on {name} (p={p})",
                        rep.ok(), tuple(e.check for e in rep.failures()))
     return report
 
 
+@_scene_cache()
 def criterion_3() -> Report:
     """One global p-curvature sign across every gallery item, matching -1; zero on a pure gauge."""
     report = Report()
     signs = []
     for p in (3, 5):
-        for name, scene in _higgs_gallery(p):
+        for label, name, options in _higgs_gallery(p):
             check = (f"c3: p-curvature is a single sign times the pulled-back field "
-                     f"on {name} (p={p})")
-            psi = p_curvature(inverse_cartier(scene.sheaf))
+                     f"on {label} (p={p})")
+            psi = p_curvature(_image(name, p, **options))
             try:
-                s = p_curvature_sign(scene.sheaf, psi)
+                s = p_curvature_sign(_scene(name, p, **options).sheaf, psi)
             except TransformError as exc:
                 report.add(check, False, (str(exc),))
                 continue
             if s is not None:
-                signs.append((name, p, s))
+                signs.append((label, p, s))
             report.add(check, True)
     consistent = len({s for (_, _, s) in signs}) == 1
     measured = signs[0][2] if consistent and signs else None
@@ -174,11 +213,10 @@ def criterion_3() -> Report:
         tuple(f"{n} (p={p}): {s:+d}" for n, p, s in signs) if not consistent else (),
     )
     # independent two-by-two reading: psi applied to the second basis vector
-    scene = _scene("g2_a1_rank2", 3)
-    psi = p_curvature(inverse_cartier(scene.sheaf))
+    psi = p_curvature(_image("g2_a1_rank2", 3))
     mat = psi.comps["A1"][0]
     oracle = None
-    vars = scene.atlas.chart_vars("A1")
+    vars = _scene("g2_a1_rank2", 3).atlas.chart_vars("A1")
     if mat == PolyMatrix.from_int_rows([[0, -1], [0, 0]], vars, 3):
         oracle = -1
     elif mat == PolyMatrix.from_int_rows([[0, 1], [0, 0]], vars, 3):
@@ -205,6 +243,7 @@ def criterion_3() -> Report:
     return report
 
 
+@_scene_cache()
 def criterion_4() -> Report:
     """Untwisted connections kill p-curvature; descent outputs are nilpotent.
 
@@ -214,13 +253,9 @@ def criterion_4() -> Report:
     report = Report()
     jobs = []
     for p in (3, 5):
-        scene = _scene("g2_a1_rank2", p)
-        jobs.append((f"image of g2_a1_rank2 (p={p})", inverse_cartier(scene.sheaf)))
+        jobs.append((f"image of g2_a1_rank2 (p={p})", _image("g2_a1_rank2", p)))
         # two-chart image, so the gluing commutation check is not vacuous
-        jobs.append(
-            (f"image of g5_p1_uniformizing (p={p})",
-             inverse_cartier(_scene("g5_p1_uniformizing", p).sheaf))
-        )
+        jobs.append((f"image of g5_p1_uniformizing (p={p})", _image("g5_p1_uniformizing", p)))
     for c in (0, 1, 2):
         jobs.append((f"g7_gm_rank1 c={c} (p=3)", _scene("g7_gm_rank1", 3, c=c).sheaf))
     for name, flat in jobs:
@@ -249,25 +284,28 @@ def criterion_4() -> Report:
     return report
 
 
+@_scene_cache()
 def criterion_5() -> Report:
     """Round trip equals the sign-flipped input exactly, on one chart or several.
 
-    A scene whose round trip raises fails its entry, with the error text as
-    witness; the other scenes still run.
+    The converse transform runs on the scene's shared forward image.  A scene
+    whose round trip raises fails its entry, with the error text as witness;
+    the other scenes still run.
     """
     report = Report()
     for p in (3, 5):
-        for name, scene in _higgs_gallery(p):
-            check = f"c5: round trip exactly sign-flips {name} (p={p})"
+        for label, name, options in _higgs_gallery(p):
+            check = f"c5: round trip exactly sign-flips {label} (p={p})"
             try:
-                rep, _ = roundtrip_check(scene.sheaf)
+                ok = cartier(_image(name, p, **options)) == _scene(name, p, **options).sheaf.negated()
             except ValueError as exc:
                 report.add(check, False, (str(exc),))
                 continue
-            report.add(check, rep.ok(), tuple(e.check for e in rep.failures()))
+            report.add(check, ok, () if ok else ("round trip equals sign-flipped input exactly",))
     return report
 
 
+@_scene_cache()
 def criterion_6() -> Report:
     """Descent frames on the three model connections, exact values."""
     report = Report()
@@ -349,6 +387,7 @@ def criterion_9() -> Report:
     return report
 
 
+@_scene_cache()
 def criterion_10() -> Report:
     """Different liftings give forward transforms glued by the homotopy exponential."""
     report = Report()
@@ -356,8 +395,8 @@ def criterion_10() -> Report:
         scene = _scene("g2_a1_rank2", p)
         first, second = {"A1": 0}, {"A1": 1}
         gauges = lift_change_gauge(scene.sheaf, first, second)
-        ok = verify_gauge_witness(inverse_cartier(scene.sheaf, first),
-                                  inverse_cartier(scene.sheaf, second), gauges, flat=True)
+        ok = verify_gauge_witness(_image("g2_a1_rank2", p, first),
+                                  _image("g2_a1_rank2", p, second), gauges, flat=True)
         report.add(
             f"c10: forward transforms under the two liftings are gauge-isomorphic (p={p})",
             ok,
@@ -383,16 +422,14 @@ CRITERIA = (
 def verify_all() -> Report:
     """Every criterion in order; one that raises becomes a failed entry, and the rest still run.
 
-    Each gallery scene is built once for the whole call (`_scene`).
+    Each gallery scene is built once for the whole call (`_scene`), and so is
+    each of its forward images (`_image`).
     """
     report = Report()
-    token = _SCENES.set({})
-    try:
+    with _scene_cache():
         for number, fn in CRITERIA:
             try:
                 report.extend(fn())
             except ValueError as exc:  # every package error is a ValueError
                 report.add(f"c{number}: criterion {number} raised", False, (str(exc),))
-    finally:
-        _SCENES.reset(token)
     return report

@@ -153,11 +153,7 @@ def run_cli(argv: list[str]) -> int:
         if args.command == "fk":
             if args.k is not None and not 1 <= args.k < args.p:
                 raise ValueError(f"--k must lie in 1..p-1, got {args.k} with p={args.p}")
-            report = verify_symmetrized_vanishing([args.p])
-            if args.k is not None:
-                kept = [e for e in report.entries if f"F_{args.k} " in e.check]
-                report = Report(kept)
-            return _emit_report(report, args)
+            return _emit_report(verify_symmetrized_vanishing([args.p], args.k), args)
         if args.command == "taylor":
             if args.trials < 1:
                 raise ValueError(f"--trials must be at least 1, got {args.trials}")

@@ -1,14 +1,20 @@
-"""Brute-force verifiers for the combinatorial identities behind the gluing.
+"""Verifiers for the combinatorial identities behind the gluing.
 
-`f_poly(p, k)` enumerates natural tuples (a_1, ..., a_k) with sum <= p - k
-and sums the products
+`f_poly(p, k)` is the sum over natural tuples (a_1, ..., a_k) with
+sum <= p - k of the products
 
     (1 + T_k)^{a_k} (1 + T_k + T_{k-1})^{a_{k-1}} ... (1 + T_k + ... + T_1)^{a_1}
 
-mod p; `symmetrized_f` sums f over all k! variable permutations, adding the
-permuted terms into one dict.  The symmetrization vanishes mod p for every
-k > 1 (checked by full expansion, no closed form), while k = 1 gives
-T_1^{p-1}.
+mod p.  With S_m = 1 + T_k + ... + T_m that sum is the complete homogeneous
+sum h_{p-k}(1, S_1, ..., S_k), built by the recursion h[d] += S_m h[d-1]:
+k(p-k) products by a linear form.  `symmetrized_f` sums f over all k!
+variable permutations by orbits: the permutations of a sorted exponent
+vector lambda all get |Stab(lambda)| times the sum of the coefficients of
+f on that orbit, and only orbits with a nonzero coefficient mod p are
+expanded.  The symmetrization vanishes mod p for every k > 1 (checked by
+full expansion, no closed form for F_k), while k = 1 gives T_1^{p-1}.  f has
+degree <= p-k in k variables, so at most C(p, k) monomials; `f_poly`
+refuses a (p, k) whose C(p, k) exceeds `MAX_TERMS`.
 
 `taylor_cocycle_identity` checks that the truncated exponential of
 sum_l z_l N_l equals its multi-index Taylor regrouping for commuting
@@ -26,7 +32,7 @@ that unit.
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
 import random
 
@@ -42,7 +48,7 @@ from .ring import (
 )
 from .sheaves import FlatSheaf, curvature, nilpotent_within, p_curvature
 
-MAX_K = 8  # k! symmetrization guard
+MAX_TERMS = 20_000  # the most monomials, C(p, k), that f(p, k) may be expanded to
 
 
 def _t_vars(k: int) -> VarSpec:
@@ -50,67 +56,89 @@ def _t_vars(k: int) -> VarSpec:
 
 
 def f_poly(p: int, k: int) -> LaurentPoly:
-    """The tuple-sum polynomial in T_1..T_k, coefficients mod p."""
-    ctx = PrimeContext(p)
+    """The tuple-sum polynomial in T_1..T_k, coefficients mod p.
+
+    The tuples with a_1 + ... + a_k <= p-k give h_{p-k}(1, S_1, ..., S_k),
+    built one S_m at a time by h[d] += S_m h[d-1] for d = 1..p-k, starting
+    from h_d(1) = 1.  A (p, k) with C(p, k) > MAX_TERMS is refused.
+    """
+    PrimeContext(p)
     if not 1 <= k <= p - 1:
         raise RingError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
+    size = math.comb(p, k)
+    if size > MAX_TERMS:
+        raise RingError(
+            f"f({p}, {k}) may have C({p}, {k}) = {size} monomials, "
+            f"past the expansion limit {MAX_TERMS}"
+        )
     vars = _t_vars(k)
-    one = LaurentPoly.one(vars, p)
-    # S[m] = 1 + T_k + T_{k-1} + ... + T_m  (index m runs 1..k)
-    s_factors: dict[int, LaurentPoly] = {}
-    acc = one
-    for m in range(k, 0, -1):
-        acc = acc + LaurentPoly.var(vars, p, f"T{m}")
-        s_factors[m] = acc
     budget = p - k
-    powers: dict[int, list[LaurentPoly]] = {}
-    for m, s in s_factors.items():
-        pows = [one]
-        for _ in range(budget):
-            pows.append(pows[-1] * s)
-        powers[m] = pows
-    total = LaurentPoly.zero(vars, p)
-    for tup in itertools.product(range(budget + 1), repeat=k):
-        if sum(tup) > budget:
-            continue
-        term = one
-        for m, a in enumerate(tup, start=1):
-            if a:
-                term = term * powers[m][a]
-        total = total + term
-    return total
+    h = [LaurentPoly.one(vars, p)] * (budget + 1)
+    s = h[0]
+    for m in range(k, 0, -1):
+        s = s + LaurentPoly.var(vars, p, f"T{m}")  # S_m = 1 + T_k + ... + T_m
+        for d in range(1, budget + 1):
+            h[d] = h[d] + s * h[d - 1]
+    return h[budget]
 
 
 def symmetrized_f(p: int, k: int) -> LaurentPoly:
-    """Sum of f over all k! variable permutations T_i -> T_sigma(i), in one dict."""
-    if k > MAX_K:
-        raise RingError(f"k={k} exceeds the permutation-enumeration cap {MAX_K}")
+    """Sum of f over all k! variable permutations T_i -> T_sigma(i), by orbits.
+
+    Summed over the k! permutations, every rearrangement of a sorted exponent
+    vector lambda gets |Stab(lambda)| times the sum of f's coefficients over
+    the exponent vectors that sort to lambda.  Only orbits whose coefficient
+    is nonzero mod p are expanded, into their distinct rearrangements.
+    """
     base = f_poly(p, k)
-    terms = base.terms.items()
+    orbits: dict[tuple[int, ...], int] = {}
+    for exps, c in base.terms.items():
+        key = tuple(sorted(exps))
+        orbits[key] = orbits.get(key, 0) + c
     total: dict[tuple[int, ...], int] = {}
-    get = total.get
-    for sigma in itertools.permutations(range(k)):
-        # T_i -> T_sigma(i) moves exponent position i to sigma(i)
-        inverse = sorted(range(k), key=sigma.__getitem__)
-        for exps, c in terms:
-            key = tuple([exps[i] for i in inverse])
-            total[key] = get(key, 0) + c
+    for lam, c in orbits.items():
+        stabilizer = math.prod(math.factorial(lam.count(e)) for e in set(lam))
+        coeff = c * stabilizer % p
+        if coeff:
+            for exps in _rearrangements(lam):
+                total[exps] = coeff
     return LaurentPoly._make(base.vars, p, total)
 
 
-def verify_symmetrized_vanishing(p_list: list[int]) -> Report:
-    """F_k = 0 mod p for 2 <= k <= p-1; the k = 1 value is recorded only."""
+def _rearrangements(lam: tuple[int, ...]):
+    """The distinct rearrangements of a sorted tuple, in lexicographic order."""
+    a = list(lam)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def verify_symmetrized_vanishing(p_list: list[int], k: int | None = None) -> Report:
+    """F_k = 0 mod p for 2 <= k <= p-1; the k = 1 value is recorded only.
+
+    A given k restricts the report to that k (its F_1 observation for k = 1).
+    """
     report = Report()
     for p in p_list:
         PrimeContext(p)  # validates odd prime
-        f1 = symmetrized_f(p, 1)
-        report.skip(f"F_1 observation (p={p})", f"F_1 = {f1}")
-        for k in range(2, p):
-            fk = symmetrized_f(p, k)
+        for kk in range(1, p) if k is None else (k,):
+            fk = symmetrized_f(p, kk)
+            if kk == 1:
+                report.skip(f"F_1 observation (p={p})", f"F_1 = {fk}")
+                continue
             report.add(
-                f"F_{k} = 0 mod {p}",
+                f"F_{kk} = 0 mod {p}",
                 fk.is_zero(),
-                () if fk.is_zero() else (f"F_{k} = {fk}",),
+                () if fk.is_zero() else (f"F_{kk} = {fk}",),
             )
     return report
 

@@ -29,9 +29,12 @@ operands' ring once per call and builds its result with the trusted `_make`
 constructors, which only reduce mod m and drop zeros.  So are the constants
 (`zero`, `const`, `one`, matrix `zero`, `identity` and `from_int_rows`),
 which check only the modulus and the shape.  `subst` checks that every
-image lives in the target ring and builds its result the same way.  The
-other operations that change the ring (`extend_vars`, `reduce_mod`,
-`map_entries`) go through the validating constructors.
+image lives in the target ring and builds its result the same way.  So do
+the other operations that change the ring but keep every exponent valid:
+`reduce_mod` and `divide_by_p` (same variables, a modulus dividing the old
+one), and `extend_vars` onto a VarSpec that only adds inversions.
+`extend_vars` onto fewer inversions and `map_entries` go through the
+validating constructors.
 
 Polynomials and matrices are immutable: nothing writes to `terms`,
 `entries`, `vars` or `modulus` after construction.  A result may therefore
@@ -381,15 +384,23 @@ class LaurentPoly:
         )
 
     def reduce_mod(self, modulus: int) -> "LaurentPoly":
+        if modulus < 2:
+            raise RingError(f"bad modulus {modulus}")
         if self.modulus % modulus != 0:
             raise RingError(f"cannot reduce modulo {modulus} from {self.modulus}")
-        return LaurentPoly(self.vars, modulus, dict(self.terms))
+        return LaurentPoly._make(self.vars, modulus, self.terms)
 
     def extend_vars(self, target: VarSpec) -> "LaurentPoly":
-        """Move to a VarSpec with the same names but possibly more inversions."""
+        """Move to a VarSpec with the same names but possibly more inversions.
+
+        Onto fewer inversions the terms are validated, so a negative exponent
+        on a variable the target does not invert raises.
+        """
         if target.names != self.vars.names:
             raise RingError("extend_vars requires identical variable names")
-        return LaurentPoly(target, self.modulus, dict(self.terms))
+        if target.inverted >= self.vars.inverted:
+            return LaurentPoly._make(target, self.modulus, self.terms)
+        return LaurentPoly(target, self.modulus, self.terms)
 
     def subst(self, images: Mapping[str, "LaurentPoly"], target: VarSpec) -> "LaurentPoly":
         """Substitute each variable by its image polynomial over target vars.
@@ -569,8 +580,8 @@ def divide_by_p(q: LaurentPoly) -> LaurentPoly:
         if c % p != 0:
             mono = LaurentPoly.monomial(q.vars, q.modulus, c, exps)
             raise NotDivisibleError(f"coefficient of term '{mono}' is not divisible by {p}")
-        out[exps] = (c // p) % p
-    return LaurentPoly(q.vars, p, out)
+        out[exps] = c // p
+    return LaurentPoly._make(q.vars, p, out)
 
 
 def invert_poly(u: LaurentPoly) -> LaurentPoly:

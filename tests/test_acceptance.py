@@ -92,6 +92,36 @@ def test_verify_all_builds_each_scene_once_per_call(monkeypatch):
     assert acceptance._SCENES.get() is None
 
 
+def test_verify_all_computes_each_forward_image_once_per_call(monkeypatch):
+    images = []
+    inverse_cartier = acceptance.inverse_cartier
+    monkeypatch.setattr(acceptance, "inverse_cartier",
+                        lambda *args: images.append(args) or inverse_cartier(*args))
+    assert acceptance.verify_all().ok()
+    # 13 gallery images at p = 3, 5, the second g2 lifting at both, c2's two g1 ranks at both
+    assert len(images) == 19
+    images.clear()
+    acceptance.verify_all()  # no image outlives its call
+    assert len(images) == 19
+    images.clear()
+    acceptance.criterion_5()  # on its own, a criterion computes its own images
+    acceptance.criterion_5()
+    assert len(images) == 2 * 13
+    images.clear()
+    acceptance.criterion_10()
+    assert len(images) == 2 * 2
+
+
+def test_criterion_5_names_the_round_trip_check_as_witness(monkeypatch):
+    cartier = acceptance.cartier  # mutant: the round trip returns the input itself
+    monkeypatch.setattr(acceptance, "cartier", lambda flat: cartier(flat).negated())
+    failed = {e.check: e.witness for e in acceptance.criterion_5().failures()}
+    # every scene at p = 3, 5 but g1_trivial and g4_p1_lemma, whose fields are zero
+    assert len(failed) == 9
+    assert not any(name in check for check in failed for name in ("g1_trivial", "g4_p1_lemma"))
+    assert set(failed.values()) == {("round trip equals sign-flipped input exactly",)}
+
+
 def test_verify_all_keeps_the_report_when_a_criterion_raises(monkeypatch):
     def raising():
         raise transforms.TransformError("input is not a valid flat sheaf: connection gluing[U0|U1]")

@@ -12,7 +12,15 @@ from xcartier.atlas import (
     zeta_form,
 )
 from xcartier.gallery import gallery
-from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, divide_by_p, jacobian
+from xcartier.ring import (
+    LaurentPoly,
+    PolyMatrix,
+    PrimeContext,
+    RingError,
+    VarSpec,
+    divide_by_p,
+    jacobian,
+)
 
 T = VarSpec.make(["t"])
 
@@ -159,6 +167,68 @@ def test_lemma_failure_names_exactly_the_entries_using_the_broken_homotopy(monke
     assert all(e.witness for e in rep.failures())
     assert len(rep.entries) == 12 and all(e.status == "pass" for e in rep.entries
                                           if e.check not in failed)
+
+
+def test_lemma_witnesses_of_a_broken_homotopy_are_pinned(monkeypatch):
+    # the mutant of the test above; the witnesses name the failing values
+    atlas = gallery("g3_a1_three_lifts", 5).atlas
+    images = [lift.images for lift in atlas.lifts["A1"]]
+    real_h_pair = xcartier.atlas.h_pair
+
+    def broken_h_pair(vars, img_a, img_b, coord):
+        h = real_h_pair(vars, img_a, img_b, coord)
+        if (img_a, img_b) == (images[0], images[1]):
+            h = h + LaurentPoly.var(vars, 5, coord, 2)
+        return h
+
+    monkeypatch.setattr(xcartier.atlas, "h_pair", broken_h_pair)
+    rep = verify_deligne_illusie(atlas)
+    assert [(e.check, e.witness) for e in rep.failures()] == [
+        ("chart:A1: d(h) = zeta difference [A1#0,A1#1]",
+         ("d h = [2*t + 4]", "zeta_a - zeta_b = [4]")),
+        ("chart:A1: d(h) = zeta difference [A1#1,A1#0]",
+         ("h_ab = (t)", "h_ba = (t^2 + 4*t)")),
+        ("chart:A1: cocycle [A1#0,A1#1,A1#2]",
+         ("h_ab = (t^2 + 4*t), h_bc = (4*t^2 + t)", "h_ac = (4*t^2)")),
+        ("chart:A1: cocycle [A1#0,A1#2,A1#1]",
+         ("h_ab = (4*t^2), h_bc = (t^2 + 4*t)", "h_ac = (t^2 + 4*t)")),
+        ("chart:A1: cocycle [A1#2,A1#0,A1#1]",
+         ("h_ab = (t^2), h_bc = (t^2 + 4*t)", "h_ac = (t^2 + 4*t)")),
+    ]
+
+
+def test_lemma_witnesses_of_a_broken_zeta_form_are_pinned(monkeypatch):
+    # add s to Z[0][0] of the second lifting on the P1 overlap: both of its pairs fail
+    atlas = gallery("g4_p1_lemma", 3).atlas
+    real_zeta_form = xcartier.atlas.zeta_form
+    calls = []
+
+    def broken_zeta_form(vars, images):
+        z = real_zeta_form(vars, images)
+        calls.append(vars)
+        if len(calls) == 2:
+            rows = [list(row) for row in z.entries]
+            rows[0][0] = rows[0][0] + LaurentPoly.var(vars, 3, vars.names[0])
+            z = PolyMatrix(rows)
+        return z
+
+    monkeypatch.setattr(xcartier.atlas, "zeta_form", broken_zeta_form)
+    rep = verify_deligne_illusie(atlas)
+    assert [(e.check, e.status, e.witness) for e in rep.entries] == [
+        ("overlap:U0|U1: d(h) = zeta difference [U0#0,U1#0]", "fail",
+         ("d h = [2*s^4]", "zeta_a - zeta_b = [2*s^4 + 2*s]")),
+        ("overlap:U0|U1: d(h) = zeta difference [U1#0,U0#0]", "fail",
+         ("d h = [s^4]", "zeta_a - zeta_b = [s^4 + s]")),
+    ]
+
+
+def test_lemma_refuses_values_from_two_rings(monkeypatch):
+    atlas = gallery("g3_a1_three_lifts", 3).atlas
+    real_h_pair = xcartier.atlas.h_pair
+    monkeypatch.setattr(xcartier.atlas, "h_pair", lambda vars, a, b, coord: real_h_pair(
+        vars, a, b, coord).extend_vars(VarSpec.make(["t"], ["t"])))
+    with pytest.raises(RingError, match="different rings"):
+        verify_deligne_illusie(atlas)
 
 
 def test_single_lift_atlas_vacuously_passes():

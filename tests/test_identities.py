@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -33,6 +34,41 @@ def test_f_p3_k2_by_hand():
 def test_f_p3_k1_by_hand():
     # 1 + (1+T1) + (1+T1)^2 = 3 + 3 T1 + T1^2
     assert f_poly(3, 1) == LaurentPoly.parse("T1^2", tvars(1), 3)
+
+
+def f_by_tuples(p, k):
+    """The reference: one product chain per tuple (a_1, ..., a_k) with sum <= p - k."""
+    vars = tvars(k)
+    one = LaurentPoly.one(vars, p)
+    s_factors, acc = {}, one  # S_m = 1 + T_k + T_{k-1} + ... + T_m
+    for m in range(k, 0, -1):
+        acc = acc + LaurentPoly.var(vars, p, f"T{m}")
+        s_factors[m] = acc
+    budget = p - k
+    powers = {}
+    for m, s in s_factors.items():
+        pows = [one]
+        for _ in range(budget):
+            pows.append(pows[-1] * s)
+        powers[m] = pows
+    total = LaurentPoly.zero(vars, p)
+    for tup in itertools.product(range(budget + 1), repeat=k):
+        if sum(tup) > budget:
+            continue
+        term = one
+        for m, a in enumerate(tup, start=1):
+            if a:
+                term = term * powers[m][a]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_f_poly_matches_the_tuple_reference(p):
+    ks = [k for k in range(1, p) if math.comb(p, k) <= identities.MAX_TERMS]
+    assert ks == list(range(1, p))  # the bound admits every k at p <= 13
+    for k in ks:
+        assert f_poly(p, k) == f_by_tuples(p, k)
 
 
 def test_f_top_k_only_low_tuples():
@@ -93,13 +129,14 @@ def symmetrized_by_additions(base, k):
     return total
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_symmetrized_f_matches_the_addition_reference(monkeypatch, p):
-    for k in range(1, p):
+    ks = range(1, min(p, 7))  # k <= 6: the reference makes k! additions
+    for k in ks:
         assert symmetrized_f(p, k) == symmetrized_by_additions(f_poly(p, k), k)
     # f symmetrizes to zero for k > 1; an asymmetric base checks the sum itself
     rng = random.Random(p)
-    for k in range(2, p):
+    for k in ks[1:]:
         base = f_poly(p, k) + LaurentPoly(tvars(k), p, {
             tuple(rng.randrange(3) for _ in range(k)): rng.randrange(1, p) for _ in range(3)
         })
@@ -114,7 +151,37 @@ def test_k_out_of_range():
     with pytest.raises(RingError):
         f_poly(5, 0)
     with pytest.raises(RingError):
-        symmetrized_f(23, 9)  # permutation cap
+        symmetrized_f(23, 9)  # C(23, 9) = 817190 monomials, past MAX_TERMS
+
+
+def test_expansion_limit_names_the_size():
+    assert identities.MAX_TERMS == 20_000
+    symmetrized_f(17, 7)  # C(17, 7) = 19448
+    with pytest.raises(RingError, match=r"f\(17, 8\) may have C\(17, 8\) = 24310 monomials"):
+        symmetrized_f(17, 8)
+
+
+def test_symmetrized_f_expands_only_orbits_with_a_nonzero_coefficient(monkeypatch):
+    expanded = []
+    rearrangements = identities._rearrangements
+    monkeypatch.setattr(identities, "_rearrangements",
+                        lambda lam: expanded.append(lam) or rearrangements(lam))
+    assert symmetrized_f(7, 4).is_zero()
+    assert expanded == []
+    # T1 T2^2: one orbit of 3 rearrangements, stabilizer 1
+    base = LaurentPoly.parse("T1*T2^2", tvars(3), 7)
+    monkeypatch.setattr(identities, "f_poly", lambda p, k: base)
+    assert symmetrized_f(7, 3) == LaurentPoly.parse(
+        "T1*T2^2 + T1^2*T2 + T1*T3^2 + T1^2*T3 + T2*T3^2 + T2^2*T3", tvars(3), 7)
+    assert expanded == [(0, 1, 2)]
+
+
+def test_symmetrized_vanishing_for_one_k():
+    rep = verify_symmetrized_vanishing([11], 9)
+    assert [(e.check, e.status) for e in rep.entries] == [("F_9 = 0 mod 11", "pass")]
+    rep = verify_symmetrized_vanishing([5], 1)
+    assert [(e.check, e.status, e.witness) for e in rep.entries] == [
+        ("F_1 observation (p=5)", "skip", ("F_1 = T1^4",))]
 
 
 # ---------------------------------------------------------------- Taylor

@@ -213,6 +213,45 @@ def test_divide_by_p_inverts_multiplication(f):
     assert divide_by_p(lifted) == f
 
 
+# ------------------------------------------------- ring changes by _make
+
+
+def test_extend_vars_onto_fewer_inversions_still_validates():
+    f = poly("t^-1 + 1", T_INV)
+    assert f.extend_vars(T_INV) == f
+    with pytest.raises(RingError, match="negative exponent"):
+        f.extend_vars(T)
+    assert poly("t + 1", T_INV).extend_vars(T) == poly("t + 1")
+    with pytest.raises(RingError, match="identical variable names"):
+        f.extend_vars(W_INV)
+
+
+def test_reduce_mod_by_a_non_divisor_still_raises():
+    f = poly("4*t + 1", T, 9)
+    assert f.reduce_mod(3) == poly("t + 1")
+    for m in (2, 5, 27):
+        with pytest.raises(RingError, match=f"cannot reduce modulo {m} from 9"):
+            f.reduce_mod(m)
+    for m in (1, 0, -3):
+        with pytest.raises(RingError, match="bad modulus"):
+            f.reduce_mod(m)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_trusted_ring_changes_equal_the_validated_construction(data):
+    vars, m = data.draw(rings())
+    p = 3 if m in (3, 9) else 5 if m in (5, 25) else 7
+    f = data.draw(laurent_polys(vars, m))
+    assert f.reduce_mod(p) == LaurentPoly(vars, p, f.terms)
+    wider = vars.with_inverted(data.draw(st.sets(st.sampled_from(vars.names))))
+    assert f.extend_vars(wider) == LaurentPoly(wider, m, f.terms)
+    lifted = LaurentPoly(vars, p * p, f.reduce_mod(p).terms) * p
+    assert divide_by_p(lifted) == LaurentPoly(vars, p, f.reduce_mod(p).terms)
+    for r in (f.reduce_mod(p), f.extend_vars(wider), divide_by_p(lifted)):
+        assert_canonical(r)
+
+
 # ---------------------------------------------------------------- invert_unit
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -218,6 +219,49 @@ def test_cli_fk(capsys):
     assert run_cli(["fk", "--p", "5"]) == 0
     out = capsys.readouterr().out
     assert "F_2 = 0 mod 5" in out and "F_4 = 0 mod 5" in out
+
+
+def test_cli_fk_computes_only_the_requested_k(capsys, monkeypatch):
+    import xcartier.identities
+
+    computed = []
+    symmetrized_f = xcartier.identities.symmetrized_f
+    monkeypatch.setattr(xcartier.identities, "symmetrized_f",
+                        lambda p, k: computed.append((p, k)) or symmetrized_f(p, k))
+    assert run_cli(["fk", "--p", "11", "--k", "2"]) == 0
+    assert capsys.readouterr().out == "[PASS] F_2 = 0 mod 11\noverall: pass\n"
+    assert computed == [(11, 2)]
+    # each k's report is the k's lines of the full report
+    for p in (3, 5, 7):
+        assert run_cli(["fk", "--p", str(p)]) == 0
+        full = capsys.readouterr().out.splitlines()
+        for k in range(1, p):
+            assert run_cli(["fk", "--p", str(p), "--k", str(k)]) == 0
+            want = [line for line in full[:-1] if f"F_{k} " in line] + full[-1:]
+            assert capsys.readouterr().out.splitlines() == want
+
+
+# md5 of the --json reports; the lemma reports name no prime, so one digest per scene
+FK_JSON_MD5 = {
+    3: "0fc40cd68cc809fa717a3bcc75eaf772",
+    5: "d708f6490e3224aacf6c56e5fa9d78c7",
+    7: "87fda57602171be85355462f0b2402c6",
+}
+LEMMA_JSON_MD5 = {
+    "g3_a1_three_lifts": "01f0aba95fb4ec19859a9be82d4b0f66",
+    "g4_p1_lemma": "4ca370beaf549adc0ea51e39a29a7ece",
+    "g5_p1_uniformizing": "4ca370beaf549adc0ea51e39a29a7ece",
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cli_fk_and_lemma_json_reports_are_pinned(tmp_path, capsys, p):
+    assert run_cli(["fk", "--p", str(p), "--json"]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == FK_JSON_MD5[p]
+    for name, digest in LEMMA_JSON_MD5.items():
+        scene = write_scene(tmp_path, name, p)
+        assert run_cli(["lemma", "--scene", scene, "--trials", "20", "--seed", "0", "--json"]) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_taylor_and_wilson(capsys):
