@@ -46,29 +46,32 @@ from .transforms import (
 def perturbed_atlas(atlas: Atlas, seed: int) -> Atlas:
     """Replace every lifting image F(t) by F(t) + p*r(t) with seeded random r of degree <= 3.
 
-    The result shares the source atlas's charts and Overlap objects, so only
-    the replaced liftings are validated; the overlaps are the caller's to
-    validate, once per source atlas.
+    r(t) = sum_e r_e t^e, e = 0..3, in the image's own coordinate t, with
+    r_e drawn in that order.  The noise is added to the image's terms, and
+    the result built in the image's ring with the trusted `_make`, so
+    `validate_lifts` is what checks every new image: its ring, and that it
+    is congruent to t^p mod p.  The result shares the source atlas's charts
+    and Overlap objects, so only the replaced liftings are validated; the
+    overlaps are the caller's to validate, once per source atlas.
     """
-    ctx = atlas.ctx
+    p = atlas.ctx.p
     rng = random.Random(seed)
-    out = Atlas(ctx)
+    out = Atlas(atlas.ctx)
     for name, chart in atlas.charts.items():
         out.add_chart(name, chart.vars)
     for ov in atlas.overlaps.values():
         out.add_overlap(ov)
     for name, lifts in atlas.lifts.items():
         vars = atlas.charts[name].vars
+        n = vars.arity
+        noise_exps = [[(0,) * k + (e,) + (0,) * (n - k - 1) for e in range(4)] for k in range(n)]
         for lift in lifts:
             images = {}
             for coord, img in lift.images.items():
-                k = vars.index(coord)
-                noise = LaurentPoly(vars, ctx.p2, {
-                    tuple(e if i == k else 0 for i in range(vars.arity)):
-                        ctx.p * rng.randrange(ctx.p)
-                    for e in range(4)
-                })
-                images[coord] = img + noise
+                terms = dict(img.terms)
+                for exps in noise_exps[vars.index(coord)]:
+                    terms[exps] = terms.get(exps, 0) + p * rng.randrange(p)
+                images[coord] = LaurentPoly._make(img.vars, img.modulus, terms)
             out.add_lift(FrobLift(name, images))
     out.validate_lifts()
     return out
@@ -146,8 +149,11 @@ def _higgs_gallery(p: int) -> list[tuple[str, str, dict]]:
 def criterion_1() -> Report:
     """Lifting-homotopy identities on g3 and g4, plus 20 perturbed liftings.
 
-    Each source atlas is validated once; its perturbed copies share its
-    overlaps and validate only their own liftings.
+    Each source atlas is validated once; its 20 perturbed copies
+    (`perturbed_atlas`, seeds 0-19) are built afresh on every call, share its
+    overlaps and validate only their own liftings.  On the P1 scene each copy
+    transports its liftings to the overlap again (`lift_on_overlap`, a real
+    substitution), so the lemma is checked on the transported images too.
     """
     report = Report()
     for p in (3, 5, 7):
@@ -359,7 +365,13 @@ def criterion_7() -> Report:
 
 
 def criterion_8() -> Report:
-    """Truncated exponential equals its multi-index Taylor regrouping on 50 families."""
+    """Truncated exponential equals its multi-index Taylor regrouping on 50 families.
+
+    Every call draws its 50 seeded families per prime afresh
+    (`commuting_nilpotent_family`) and checks each one with
+    `taylor_cocycle_identity`: commutation, joint nilpotency, then
+    `trunc_exp` of sum_l z_l N_l against the regrouping.
+    """
     report = Report()
     for p in (3, 5):
         ctx = PrimeContext(p)

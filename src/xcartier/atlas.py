@@ -21,9 +21,14 @@ h_ab[j] = (F_a(t_j) - F_b(t_j))/p, and
     h_ab + h_bc = h_ac                 (cocycle identity)
 
 `verify_deligne_illusie` checks both, and h_ba = -h_ab, on every ordered
-pair and triple of liftings of a chart or overlap.  After one ring check per
-domain it compares reduced term dicts; the Jacobian and difference matrices
-and the vectors' text are built only for the witness of a failed entry.
+pair and triple of liftings of a chart or overlap.  It takes Z and h from
+`zeta_form` and `h_pair`, the functions the twist uses, which divide by p
+straight from the terms of the derivative and of the difference.  After one
+ring check per domain it compares reduced term dicts (d(h_ab) + Z_b with
+Z_a); the Jacobian and difference matrices and the vectors' text are built
+only for the witness of a failed entry.  `validate_lifts` and the check of a
+transported lifting compare the reduced terms of each image with those of
+t^p, written down directly.
 
 None of this depends on a sheaf, so an `Atlas` keeps it in one private memo,
 filled on first use: `zeta_form` per (chart, lifting index), the
@@ -51,8 +56,9 @@ from .ring import (
     VarSpec,
     _check_ring,
     _deriv_terms,
+    _divided_by_p,
+    _reduced_terms,
     _sum_terms,
-    divide_by_p,
     jacobian,
 )
 
@@ -186,14 +192,13 @@ class Atlas:
             if not lifts:
                 raise AtlasError(f"chart {name!r} has no Frobenius lifting")
             vars = self.charts[name].vars
-            powers = {coord: LaurentPoly.var(vars, p, coord) ** p for coord in vars.names}
             for lift in lifts:
                 if set(lift.images) != set(vars.names):
                     raise AtlasError(f"lift on {name!r} must cover coordinates {vars.names}")
                 for coord, img in lift.images.items():
                     if img.modulus != p2 or img.vars != vars:
                         raise AtlasError(f"lift image of {coord!r} on {name!r}: wrong ring")
-                    if img.reduce_mod(p) != powers[coord]:
+                    if _reduced_terms(img.terms, p) != _pth_power(vars, coord, p):
                         raise AtlasError(
                             f"lift image of {coord!r} on {name!r} is '{img}', "
                             f"not congruent to {coord}^{p} mod {p}"
@@ -237,6 +242,12 @@ class Atlas:
             raise AtlasError(f"overlap {ov.pair}: coordinate-change Jacobian is not a unit")
 
 
+def _pth_power(vars: VarSpec, coord: str, p: int) -> dict:
+    """The terms of coord^p over vars."""
+    k = vars.index(coord)
+    return {(0,) * k + (p,) + (0,) * (vars.arity - k - 1): 1}
+
+
 # ---------- coordinate changes ----------
 
 
@@ -255,10 +266,18 @@ def pull_beta_function(ov: Overlap, f: LaurentPoly) -> LaurentPoly:
 
 
 def zeta_form(vars: VarSpec, images: dict[str, LaurentPoly]) -> PolyMatrix:
-    """Z[j][i] = d_i F(t_j)/p: row j is zeta(1 (x) dt_j) as a mod-p 1-form."""
-    return PolyMatrix([
-        [divide_by_p(images[coord].deriv(name)) for name in vars.names] for coord in vars.names
-    ])
+    """Z[j][i] = d_i F(t_j)/p: row j is zeta(1 (x) dt_j) as a mod-p 1-form.
+
+    Each entry is divided by p straight from the derivative's terms.
+    """
+    rows = []
+    for coord in vars.names:
+        img = images[coord]
+        rows.append([
+            _divided_by_p(img.vars, img.modulus, _deriv_terms(img.terms, img.vars.index(name)))
+            for name in vars.names
+        ])
+    return PolyMatrix(rows)
 
 
 def h_pair(
@@ -267,8 +286,13 @@ def h_pair(
     images_b: dict[str, LaurentPoly],
     coord: str,
 ) -> LaurentPoly:
-    """h_ab(1 (x) dt_coord) = (F_a(t) - F_b(t))/p as a mod-p function."""
-    return divide_by_p(images_a[coord] - images_b[coord])
+    """h_ab(1 (x) dt_coord) = (F_a(t) - F_b(t))/p as a mod-p function.
+
+    The difference is divided by p straight from its terms.
+    """
+    a, b = images_a[coord], images_b[coord]
+    _check_ring(a, b)
+    return _divided_by_p(a.vars, a.modulus, _sum_terms(a.terms, b.terms, -1))
 
 
 def lift_on_overlap(atlas: Atlas, ov: Overlap, lift: FrobLift) -> dict[str, LaurentPoly]:
@@ -276,7 +300,9 @@ def lift_on_overlap(atlas: Atlas, ov: Overlap, lift: FrobLift) -> dict[str, Laur
 
     For a lifting on the alpha chart this is just localization.  For one on
     the beta chart, each alpha coordinate u is written in beta coordinates
-    mod p**2, pushed through the lifted Frobenius there, and pulled back.
+    mod p**2, pushed through the lifted Frobenius there, and pulled back:
+    two substitutions, whose unit inversions are `invert_unit`'s monomial
+    shifts.  Each image must reduce to u^p mod p.
     """
     p, p2 = atlas.ctx.p, atlas.ctx.p2
     if lift.chart == ov.alpha:
@@ -292,8 +318,7 @@ def lift_on_overlap(atlas: Atlas, ov: Overlap, lift: FrobLift) -> dict[str, Laur
     else:
         raise AtlasError(f"lifting on {lift.chart!r} does not live on overlap {ov.pair}")
     for u, img in out.items():
-        expected = LaurentPoly.var(ov.alpha_vars, p, u) ** p
-        if img.reduce_mod(p) != expected:
+        if _reduced_terms(img.terms, p) != _pth_power(ov.alpha_vars, u, p):
             raise AtlasError(
                 f"transported lifting is corrupt: image of {u!r} is '{img}' mod {p2}"
             )
@@ -323,7 +348,7 @@ def verify_deligne_illusie(atlas: Atlas) -> Report:
     """Check both homotopy identities for all ordered lift pairs and triples.
 
     On each domain every `zeta_form` and `h_pair` value is checked once to
-    live in one ring; then d(h_ab) and zeta_a - zeta_b, h_ba and -h_ab, and
+    live in one ring; then d(h_ab) + zeta_b and zeta_a, h_ba and -h_ab, and
     h_ab + h_bc and h_ac are compared as reduced term dicts.  The matrices
     and vectors of a witness are built only for a failed entry.
     """
@@ -340,21 +365,20 @@ def verify_deligne_illusie(atlas: Atlas) -> Report:
         for x in itertools.chain(zetas.values(), *h.values()):
             _check_ring(ring, x)
         m, n = ring.modulus, ring.vars.arity
-        z_terms = {tag: [[x.terms for x in row] for row in z.entries] for tag, z in zetas.items()}
+        z_terms = {tag: z.term_grid() for tag, z in zetas.items()}
         h_terms = {pair: [x.terms for x in hs] for pair, hs in h.items()}
         for a, b in itertools.permutations(zetas, 2):
             hab, za, zb = h_terms[a, b], z_terms[a], z_terms[b]
             witness = ()
-            if any(_reduced(_deriv_terms(hab[j], i), m)
-                   != _reduced(_sum_terms(za[j][i], zb[j][i], -1), m)
-                   for j in range(len(hab)) for i in range(n)):
+            if any(_reduced_terms(_sum_terms(_deriv_terms(hab[j], i), zb[j][i], 1), m) != za[j][i]
+                   for j in range(len(hab)) for i in range(n)):  # d h_ab + zeta_b = zeta_a
                 dh, diff = jacobian(h[a, b]), zetas[a] - zetas[b]
                 witness = (f"d h = {dh}", f"zeta_a - zeta_b = {diff}")
             elif h_terms[b, a] != [{e: m - c for e, c in x.items()} for x in hab]:  # -h_ab
                 witness = (f"h_ab = {_vector(h[a, b])}", f"h_ba = {_vector(h[b, a])}")
             report.add(f"{label}: d(h) = zeta difference [{a},{b}]", not witness, witness)
         for a, b, c in itertools.permutations(zetas, 3):
-            ok = [_reduced(_sum_terms(x, y, 1), m)
+            ok = [_reduced_terms(_sum_terms(x, y, 1), m)
                   for x, y in zip(h_terms[a, b], h_terms[b, c])] == h_terms[a, c]
             witness = () if ok else (
                 f"h_ab = {_vector(h[a, b])}, h_bc = {_vector(h[b, c])}",
@@ -364,11 +388,6 @@ def verify_deligne_illusie(atlas: Atlas) -> Report:
     if not found_any:
         report.skip("no lift pairs available", "atlas has a single lifting per domain")
     return report
-
-
-def _reduced(terms: dict, m: int) -> dict:
-    """terms mod m without the zero coefficients."""
-    return {e: r for e, c in terms.items() if (r := c % m)}
 
 
 def _vector(fs: list[LaurentPoly]) -> str:

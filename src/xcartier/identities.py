@@ -17,14 +17,17 @@ degree <= p-k in k variables, so at most C(p, k) monomials; `f_poly`
 refuses a (p, k) whose C(p, k) exceeds `MAX_TERMS`.
 
 `taylor_cocycle_identity` checks that the truncated exponential of
-sum_l z_l N_l equals its multi-index Taylor regrouping for commuting
-jointly-nilpotent matrices N_l.  The regrouping walks the multi-indices
-depth-first over power tables that stop at the first zero power, so a
-prefix of too much weight or with a zero product is not extended.  Both
-sides' sums (sum_l z_l N_l, and the regrouping's terms N^j z^j / j!) are
-one `PolyMatrix.combine` each, accumulated on one grid of term dicts.  The
-seeded families q_l(N) of one Jordan block N are built directly as
-upper-triangular Toeplitz matrices, whose zero entries share one zero.
+sum_l z_l N_l (`trunc_exp`, the package's own) equals its multi-index
+Taylor regrouping for commuting jointly-nilpotent matrices N_l; it first
+checks that the N_l commute (`curvature`, which compares the products) and
+are jointly nilpotent (`nilpotent_within`).  The regrouping walks the
+multi-indices depth-first over power tables that stop at the first zero
+power, so a prefix of too much weight or with a zero product is not
+extended.  The walk runs on reduced term dicts: the powers and prefix
+products N^j on grids of them, the z^j / j! on single dicts, and every
+N^j z^j / j! is added into one grid, from which one matrix is built at the
+end.  The seeded families q_l(N) of one Jordan block N are built directly
+as upper-triangular Toeplitz matrices over p shared constants, 0 to p-1.
 `wilson_unit_check` verifies the derivative identity d^{p-1}(t^{p-1}) = -1
 together with the rank-two model connection whose p-curvature realizes
 that unit.
@@ -44,6 +47,10 @@ from .ring import (
     PrimeContext,
     RingError,
     VarSpec,
+    _grid_is_zero,
+    _product_terms,
+    _reduced_grid_product,
+    _reduced_terms,
     trunc_exp,
 )
 from .sheaves import FlatSheaf, curvature, nilpotent_within, p_curvature
@@ -163,12 +170,12 @@ def taylor_cocycle_identity(
     return trunc_exp(total, ctx) == _taylor_sum(ctx, nilpotents, functions)
 
 
-def _powers(x, top: int, times) -> list:
+def _powers(x, top: int, times, is_zero) -> list:
     """[x, x^2, ..., x^top] under the product `times`, cut before the first zero power."""
     out = [x]
-    while len(out) < top and not out[-1].is_zero():
+    while len(out) < top and not is_zero(out[-1]):
         out.append(times(out[-1], x))
-    return out[:-1] if out[-1].is_zero() else out
+    return out[:-1] if is_zero(out[-1]) else out
 
 
 def _taylor_sum(
@@ -177,35 +184,55 @@ def _taylor_sum(
     """1 + sum over multi-indices j of weight 1..p-2 of N^j z^j / j!.
 
     The multi-indices are walked depth-first, one coordinate l at a time,
-    extending the products N^j and z^j of the prefix; a prefix whose weight
-    reaches p-2 or whose product is zero has no further nonzero extensions.
+    extending the products N^j and z^j / j! of the prefix by N_l^k and
+    z_l^k / k!; a prefix whose weight reaches p-2 or whose product is zero
+    has no further nonzero extensions (1/k! is a unit for k < p).  The walk
+    runs on reduced term dicts, grids of them for the matrices, adds every
+    N^j z^j / j! into one grid and builds the matrix at the end.
     """
     p = ctx.p
     vars, n = nilpotents[0].vars, nilpotents[0].rows
     top = p - 2
-    mat_powers = [_powers(nl, top, operator.matmul) for nl in nilpotents]
-    fn_powers = [_powers(z, top, operator.mul) for z in functions]
     inv_fact = ctx.inv_factorials
-    d = len(nilpotents)
-    terms = [(1, PolyMatrix.identity(n, vars, p))]
 
-    def walk(l: int, weight: int, mat, scalar, coeff: int) -> None:
+    def times(a, b):
+        return _reduced_terms(_product_terms({}, a, b), p)
+
+    def grid_times(a, b):
+        return _reduced_grid_product(a, b, p)
+
+    # per coordinate l: (k, N_l^k, z_l^k / k!) for k = 1.. while both are nonzero
+    steps = []
+    for nl, z in zip(nilpotents, functions):
+        mat_powers = _powers(nl.term_grid(), top, grid_times, _grid_is_zero)
+        fn_powers = _powers(z.terms, len(mat_powers), times, operator.not_)
+        steps.append([(k, mp, _reduced_terms({e: c * inv_fact[k] for e, c in fp.items()}, p))
+                      for k, (mp, fp) in enumerate(zip(mat_powers, fn_powers), start=1)])
+    d = len(steps)
+    total = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        total[i][i][(0,) * vars.arity] = 1
+
+    def walk(l: int, weight: int, mat, scalar) -> None:
         if l == d:
             if weight:
-                terms.append((scalar * coeff, mat))
+                for acc_row, row in zip(total, mat):
+                    for acc, x in zip(acc_row, row):
+                        if x:
+                            _product_terms(acc, x, scalar)
             return
-        walk(l + 1, weight, mat, scalar, coeff)  # j_l = 0
-        for jl, (mp, fp) in enumerate(zip(mat_powers[l], fn_powers[l]), start=1):
-            if weight + jl > top:
+        walk(l + 1, weight, mat, scalar)  # j_l = 0
+        for k, mp, fp in steps[l]:
+            if weight + k > top:
                 break
-            m = mp if mat is None else mat @ mp
-            z = fp if scalar is None else scalar * fp
-            if m.is_zero() or z.is_zero():
+            m = mp if mat is None else grid_times(mat, mp)
+            z = fp if scalar is None else times(scalar, fp)
+            if _grid_is_zero(m) or not z:
                 break  # every higher power of N_l or z_l extends this zero
-            walk(l + 1, weight + jl, m, z, coeff * inv_fact[jl] % p)
+            walk(l + 1, weight + k, m, z)
 
-    walk(0, 0, None, None, 1)
-    return PolyMatrix.combine(terms)
+    walk(0, 0, None, None)
+    return PolyMatrix._from_terms(total, vars, p)
 
 
 def commuting_nilpotent_family(
@@ -216,17 +243,20 @@ def commuting_nilpotent_family(
     Zero constant terms in the q_l guarantee commutativity and the joint
     nilpotency bound (block size drawn from 2..p-1) cheaply.  q(N) =
     sum_{k >= 1} c_k N^k is the upper-triangular Toeplitz matrix with c_k
-    on the k-th superdiagonal.
+    on the k-th superdiagonal; its entries are p constants shared by the
+    whole family, the zero one included.
     """
     p = ctx.p
     rng = random.Random(seed)
     size = rng.randint(2, p - 1)
     vars = VarSpec.make(["t"])
+    consts = [LaurentPoly._make(vars, p, {(0,): c}) for c in range(p)]  # consts[0] is zero
     mats = []
     for _ in range(count):
         c = [0] + [rng.randrange(p) for _ in range(1, size)]
-        mats.append(PolyMatrix.from_int_rows(
-            [[c[j - i] if j > i else 0 for j in range(size)] for i in range(size)], vars, p
+        mats.append(PolyMatrix._make(
+            tuple(tuple(consts[c[j - i] if j > i else 0] for j in range(size))
+                  for i in range(size)), vars, p
         ))
     funcs = [
         LaurentPoly._make(vars, p, {(e,): rng.randrange(p) for e in range(4)})

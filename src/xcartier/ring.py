@@ -32,7 +32,9 @@ which check only the modulus and the shape.  `subst` checks that every
 image lives in the target ring and builds its result the same way.  So do
 the other operations that change the ring but keep every exponent valid:
 `reduce_mod` and `divide_by_p` (same variables, a modulus dividing the old
-one), and `extend_vars` onto a VarSpec that only adds inversions.
+one; `_divided_by_p` divides unreduced terms, the atlas's derivatives and
+differences, without building them first), and `extend_vars` onto a
+VarSpec that only adds inversions.
 `extend_vars` onto fewer inversions and `map_entries` go through the
 validating constructors.
 
@@ -45,7 +47,10 @@ The same-ring kernels use this to skip zeros, always after their ring check:
 - matrix `+` and `-` keep the entry beside a zero entry, and negation,
   `scale`, `deriv` and `frobenius` keep zero entries;
 - `@` and `nabla_power` multiply only pairs of nonzero entries, and the
-  entries that get no term share one zero per result matrix;
+  entries that get no term share one zero per result matrix; `@` is
+  `_grid_product` on the entries' term grids, which the Taylor check and
+  the nilpotency squarings also run without building polynomials, and
+  `commutes_with` compares both products as reduced grids;
 - `nabla_power` runs its n steps on raw term dicts, builds polynomials only
   for its result, and never writes to an operand's term dicts;
 - `combine` (sum_k s_k M_k, behind `trunc_exp` and the Taylor check) adds
@@ -54,7 +59,10 @@ The same-ring kernels use this to skip zeros, always after their ring check:
   contribution has s_k = 1 is that operand's entry, and the entries with
   none share one zero, as do the zero entries of `from_int_rows`;
 - `subst` keeps its image powers as term dicts and accumulates every term
-  into one dict, building one polynomial at the end.
+  into one dict, building one polynomial at the end;
+- a power of a single term c t^e, negative ones of a unit included, is
+  c^n t^(n e) directly, and `invert_unit` multiplies by the monomial m^-1
+  by shifting exponents, so its one polynomial product is its check.
 `VarSpec.make` and `with_inverted` intern one VarSpec per (names, inverted),
 so the ring check is usually an identity test; a directly built VarSpec still
 compares equal.
@@ -343,13 +351,15 @@ class LaurentPoly:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            return invert_poly(self) ** (-n)
-        if len(self.terms) == 1:  # (c t^e)^n = c^n t^(n e)
+        if n == 1:
+            return self
+        if len(self.terms) == 1 and (n >= 0 or self.is_unit()):  # (c t^e)^n = c^n t^(n e)
             (exps, c), = self.terms.items()
             return LaurentPoly._make(
                 self.vars, self.modulus, {tuple(n * e for e in exps): pow(c, n, self.modulus)}
             )
+        if n < 0:
+            return invert_poly(self) ** (-n)
         result = LaurentPoly._make(self.vars, self.modulus, {(0,) * self.vars.arity: 1})
         base = self
         while n:
@@ -538,6 +548,41 @@ def _deriv_terms(terms: dict, i: int) -> dict:
     }
 
 
+def _reduced_terms(terms: dict, m: int) -> dict:
+    """terms mod m without the zero coefficients."""
+    return {e: r for e, c in terms.items() if (r := c % m)}
+
+
+def _grid_product(a: list[list[dict]], b: list[list[dict]]) -> list[list[dict]]:
+    """The unreduced term grid of the matrix product of two grids of term dicts.
+
+    Only pairs of nonzero entries are multiplied, each entry's products
+    accumulated in one fresh dict.
+    """
+    cols = [[(k, tb) for k, tb in enumerate(col) if tb] for col in zip(*b)]
+    grid = []
+    for row in a:
+        new_row = []
+        for col in cols:
+            acc: dict[tuple[int, ...], int] = {}
+            for k, tb in col:
+                if ta := row[k]:
+                    _product_terms(acc, ta, tb)
+            new_row.append(acc)
+        grid.append(new_row)
+    return grid
+
+
+def _reduced_grid_product(a: list[list[dict]], b: list[list[dict]], m: int) -> list[list[dict]]:
+    """`_grid_product` with every entry reduced mod m."""
+    return [[_reduced_terms(x, m) if x else x for x in row] for row in _grid_product(a, b)]
+
+
+def _grid_is_zero(grid: list[list[dict]]) -> bool:
+    """Whether a grid of reduced term dicts is the zero matrix."""
+    return not any(any(row) for row in grid)
+
+
 def _product_terms(out: dict, a: dict, b: dict) -> dict:
     """Accumulate the unreduced terms of a*b into out.
 
@@ -572,16 +617,25 @@ def _product_terms(out: dict, a: dict, b: dict) -> dict:
 
 def divide_by_p(q: LaurentPoly) -> LaurentPoly:
     """Divide a mod-p**2 polynomial with p-divisible coefficients by p."""
-    p, level = char_of_modulus(q.modulus)
+    return _divided_by_p(q.vars, q.modulus, q.terms)
+
+
+def _divided_by_p(vars: VarSpec, modulus: int, terms: dict) -> LaurentPoly:
+    """divide_by_p of the mod-p**2 polynomial with the unreduced terms over vars.
+
+    The exponent vectors must already be valid for vars.
+    """
+    p, level = char_of_modulus(modulus)
     if level != 2:
         raise RingError("divide_by_p expects a mod-p**2 polynomial")
     out = {}
-    for exps, c in q.terms.items():
-        if c % p != 0:
-            mono = LaurentPoly.monomial(q.vars, q.modulus, c, exps)
-            raise NotDivisibleError(f"coefficient of term '{mono}' is not divisible by {p}")
-        out[exps] = c // p
-    return LaurentPoly._make(q.vars, p, out)
+    for exps, c in terms.items():
+        if c := c % modulus:
+            if c % p != 0:
+                mono = LaurentPoly.monomial(vars, modulus, c, exps)
+                raise NotDivisibleError(f"coefficient of term '{mono}' is not divisible by {p}")
+            out[exps] = c // p
+    return LaurentPoly._make(vars, p, out)
 
 
 def invert_poly(u: LaurentPoly) -> LaurentPoly:
@@ -605,7 +659,13 @@ def invert_poly(u: LaurentPoly) -> LaurentPoly:
 
 
 def invert_unit(u: LaurentPoly) -> LaurentPoly:
-    """Invert a mod-p**2 unit of shape m*(1 + p*x), m a monomial unit."""
+    """Invert a mod-p**2 unit of shape m*(1 + p*x), m a monomial unit.
+
+    With v = m^-1 u = 1 + p*x the inverse is m^-1 (2 - v), because
+    (1 + p*x)(1 - p*x) = 1 mod p**2.  Both products by the monomial m^-1
+    shift exponents and scale coefficients; the one polynomial product is
+    the check u * u^-1 = 1.
+    """
     p, level = char_of_modulus(u.modulus)
     if level != 2:
         raise RingError("invert_unit expects a mod-p**2 polynomial")
@@ -618,12 +678,17 @@ def invert_unit(u: LaurentPoly) -> LaurentPoly:
         m_inv = LaurentPoly.monomial(u.vars, p2, pow(c0, -1, p2), tuple(-e for e in e0))
     except RingError as exc:
         raise NotAUnitError(f"'{u}' is not of unit shape: {exc}") from exc
-    v = m_inv * u  # expected 1 + p*x
-    rest = v - LaurentPoly.one(u.vars, p2)
-    if any(c % p != 0 for c in rest.terms.values()):
+    (shift, c_inv), = m_inv.terms.items()
+
+    def times_m_inv(terms: dict) -> dict:  # shifting exponents is injective
+        return {tuple(map(add, e, shift)): c * c_inv for e, c in terms.items()}
+
+    v = _reduced_terms(times_m_inv(u.terms), p2)  # expected 1 + p*x
+    one = (0,) * u.vars.arity
+    if v.get(one) != 1 or any(c % p != 0 for e, c in v.items() if e != one):
         raise NotAUnitError(f"'{u}' is not of unit shape m*(1 + p*x)")
-    two_minus_v = LaurentPoly.const(u.vars, p2, 2) - v  # (1+p*x)^-1 = 1-p*x
-    inv = m_inv * two_minus_v
+    two_minus_v = {e: 1 if e == one else -c for e, c in v.items()}  # (1+p*x)^-1 = 1-p*x
+    inv = LaurentPoly._make(u.vars, p2, times_m_inv(two_minus_v))
     if not (u * inv).is_one():
         raise NotAUnitError(f"inversion of '{u}' failed its product check")
     return inv
@@ -684,6 +749,10 @@ class PolyMatrix:
                     new_row.append(zero)
             rows.append(tuple(new_row))
         return PolyMatrix._make(tuple(rows), vars, modulus)
+
+    def term_grid(self) -> list[list[dict]]:
+        """The rows of entry term dicts, for the kernels on raw terms; not to be written to."""
+        return [[x.terms for x in row] for row in self.entries]
 
     # ---------- constructors ----------
 
@@ -766,19 +835,8 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise RingError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         _check_ring(self, other)
-        cols = [[(k, b.terms) for k, b in enumerate(col) if b.terms] for col in zip(*other.entries)]
-        grid = []
-        for row in self.entries:
-            row_terms = [a.terms for a in row]
-            new_row = []
-            for col in cols:
-                acc: dict[tuple[int, ...], int] = {}
-                for k, tb in col:
-                    if ta := row_terms[k]:
-                        _product_terms(acc, ta, tb)
-                new_row.append(acc)
-            grid.append(new_row)
-        return PolyMatrix._from_terms(grid, self.vars, self.modulus)
+        return PolyMatrix._from_terms(
+            _grid_product(self.term_grid(), other.term_grid()), self.vars, self.modulus)
 
     def nabla(self, A: "PolyMatrix", name: str) -> "PolyMatrix":
         """d/d(name) self + A @ self: one step of the connection d + A along
@@ -907,6 +965,21 @@ class PolyMatrix:
 
     def commutator(self, other: "PolyMatrix") -> "PolyMatrix":
         return self @ other - other @ self
+
+    def commutes_with(self, other: "PolyMatrix") -> bool:
+        """self @ other == other @ self, after the shape and ring checks of both
+        products; the products are compared as reduced term grids, and no
+        polynomial is built."""
+        for a, b in ((self, other), (other, self)):
+            if a.cols != b.rows:
+                raise RingError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+        _check_ring(self, other)
+        m, a, b = self.modulus, self.term_grid(), other.term_grid()
+        return self.rows == self.cols and all(
+            (x and _reduced_terms(x, m)) == (y and _reduced_terms(y, m))
+            for row_ab, row_ba in zip(_grid_product(a, b), _grid_product(b, a))
+            for x, y in zip(row_ab, row_ba)
+        )
 
     # ---------- entry-wise semilinear maps ----------
 

@@ -27,13 +27,14 @@ which for unit-determinant g means  g A g^-1 - lambda (dg) g^-1 = B:
 
 Nilpotency of exponent <= p-1 is `nilpotent_within`, which takes a
 commuting family: for rank r <= p-1 it squares each matrix ceil(log2 r)
-times (commuting nilpotent matrices over a domain are simultaneously
-strictly upper triangular, so r of them multiply to zero); above that rank,
-or mod p**2, it scans monomial by monomial (`nilpotency_exponent`).  The
-families are the Higgs field of a chart that `check_higgs` found integrable
-(it leaves the nilpotency of a non-integrable chart undecided: the monomial
-scan stands for every product only when the family commutes) and psi,
-which commutes because the connection is flat (Katz 1970, section 5).
+times on reduced term grids (commuting nilpotent matrices over a domain are
+simultaneously strictly upper triangular, so r of them multiply to zero);
+above that rank, or mod p**2, it scans monomial by monomial
+(`nilpotency_exponent`).  The families are the Higgs field of a chart that
+`check_higgs` found integrable (it leaves the nilpotency of a
+non-integrable chart undecided: the monomial scan stands for every product
+only when the family commutes) and psi, which commutes because the
+connection is flat (Katz 1970, section 5).
 """
 
 from __future__ import annotations
@@ -43,7 +44,15 @@ from dataclasses import dataclass, field
 
 from .atlas import Atlas, jacobian_beta_in_alpha, pull_beta_function
 from .report import Report
-from .ring import NotAUnitError, PolyMatrix, VarSpec, is_prime
+from .ring import (
+    NotAUnitError,
+    PolyMatrix,
+    RingError,
+    VarSpec,
+    _grid_is_zero,
+    _reduced_grid_product,
+    is_prime,
+)
 
 
 class SheafError(ValueError):
@@ -147,11 +156,18 @@ class PCurvature:
 def curvature(
     mats: list[PolyMatrix], vars: VarSpec, flat: bool
 ) -> tuple[int, int, PolyMatrix] | None:
-    """The first nonzero lambda (d_i A_j - d_j A_i) + [A_i, A_j], i < j, as (i, j, value)."""
+    """The first nonzero lambda (d_i A_j - d_j A_i) + [A_i, A_j], i < j, as (i, j, value).
+
+    With lambda = 0 it compares A_i A_j with A_j A_i (`commutes_with`), and
+    builds the commutator only for a pair that differs.
+    """
     for i, j in itertools.combinations(range(len(mats)), 2):
-        curv = mats[i].commutator(mats[j])
-        if flat:
-            curv = curv + mats[j].deriv(vars.names[i]) - mats[i].deriv(vars.names[j])
+        a, b = mats[i], mats[j]
+        if not flat:
+            if not a.commutes_with(b):
+                return i, j, a.commutator(b)
+            continue
+        curv = a.commutator(b) + b.deriv(vars.names[i]) - a.deriv(vars.names[j])
         if not curv.is_zero():
             return i, j, curv
     return None
@@ -233,11 +249,14 @@ def nilpotent_within(mats: list[PolyMatrix], bound: int) -> bool:
         return nilpotency_exponent(mats, bound) is not None
     squarings = (mats[0].rows - 1).bit_length()
     for a in mats:
+        power = a.term_grid()
         for _ in range(squarings):
-            if a.is_zero():
+            if _grid_is_zero(power):
                 break
-            a = a @ a
-        if not a.is_zero():
+            if a.rows != a.cols:
+                raise RingError(f"shape mismatch {a.rows}x{a.cols} @ {a.rows}x{a.cols}")
+            power = _reduced_grid_product(power, power, a.modulus)
+        if not _grid_is_zero(power):
             return False
     return True
 

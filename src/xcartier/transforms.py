@@ -23,11 +23,12 @@ by `p_curvature_sign`, not hard-coded.
 `gauge_compare` solves the intertwining constraints for an unknown gauge
 sum c t^m E_ij over a box of exponents m.  The constraints are linear, and
 R_lambda(t^m g) = t^m R_lambda(g) - lambda d(t^m) g for a constant g, so the
-residual of each matrix unit E_ij (one `intertwining_residuals` call per
-unit and chart) and its overlap products T_2 E_ij and E_ij T_1 are computed
-once per search; every degree bound reads its rows off them by exponent
-shifts, the derivative term and, on the beta side of an overlap, the
-product with pull_beta_function(t^m).
+residual E_ij A - B E_ij of each matrix unit and its overlap products
+T_2 E_ij and E_ij T_1 are written down once per search, in closed form: E_ij A
+is row j of A placed in row i, and B E_ij is column i of B placed in column
+j.  Every degree bound reads its rows off them by exponent shifts, the
+derivative term and, on the beta side of an overlap, the product with
+pull_beta_function(t^m).
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .ring import (
     PolyMatrix,
     VarSpec,
     _product_terms,
+    _reduced_terms,
+    _sum_terms,
     monomial_sort_key,
     monomials_in_box,
     trunc_exp,
@@ -490,9 +493,10 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
     """solution_space(bound): the unknowns (chart, exponent, i, j) up to the
     degree bound and the nullspace of the intertwining constraints on them.
 
-    The residuals and overlap products of the matrix units E_ij are computed
-    here, once for every bound; each bound shifts and multiplies their terms
-    (module docstring).
+    The residuals and overlap products of the matrix units E_ij are read off
+    the matrices here (`_unit_residual`, rows and columns placed), once for
+    every bound; each bound shifts and multiplies their terms (module
+    docstring).
     """
     atlas = sheaf1.atlas
     p = atlas.ctx.p
@@ -500,26 +504,24 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
     mats1, mats2 = _matrices(sheaf1, sheaf2, flat)
     charts = sorted(atlas.charts)
 
-    def nonzero(mat: PolyMatrix):
-        return [(a, b, x.terms) for a, row in enumerate(mat.entries)
-                for b, x in enumerate(row) if x.terms]
-
     # (chart, i, j) -> [(row key prefix, nonzero entries, overlap on whose beta side or None)]
     blocks: dict[tuple, list] = {}
     for chart in charts:
-        vars = atlas.chart_vars(chart)
+        grids1 = [a.term_grid() for a in mats1[chart]]
+        grids2 = [b.term_grid() for b in mats2[chart]]
         for i, j in itertools.product(range(r), repeat=2):
-            ints = [[int((a, b) == (i, j)) for b in range(r)] for a in range(r)]
-            unit = PolyMatrix.from_int_rows(ints, vars, p)
-            residuals = intertwining_residuals(unit, mats1[chart], mats2[chart], vars, flat)
-            out = [(("chart", chart, k), nonzero(res), None) for k, res in enumerate(residuals)]
+            out = [(("chart", chart, k), _unit_residual(a, b, i, j, p), None)
+                   for k, (a, b) in enumerate(zip(grids1, grids2))]
             for pair, ov in atlas.overlaps.items():
-                unit_ov = PolyMatrix.from_int_rows(ints, ov.alpha_vars, p)
-                if chart == ov.alpha:
-                    out.append((("overlap", pair), nonzero(-(sheaf2.transitions[pair] @ unit_ov)),
-                                None))
-                if chart == ov.beta:
-                    out.append((("overlap", pair), nonzero(unit_ov @ sheaf1.transitions[pair]), ov))
+                if chart == ov.alpha:  # -T_2 E_ij: column i of -T_2 in column j
+                    t2 = sheaf2.transitions[pair].entries
+                    out.append((("overlap", pair),
+                                [(a, j, {e: -c % p for e, c in t2[a][i].terms.items()})
+                                 for a in range(r) if t2[a][i].terms], None))
+                if chart == ov.beta:  # E_ij T_1: row j of T_1 in row i
+                    t1 = sheaf1.transitions[pair].entries
+                    out.append((("overlap", pair),
+                                [(i, b, x.terms) for b, x in enumerate(t1[j]) if x.terms], ov))
             blocks[chart, i, j] = out
     pulled: dict[tuple, dict] = {}  # (pair, m) -> terms of pull_beta_function(t^m)
 
@@ -558,6 +560,23 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
         return unknowns, nullspace_mod_p(list(rows.values()), len(unknowns), p)
 
     return solution_space
+
+
+def _unit_residual(a: list[list[dict]], b: list[list[dict]], i: int, j: int, p: int) -> list:
+    """The nonzero entries (row, column, terms) of E_ij A - B E_ij, in row order.
+
+    E_ij A is row j of A placed in row i, and B E_ij is column i of B placed
+    in column j; A and B are grids of term dicts.
+    """
+    out = []
+    for row in range(len(a)):
+        for col in range(len(a)):
+            terms = a[j][col] if row == i else {}
+            if col == j and b[row][i]:
+                terms = _reduced_terms(_sum_terms(terms, b[row][i], -1), p)
+            if terms:
+                out.append((row, col, terms))
+    return out
 
 
 def _combine(basis, coeffs, unknowns, atlas, r) -> dict[str, PolyMatrix]:

@@ -5,11 +5,13 @@ tune.  Stated wall-clock budgets are generous upper bounds.
 """
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -159,6 +161,49 @@ def test_criteria_4_and_5_fail_only_the_scenes_that_raise(monkeypatch):
     assert set(failed.values()) == {("input is not a valid flat sheaf: connection gluing[U0|U1]",)}
 
 
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace a library function under every name the library calls it by."""
+    import xcartier
+    from xcartier import atlas, identities, ring, sheaves
+
+    original = next(getattr(m, name) for m in (ring, atlas, sheaves, identities) if hasattr(m, name))
+    modules = (xcartier, ring, atlas, sheaves, identities, transforms, acceptance)
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+    return original
+
+
+def test_verify_all_fails_a_trunc_exp_without_the_factorials(monkeypatch):
+    trunc_exp = patch_everywhere(monkeypatch, "trunc_exp", lambda M, ctx: trunc_exp(
+        M, SimpleNamespace(p=ctx.p, inv_factorials=(1,) * ctx.p)))
+    report = acceptance.verify_all()  # never raises
+    assert len(report.entries) == 111
+    assert not any(e.check.endswith(" raised") for e in report.entries)
+    # at p = 3 every power above the first is zero, where 1/i! = 1
+    assert [e.check for e in report.failures()] == [
+        "c8: Taylor regrouping for 50 seeded families (p=5)"]
+
+
+def test_verify_all_fails_a_wrong_sign_zeta_under_every_perturbed_lifting(monkeypatch):
+    zeta_form = patch_everywhere(monkeypatch, "zeta_form", lambda vars, images: -zeta_form(
+        vars, images))
+    report = acceptance.verify_all()  # never raises
+    assert len(report.entries) == 111
+    assert not any(e.check.endswith(" raised") for e in report.entries)
+    failed = {e.check: e.witness for e in report.failures() if e.check.startswith("c1:")}
+    base = [f"c1: lemma identities on {name} (p={p})"
+            for p in (3, 5, 7) for name in ("g3_a1_three_lifts", "g4_p1_lemma")]
+    perturbed = [check.replace("identities on", "identities under 20 perturbed liftings on")
+                 for check in base]
+    assert sorted(failed) == sorted(base + perturbed)
+    # the base entries name every failed coboundary check and no cocycle check
+    assert failed[base[0]] == tuple(f"chart:A1: d(h) = zeta difference [A1#{a},A1#{b}]"
+                                    for a in range(3) for b in range(3) if a != b)
+    assert failed[base[1]] == ("overlap:U0|U1: d(h) = zeta difference [U0#0,U1#0]",
+                               "overlap:U0|U1: d(h) = zeta difference [U1#0,U0#0]")
+
+
 def test_verify_all_json_is_byte_identical_across_hash_seeds():
     src = Path(__file__).resolve().parent.parent / "src"
     outs = [
@@ -168,6 +213,21 @@ def test_verify_all_json_is_byte_identical_across_hash_seeds():
         for seed in ("0", "1")
     ]
     assert outs[0] and outs[0] == outs[1]
+
+
+# md5 of `verify-all` under every PYTHONHASHSEED; a faster criterion must not change a byte
+VERIFY_ALL_MD5 = {
+    "--json": "8926e23bf1c8ea8b0d4d799c8d874b2b",
+    "text": "734c84d949e94664b6150001e99e5f01",
+}
+
+
+@pytest.mark.parametrize("form", list(VERIFY_ALL_MD5))
+def test_verify_all_reports_are_pinned(capsys, form):
+    from xcartier.cli import run_cli
+
+    assert run_cli(["verify-all"] + (["--json"] if form == "--json" else [])) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_MD5[form]
 
 
 def chain_p_curvature(step, length):
@@ -209,6 +269,52 @@ def test_criterion_3_reports_a_wrong_p_curvature_as_failed_entries(monkeypatch, 
     if kind == "p-1 steps":  # p_curvature_sign's error text is the witness
         assert any("single sign" in check and "neither +/-" in witness[0]
                    for check, witness in failed.items())
+
+
+def perturbed_atlas_by_polynomials(atlas, seed):
+    """F(t) + p*r(t) with the noise built and added as validated polynomials."""
+    import random
+
+    from xcartier.atlas import Atlas, FrobLift
+    from xcartier.ring import LaurentPoly
+
+    ctx = atlas.ctx
+    rng = random.Random(seed)
+    out = Atlas(ctx)
+    for name, chart in atlas.charts.items():
+        out.add_chart(name, chart.vars)
+    for ov in atlas.overlaps.values():
+        out.add_overlap(ov)
+    for name, lifts in atlas.lifts.items():
+        vars = atlas.charts[name].vars
+        for lift in lifts:
+            images = {}
+            for coord, img in lift.images.items():
+                k = vars.index(coord)
+                noise = LaurentPoly(vars, ctx.p2, {
+                    tuple(e if i == k else 0 for i in range(vars.arity)):
+                        ctx.p * rng.randrange(ctx.p)
+                    for e in range(4)
+                })
+                images[coord] = img + noise
+            out.add_lift(FrobLift(name, images))
+    out.validate_lifts()
+    return out
+
+
+def test_perturbed_atlas_matches_the_validated_construction():
+    from xcartier.gallery import gallery
+
+    count = 0
+    for p in (3, 5, 7):
+        for name in ("g3_a1_three_lifts", "g4_p1_lemma"):
+            source = gallery(name, p).atlas
+            for seed in range(20):
+                got = acceptance.perturbed_atlas(source, seed)
+                want = perturbed_atlas_by_polynomials(source, seed)
+                assert got.lifts == want.lifts and got.lifts != source.lifts
+                count += 1
+    assert count == 120  # criterion 1's perturbed atlases
 
 
 def test_perturbed_atlas_validates_its_lifts_and_criterion_1_the_overlaps(monkeypatch):

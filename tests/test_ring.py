@@ -278,6 +278,32 @@ def test_invert_unit_rejects_non_units():
         invert_unit(poly("t", T, 9))  # t not inverted
 
 
+def invert_unit_by_products(u):
+    """The Newton step m^-1 (2 - m^-1 u) with every product a polynomial product."""
+    p = round(u.modulus ** 0.5)
+    (e0, c0), = [(e, c) for e, c in u.terms.items() if c % p]
+    m_inv = LaurentPoly.monomial(u.vars, u.modulus, pow(c0, -1, u.modulus), [-e for e in e0])
+    return m_inv * (LaurentPoly.const(u.vars, u.modulus, 2) - m_inv * u)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_invert_unit_matches_the_newton_step_by_products(seed):
+    rng = random.Random(seed)
+    names = ["t", "u", "v"][:rng.randint(1, 3)]
+    vars = VarSpec.make(names, [n for n in names if rng.random() < 0.7])
+    p = rng.choice([3, 5, 7])
+    lead = tuple(rng.randint(-3, 3) if n in vars.inverted else 0 for n in names)
+    terms = {lead: rng.randrange(1, p * p)}
+    terms[lead] += terms[lead] % p == 0  # the leading coefficient is a unit
+    for _ in range(rng.randint(0, 5)):
+        exps = tuple(rng.randint(-3 if n in vars.inverted else 0, 3) for n in names)
+        if exps != lead:
+            terms[exps] = p * rng.randrange(p)
+    u = LaurentPoly(vars, p * p, terms)
+    inv = invert_unit(u)
+    assert inv == invert_unit_by_products(u) and (u * inv).is_one()
+
+
 # ------------------------------------------------- single-term powers and inverses
 
 
@@ -337,6 +363,29 @@ def test_single_term_non_units_raise_as_before(m):
     s = VarSpec.make(["s"], ["s"])
     with pytest.raises(SubstitutionError):  # 1/t with t not inverted in the target
         poly("s^-1", s, m).subst({"s": t}, T)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_commutes_with_decides_as_the_two_products(seed):
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 4), rng.choice([3, 5])
+
+    def entry():
+        return LaurentPoly(T, p, {(e,): rng.randrange(p) for e in range(rng.randint(0, 2))})
+
+    a = PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+    b = a @ a + a.scale(rng.randrange(p)) if rng.random() < 0.5 else PolyMatrix(
+        [[entry() for _ in range(n)] for _ in range(n)])  # commutes with a, or need not
+    assert a.commutes_with(b) == (a @ b == b @ a) == b.commutes_with(a)
+
+
+def test_commutes_with_checks_shape_and_ring():
+    a = PolyMatrix.from_int_rows([[1, 2, 0], [0, 1, 1]], T, 3)
+    with pytest.raises(RingError, match="shape mismatch 2x3 @ 2x3"):
+        a.commutes_with(a)
+    square = PolyMatrix.identity(2, T, 3)
+    with pytest.raises(RingError, match="different rings"):
+        square.commutes_with(PolyMatrix.identity(2, T_INV, 3))
 
 
 # ---------------------------------------------------------------- trunc_exp

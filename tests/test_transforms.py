@@ -423,19 +423,19 @@ def test_every_check_goes_through_curvature_and_one_residual(monkeypatch):
         counts.append((len(curv), len(res)))
         curv.clear(), res.clear()
     assert counts == [(2, 1), (2, 1), (2, 2), (0, 2)]
-    # the gauge constraints: one residual per matrix unit E_ij and chart, at every
-    # bound, while the unknowns t^m E_ij grow with the bound
+    # the gauge constraints: the residual of each matrix unit E_ij is read off A and B
+    # in closed form (the differential test below checks it against the residuals),
+    # with no residual call or matrix product at any bound, while the unknowns
+    # t^m E_ij grow with the bound
+    matmul, products = PolyMatrix.__matmul__, []
+    monkeypatch.setattr(PolyMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
     sizes = []
-    for bound in (0, 2):
-        unknowns, _ = _gauge_solution_spaces(E, E, flat=False)(bound)
-        sizes.append(len(unknowns))
-        assert len(res) == 2 * 4
-        res.clear()
-    assert sizes == [2 * 4, 2 * 3 * 4]
     solution_space = _gauge_solution_spaces(E, E, flat=False)
-    for bound in (0, 1, 2, 4):  # gauge_compare's bounds share the one set of residuals
-        solution_space(bound)
-    assert len(res) == 2 * 4
+    for bound in (0, 1, 2, 4):  # gauge_compare's bounds
+        unknowns, _ = solution_space(bound)
+        sizes.append(len(unknowns))
+    assert sizes == [2 * 4, 2 * 2 * 4, 2 * 3 * 4, 2 * 5 * 4]
+    assert len(res) == 0 and len(products) == 0
     monkeypatch.undo()
     res = count_calls(monkeypatch, "intertwining_residuals")
     zero = {c: [PolyMatrix.zero(2, 2, E.atlas.chart_vars(c), 3)] for c in E.atlas.charts}
@@ -670,6 +670,115 @@ def test_gauge_constraints_by_linearity_match_the_per_unknown_reference(name, p)
         for bound in (0, 1, 2):
             assert solution_space(bound) == gauge_solution_space_per_unknown(
                 sheaf1, sheaf2, bound, flat)
+
+
+def gauge_solution_spaces_by_unit_matrices(sheaf1, sheaf2, flat):
+    """The gauge constraints from the residuals and overlap products of the
+    matrix units E_ij, each built as a matrix and multiplied."""
+    import itertools
+
+    from xcartier.atlas import pull_beta_function
+    from xcartier.linalg import nullspace_mod_p
+    from xcartier.ring import _product_terms, monomials_in_box
+
+    atlas, p, r = sheaf1.atlas, sheaf1.atlas.ctx.p, sheaf1.rank
+    attr = "conn" if flat else "fields"
+    mats1, mats2 = getattr(sheaf1, attr), getattr(sheaf2, attr)
+    charts = sorted(atlas.charts)
+
+    def nonzero(mat):
+        return [(a, b, x.terms) for a, row in enumerate(mat.entries)
+                for b, x in enumerate(row) if x.terms]
+
+    blocks = {}
+    for chart in charts:
+        vars = atlas.chart_vars(chart)
+        for i, j in itertools.product(range(r), repeat=2):
+            ints = [[int((a, b) == (i, j)) for b in range(r)] for a in range(r)]
+            unit = PolyMatrix.from_int_rows(ints, vars, p)
+            residuals = sheaves.intertwining_residuals(unit, mats1[chart], mats2[chart], vars, flat)
+            out = [(("chart", chart, k), nonzero(res), None) for k, res in enumerate(residuals)]
+            for pair, ov in atlas.overlaps.items():
+                unit_ov = PolyMatrix.from_int_rows(ints, ov.alpha_vars, p)
+                if chart == ov.alpha:
+                    out.append((("overlap", pair), nonzero(-(sheaf2.transitions[pair] @ unit_ov)),
+                                None))
+                if chart == ov.beta:
+                    out.append((("overlap", pair), nonzero(unit_ov @ sheaf1.transitions[pair]), ov))
+            blocks[chart, i, j] = out
+
+    def multiplier(m, ov):
+        if ov is None:
+            return {m: 1}
+        return pull_beta_function(ov, LaurentPoly.monomial(atlas.chart_vars(ov.beta), p, 1, m)).terms
+
+    def solution_space(bound):
+        unknowns = [(chart, m, i, j) for chart in charts
+                    for m in monomials_in_box(atlas.chart_vars(chart), bound)
+                    for i in range(r) for j in range(r)]
+        rows = {}
+
+        def add(key, col, c):
+            row = rows.setdefault(key, {})
+            row[col] = (row.get(col, 0) + c) % p
+
+        for col, (chart, m, i, j) in enumerate(unknowns):
+            for prefix, entries, ov in blocks[chart, i, j]:
+                mult = multiplier(m, ov)
+                for a, b, terms in entries:
+                    for e, c in _product_terms({}, terms, mult).items():
+                        add(prefix + (a, b, e), col, c)
+            if flat:
+                for k, mk in enumerate(m):
+                    if mk:
+                        add(("chart", chart, k, i, j, m[:k] + (mk - 1,) + m[k + 1:]), col, -mk)
+        return unknowns, nullspace_mod_p(list(rows.values()), len(unknowns), p)
+
+    return solution_space
+
+
+def gauge_bounds(sheaf1, sheaf2, flat):
+    """The degree bounds gauge_compare's search can reach: 0, 1, 2, 4, ... up to its top."""
+    p, r = sheaf1.atlas.ctx.p, sheaf1.rank
+    attr = "conn" if flat else "fields"
+    inputs = [m for sheaf in (sheaf1, sheaf2)
+              for group in (*getattr(sheaf, attr).values(), sheaf.transitions.values())
+              for m in group]
+    top = max(m.max_abs_degree() for m in inputs) + p * r
+    bounds = [0]
+    while bounds[-1] < top:
+        bounds.append(min(2 * bounds[-1] or 1, top))
+    return bounds
+
+
+def benchmark_gauge_pairs():
+    """The verify_suite benchmark's 18 gauge pairs, then g1-g5 at p = 3, 5, 7 against
+    their sign flips, as Higgs sheaves and as forward images."""
+    pairs = []
+    for p in (3, 5, 7, 11):
+        E = gallery("g3_a1_three_lifts", p).sheaf
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            pairs.append((inverse_cartier(E, {"A1": a}), inverse_cartier(E, {"A1": b}), True))
+    for name in ("g2_a1_rank2", "g5_p1_uniformizing"):
+        for p in (3, 5, 7):
+            E = gallery(name, p).sheaf
+            pairs.append((E, E.negated(), False))
+    for name in GALLERY_NAMES[:5]:
+        for p in (3, 5, 7):
+            E = gallery(name, p).sheaf
+            pairs.append((E, E.negated(), False))
+            pairs.append((inverse_cartier(E), inverse_cartier(E.negated()), True))
+    return pairs
+
+
+def test_gauge_blocks_in_closed_form_match_the_unit_matrices():
+    pairs = benchmark_gauge_pairs()
+    assert len(pairs) == 18 + 5 * 3 * 2
+    for sheaf1, sheaf2, flat in pairs:
+        got = _gauge_solution_spaces(sheaf1, sheaf2, flat)
+        want = gauge_solution_spaces_by_unit_matrices(sheaf1, sheaf2, flat)
+        for bound in gauge_bounds(sheaf1, sheaf2, flat):
+            assert got(bound) == want(bound)
 
 
 def test_gauge_witnesses_of_the_benchmark_pairs_are_pinned():
