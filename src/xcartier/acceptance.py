@@ -47,12 +47,12 @@ def perturbed_atlas(atlas: Atlas, seed: int) -> Atlas:
     """Replace every lifting image F(t) by F(t) + p*r(t) with seeded random r of degree <= 3.
 
     r(t) = sum_e r_e t^e, e = 0..3, in the image's own coordinate t, with
-    r_e drawn in that order.  The noise is added to the image's terms, and
-    the result built in the image's ring with the trusted `_make`, so
-    `validate_lifts` is what checks every new image: its ring, and that it
-    is congruent to t^p mod p.  The result shares the source atlas's charts
-    and Overlap objects, so only the replaced liftings are validated; the
-    overlaps are the caller's to validate, once per source atlas.
+    r_e drawn in that order.  The noise p*r is one polynomial of the image's
+    ring, added to the image, and `validate_lifts` checks every new image:
+    its ring, and that it is congruent to t^p mod p.  The result shares the
+    source atlas's charts and Overlap objects, so only the replaced liftings
+    are validated; the overlaps are the caller's to validate, once per
+    source atlas.
     """
     p = atlas.ctx.p
     rng = random.Random(seed)
@@ -68,10 +68,8 @@ def perturbed_atlas(atlas: Atlas, seed: int) -> Atlas:
         for lift in lifts:
             images = {}
             for coord, img in lift.images.items():
-                terms = dict(img.terms)
-                for exps in noise_exps[vars.index(coord)]:
-                    terms[exps] = terms.get(exps, 0) + p * rng.randrange(p)
-                images[coord] = LaurentPoly._make(img.vars, img.modulus, terms)
+                noise = {exps: p * rng.randrange(p) for exps in noise_exps[vars.index(coord)]}
+                images[coord] = img + LaurentPoly(img.vars, img.modulus, noise)
             out.add_lift(FrobLift(name, images))
     out.validate_lifts()
     return out

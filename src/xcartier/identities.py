@@ -20,14 +20,12 @@ refuses a (p, k) whose C(p, k) exceeds `MAX_TERMS`.
 sum_l z_l N_l (`trunc_exp`, the package's own) equals its multi-index
 Taylor regrouping for commuting jointly-nilpotent matrices N_l; it first
 checks that the N_l commute (`curvature`, which compares the products) and
-are jointly nilpotent (`nilpotent_within`).  The regrouping walks the
-multi-indices depth-first over power tables that stop at the first zero
-power, so a prefix of too much weight or with a zero product is not
-extended.  The walk runs on reduced term dicts: the powers and prefix
-products N^j on grids of them, the z^j / j! on single dicts, and every
-N^j z^j / j! is added into one grid, from which one matrix is built at the
-end.  The seeded families q_l(N) of one Jordan block N are built directly
-as upper-triangular Toeplitz matrices over p shared constants, 0 to p-1.
+are jointly nilpotent (`nilpotent_within`).  The regrouping is then the
+product over l of E_l = sum_{k <= p-2} (z_l^k / k!) N_l^k, since every term
+that product adds to it holds a product of p-1 of the N_l; the powers of
+each N_l stop at the first zero one.  The seeded families q_l(N) of one
+Jordan block N are built directly as upper-triangular Toeplitz matrices over
+p shared constants, 0 to p-1.
 `wilson_unit_check` verifies the derivative identity d^{p-1}(t^{p-1}) = -1
 together with the rank-two model connection whose p-curvature realizes
 that unit.
@@ -36,7 +34,6 @@ that unit.
 from __future__ import annotations
 
 import math
-import operator
 import random
 
 from .atlas import Atlas, FrobLift
@@ -47,10 +44,6 @@ from .ring import (
     PrimeContext,
     RingError,
     VarSpec,
-    _grid_is_zero,
-    _product_terms,
-    _reduced_grid_product,
-    _reduced_terms,
     trunc_exp,
 )
 from .sheaves import FlatSheaf, curvature, nilpotent_within, p_curvature
@@ -109,7 +102,7 @@ def symmetrized_f(p: int, k: int) -> LaurentPoly:
         if coeff:
             for exps in _rearrangements(lam):
                 total[exps] = coeff
-    return LaurentPoly._make(base.vars, p, total)
+    return LaurentPoly(base.vars, p, total)
 
 
 def _rearrangements(lam: tuple[int, ...]):
@@ -170,69 +163,29 @@ def taylor_cocycle_identity(
     return trunc_exp(total, ctx) == _taylor_sum(ctx, nilpotents, functions)
 
 
-def _powers(x, top: int, times, is_zero) -> list:
-    """[x, x^2, ..., x^top] under the product `times`, cut before the first zero power."""
-    out = [x]
-    while len(out) < top and not is_zero(out[-1]):
-        out.append(times(out[-1], x))
-    return out[:-1] if is_zero(out[-1]) else out
-
-
 def _taylor_sum(
     ctx: PrimeContext, nilpotents: list[PolyMatrix], functions: list[LaurentPoly]
 ) -> PolyMatrix:
     """1 + sum over multi-indices j of weight 1..p-2 of N^j z^j / j!.
 
-    The multi-indices are walked depth-first, one coordinate l at a time,
-    extending the products N^j and z^j / j! of the prefix by N_l^k and
-    z_l^k / k!; a prefix whose weight reaches p-2 or whose product is zero
-    has no further nonzero extensions (1/k! is a unit for k < p).  The walk
-    runs on reduced term dicts, grids of them for the matrices, adds every
-    N^j z^j / j! into one grid and builds the matrix at the end.
+    For commuting N_l this is the product over l of the truncated
+    exponentials E_l = sum_{k <= p-2} (z_l^k / k!) N_l^k, once every product
+    of p-1 of the N_l is zero: the product adds to the regrouping exactly the
+    terms of weight >= p-1, and each of them holds such a product.  The
+    caller proves both facts; the powers of each N_l stop at the first zero
+    one.
     """
-    p = ctx.p
-    vars, n = nilpotents[0].vars, nilpotents[0].rows
-    top = p - 2
-    inv_fact = ctx.inv_factorials
-
-    def times(a, b):
-        return _reduced_terms(_product_terms({}, a, b), p)
-
-    def grid_times(a, b):
-        return _reduced_grid_product(a, b, p)
-
-    # per coordinate l: (k, N_l^k, z_l^k / k!) for k = 1.. while both are nonzero
-    steps = []
+    p, n = ctx.p, nilpotents[0].rows
+    product = None
     for nl, z in zip(nilpotents, functions):
-        mat_powers = _powers(nl.term_grid(), top, grid_times, _grid_is_zero)
-        fn_powers = _powers(z.terms, len(mat_powers), times, operator.not_)
-        steps.append([(k, mp, _reduced_terms({e: c * inv_fact[k] for e, c in fp.items()}, p))
-                      for k, (mp, fp) in enumerate(zip(mat_powers, fn_powers), start=1)])
-    d = len(steps)
-    total = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        total[i][i][(0,) * vars.arity] = 1
-
-    def walk(l: int, weight: int, mat, scalar) -> None:
-        if l == d:
-            if weight:
-                for acc_row, row in zip(total, mat):
-                    for acc, x in zip(acc_row, row):
-                        if x:
-                            _product_terms(acc, x, scalar)
-            return
-        walk(l + 1, weight, mat, scalar)  # j_l = 0
-        for k, mp, fp in steps[l]:
-            if weight + k > top:
-                break
-            m = mp if mat is None else grid_times(mat, mp)
-            z = fp if scalar is None else times(scalar, fp)
-            if _grid_is_zero(m) or not z:
-                break  # every higher power of N_l or z_l extends this zero
-            walk(l + 1, weight + k, m, z)
-
-    walk(0, 0, None, None)
-    return PolyMatrix._from_terms(total, vars, p)
+        pairs = [(1, PolyMatrix.identity(n, nl.vars, p))]
+        power, zk = nl, z
+        while len(pairs) < p - 1 and not power.is_zero():
+            pairs.append((zk * ctx.inv_factorials[len(pairs)], power))
+            power, zk = power @ nl, zk * z
+        e_l = PolyMatrix.combine(pairs)
+        product = e_l if product is None else product @ e_l
+    return product
 
 
 def commuting_nilpotent_family(
@@ -244,24 +197,20 @@ def commuting_nilpotent_family(
     nilpotency bound (block size drawn from 2..p-1) cheaply.  q(N) =
     sum_{k >= 1} c_k N^k is the upper-triangular Toeplitz matrix with c_k
     on the k-th superdiagonal; its entries are p constants shared by the
-    whole family, the zero one included.
+    whole family, the zero one included, in one `PolyMatrix` per q_l.
     """
     p = ctx.p
     rng = random.Random(seed)
     size = rng.randint(2, p - 1)
     vars = VarSpec.make(["t"])
-    consts = [LaurentPoly._make(vars, p, {(0,): c}) for c in range(p)]  # consts[0] is zero
+    consts = [LaurentPoly.const(vars, p, c) for c in range(p)]  # consts[0] is zero
     mats = []
     for _ in range(count):
         c = [0] + [rng.randrange(p) for _ in range(1, size)]
-        mats.append(PolyMatrix._make(
-            tuple(tuple(consts[c[j - i] if j > i else 0] for j in range(size))
-                  for i in range(size)), vars, p
+        mats.append(PolyMatrix(
+            [consts[c[j - i] if j > i else 0] for j in range(size)] for i in range(size)
         ))
-    funcs = [
-        LaurentPoly._make(vars, p, {(e,): rng.randrange(p) for e in range(4)})
-        for _ in range(count)
-    ]
+    funcs = [LaurentPoly(vars, p, {(e,): rng.randrange(p) for e in range(4)}) for _ in range(count)]
     return mats, funcs
 
 

@@ -36,7 +36,10 @@ one; `_divided_by_p` divides unreduced terms, the atlas's derivatives and
 differences, without building them first), and `extend_vars` onto a
 VarSpec that only adds inversions.
 `extend_vars` onto fewer inversions and `map_entries` go through the
-validating constructors.
+validating constructors.  The trusted constructors, `term_grid` and the
+`_`-helpers on raw term dicts are this module's own; the only other users
+are the atlas's Deligne-Illusie kernels and the gauge search in
+`transforms` (`tests/test_boundaries.py` holds that list).
 
 Polynomials and matrices are immutable: nothing writes to `terms`,
 `entries`, `vars` or `modulus` after construction.  A result may therefore
@@ -48,9 +51,8 @@ The same-ring kernels use this to skip zeros, always after their ring check:
   `scale`, `deriv` and `frobenius` keep zero entries;
 - `@` and `nabla_power` multiply only pairs of nonzero entries, and the
   entries that get no term share one zero per result matrix; `@` is
-  `_grid_product` on the entries' term grids, which the Taylor check and
-  the nilpotency squarings also run without building polynomials, and
-  `commutes_with` compares both products as reduced grids;
+  `_grid_product` on the entries' term grids, and `commutes_with` compares
+  both products as reduced grids without building polynomials;
 - `nabla_power` runs its n steps on raw term dicts, builds polynomials only
   for its result, and never writes to an operand's term dicts;
 - `combine` (sum_k s_k M_k, behind `trunc_exp` and the Taylor check) adds
@@ -571,16 +573,6 @@ def _grid_product(a: list[list[dict]], b: list[list[dict]]) -> list[list[dict]]:
             new_row.append(acc)
         grid.append(new_row)
     return grid
-
-
-def _reduced_grid_product(a: list[list[dict]], b: list[list[dict]], m: int) -> list[list[dict]]:
-    """`_grid_product` with every entry reduced mod m."""
-    return [[_reduced_terms(x, m) if x else x for x in row] for row in _grid_product(a, b)]
-
-
-def _grid_is_zero(grid: list[list[dict]]) -> bool:
-    """Whether a grid of reduced term dicts is the zero matrix."""
-    return not any(any(row) for row in grid)
 
 
 def _product_terms(out: dict, a: dict, b: dict) -> dict:

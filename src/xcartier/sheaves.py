@@ -27,7 +27,7 @@ which for unit-determinant g means  g A g^-1 - lambda (dg) g^-1 = B:
 
 Nilpotency of exponent <= p-1 is `nilpotent_within`, which takes a
 commuting family: for rank r <= p-1 it squares each matrix ceil(log2 r)
-times on reduced term grids (commuting nilpotent matrices over a domain are
+times with `@` (commuting nilpotent matrices over a domain are
 simultaneously strictly upper triangular, so r of them multiply to zero);
 above that rank, or mod p**2, it scans monomial by monomial
 (`nilpotency_exponent`).  The families are the Higgs field of a chart that
@@ -47,10 +47,7 @@ from .report import Report
 from .ring import (
     NotAUnitError,
     PolyMatrix,
-    RingError,
     VarSpec,
-    _grid_is_zero,
-    _reduced_grid_product,
     is_prime,
 )
 
@@ -248,15 +245,12 @@ def nilpotent_within(mats: list[PolyMatrix], bound: int) -> bool:
     if not (mats and mats[0].rows <= bound and is_prime(mats[0].modulus)):
         return nilpotency_exponent(mats, bound) is not None
     squarings = (mats[0].rows - 1).bit_length()
-    for a in mats:
-        power = a.term_grid()
+    for power in mats:
         for _ in range(squarings):
-            if _grid_is_zero(power):
+            if power.is_zero():
                 break
-            if a.rows != a.cols:
-                raise RingError(f"shape mismatch {a.rows}x{a.cols} @ {a.rows}x{a.cols}")
-            power = _reduced_grid_product(power, power, a.modulus)
-        if not _grid_is_zero(power):
+            power = power @ power
+        if not power.is_zero():
             return False
     return True
 

@@ -278,6 +278,15 @@ def test_taylor_sum_matches_the_product_loop_on_the_criterion_8_families():
         assert _taylor_sum(ctx, mats, funcs) == taylor_sum_by_product_loop(ctx, mats, funcs)
         count += 1
     assert count == 100
+    # at p = 7 blocks of size up to 6 carry terms of weight up to 5, and the
+    # terms of weight >= 6 vanish only by joint nilpotency
+    ctx, shapes = PrimeContext(7), set()
+    for seed in range(30):
+        count = random.Random(seed * 1009 + 7).randint(1, 3)
+        mats, funcs = commuting_nilpotent_family(ctx, seed=seed * 31 + 7, count=count)
+        assert _taylor_sum(ctx, mats, funcs) == taylor_sum_by_product_loop(ctx, mats, funcs)
+        shapes.add((mats[0].rows, count))
+    assert {(6, 2), (6, 3)} <= shapes
 
 
 def test_criterion_8_fails_a_taylor_sum_without_the_factorials(monkeypatch):
