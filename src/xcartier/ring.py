@@ -578,7 +578,7 @@ def _grid_product(a: list[list[dict]], b: list[list[dict]]) -> list[list[dict]]:
 def _product_terms(out: dict, a: dict, b: dict) -> dict:
     """Accumulate the unreduced terms of a*b into out.
 
-    Exponent sums are unpacked in one and two variables, where building them
+    Exponent sums are unpacked in up to three variables, where building them
     with `tuple(map(add, ...))` costs more than the rest of the loop.
     """
     if not a:
@@ -595,6 +595,11 @@ def _product_terms(out: dict, a: dict, b: dict) -> dict:
         for (x0, x1), ca in a.items():
             for (y0, y1), cb in b_items:
                 e = (x0 + y0, x1 + y1)
+                out[e] = get(e, 0) + ca * cb
+    elif arity == 3:
+        for (x0, x1, x2), ca in a.items():
+            for (y0, y1, y2), cb in b_items:
+                e = (x0 + y0, x1 + y1, x2 + y2)
                 out[e] = get(e, 0) + ca * cb
     else:
         for ea, ca in a.items():

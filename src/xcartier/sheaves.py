@@ -259,6 +259,13 @@ def nilpotent_within(mats: list[PolyMatrix], bound: int) -> bool:
 
 
 def check_higgs(E: HiggsSheaf) -> Report:
+    return _higgs_report(E, exponent=True)
+
+
+def _higgs_report(E: HiggsSheaf, exponent: bool) -> Report:
+    """`check_higgs`, proving each integrable chart's exponent only if `exponent`
+    (`cartier`'s descent does not: relabelling keeps psi's exponent, which
+    `untwist` proves)."""
     report = Report()
     p = E.atlas.ctx.p
     for chart, mats in E.fields.items():
@@ -268,9 +275,9 @@ def check_higgs(E: HiggsSheaf) -> Report:
         check = f"nilpotency[{chart}] exponent <= {p - 1}"
         if curv is not None:
             report.skip(check, "not decided: the field is not integrable")
-            continue
-        nilpotent = nilpotent_within(mats, p - 1)
-        report.add(check, nilpotent, () if nilpotent else (f"no vanishing up to degree {p - 1}",))
+        elif exponent:
+            nilpotent = nilpotent_within(mats, p - 1)
+            report.add(check, nilpotent, () if nilpotent else (f"no vanishing up to degree {p - 1}",))
     _check_transition_cocycle(E.atlas, E.transitions, report)
     jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in E.atlas.overlaps.items()}
     report.extend(check_field_gluing(E.atlas, E.fields, E.transitions, jacobians, flat=False))

@@ -6,15 +6,18 @@ connection, with Z[j][i] = d_i F(t_j)/p; per overlap, follow the transition
 by the truncated exponential of h(Phi) = pull_back(Phi, h)[0], with h the
 column of the lifting homotopy's values h_ab(dt_j).
 
-The forward direction twists the canonical connection of a nilpotent Higgs
-sheaf (E, theta) by Phi = F*theta.  The converse twists a connection with
-nilpotent p-curvature psi by Phi = psi, which kills the p-curvature, takes a
-flat frame of the result from Katz's projector, expresses psi in that frame
-(entries land in p-th-power exponents), and divides exponents by p to descend.
+The forward direction twists the zero connection on the Frobenius pullback
+of a nilpotent Higgs sheaf (E, theta) by Phi = F*theta: the connection is
+zeta(F*theta) and the transitions F*T trunc_exp(h(F*theta)).  The converse
+twists a connection with nilpotent p-curvature psi by Phi = psi, which kills
+the p-curvature, takes a flat frame of the result from Katz's projector,
+expresses psi in that frame (entries land in p-th-power exponents), and
+divides exponents by p to descend.
 
-Each converse-path invariant is checked once: the input in `untwist`, the
-untwisted connection by its flat frames (`flat_sections`), and psi and the
-gluing by `descend`, which inverts each frame once and checks the result.
+Each converse-path invariant is checked once: the input and psi's exponent
+in `untwist`, the untwisted connection by its flat frames (`flat_sections`),
+and psi and the gluing by `descend`, which inverts each frame once and
+checks the result.
 
 The sign of the p-curvature of the forward output relative to the
 Frobenius-pulled-back Higgs field is convention-dependent; it is measured
@@ -37,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .atlas import h_pair, pull_beta_function
+from .atlas import Atlas, h_pair, pull_beta_function
 from .linalg import nullspace_mod_p
 from .report import Report
 from .ring import (
@@ -55,6 +58,7 @@ from .sheaves import (
     FlatSheaf,
     HiggsSheaf,
     PCurvature,
+    _higgs_report,
     check_flat,
     check_higgs,
     intertwining_residuals,
@@ -94,42 +98,38 @@ def canonical_connection(E: HiggsSheaf) -> FlatSheaf:
     """The flat sheaf on the Frobenius pullback of a zero-Higgs sheaf."""
     if not E.is_zero_field():
         raise TransformError("canonical connection requires a zero Higgs field")
-    return _pulled_back_zero(E)
+    return _forward(E, None)
 
 
-def _pulled_back_zero(E: HiggsSheaf) -> FlatSheaf:
-    """The zero connection on E's bundle with Frobenius-pulled transitions; E's field is ignored."""
-    conn = {
-        chart: [PolyMatrix.zero(E.rank, E.rank, m.vars, m.modulus) for m in mats]
-        for chart, mats in E.fields.items()
-    }
+def _forward(E: HiggsSheaf, lift_choice: dict[str, int] | None) -> FlatSheaf:
+    """The zero connection on the Frobenius pullback of E's bundle, twisted by F*theta."""
+    phi = {chart: [m.frobenius() for m in mats] for chart, mats in E.fields.items()}
     transitions = {pair: t.frobenius() for pair, t in E.transitions.items()}
-    return FlatSheaf(E.atlas, E.rank, conn, transitions)
+    return _twist(E.atlas, E.rank, None, transitions, phi, lift_choice)
 
 
-def _twist(
-    H0: FlatSheaf, phi: dict[str, list[PolyMatrix]], lift_choice: dict[str, int] | None
-) -> FlatSheaf:
-    """Add zeta(phi) to the connection of H0 and twist its gluing by trunc_exp(h(phi)).
+def _twist(atlas: Atlas, rank: int, conn: dict | None, transitions: dict,
+           phi: dict[str, list[PolyMatrix]], lift_choice: dict[str, int] | None) -> FlatSheaf:
+    """Add zeta(phi) to the connection conn and follow each transition by trunc_exp(h(phi)).
 
     phi holds one matrix per pulled-back basis element F*dt_j on every chart:
-    F*theta in the forward direction, the p-curvature psi in the converse.
-    Z and the transported liftings come from the atlas's memo.
+    F*theta in the forward direction, from the zero connection (conn None),
+    the p-curvature psi in the converse.  Z and the transported liftings come
+    from the atlas's memo.
     """
-    atlas = H0.atlas
     ctx = atlas.ctx
-    conn: dict[str, list[PolyMatrix]] = {}
+    twisted: dict[str, list[PolyMatrix]] = {}
     for chart in atlas.charts:
         twist = pull_back(phi[chart], atlas.zeta(chart, lift_choice))
-        conn[chart] = [a + b for a, b in zip(H0.conn[chart], twist)]
-    transitions: dict[tuple[str, str], PolyMatrix] = {}
+        twisted[chart] = twist if conn is None else [a + b for a, b in zip(conn[chart], twist)]
+    glued: dict[tuple[str, str], PolyMatrix] = {}
     for pair, ov in atlas.overlaps.items():
         img_a = atlas.transported_lift(pair, ov.alpha, lift_choice)
         img_b = atlas.transported_lift(pair, ov.beta, lift_choice)
-        transitions[pair] = H0.transitions[pair] @ _homotopy_exp(
+        glued[pair] = transitions[pair] @ _homotopy_exp(
             ov.alpha_vars, img_a, img_b, phi[ov.alpha], ctx
         )
-    return FlatSheaf(atlas, H0.rank, conn, transitions)
+    return FlatSheaf(atlas, rank, twisted, glued)
 
 
 def _homotopy_exp(vars: VarSpec, images_a, images_b, phi: list[PolyMatrix], ctx) -> PolyMatrix:
@@ -139,15 +139,14 @@ def _homotopy_exp(vars: VarSpec, images_a, images_b, phi: list[PolyMatrix], ctx)
 
 
 def inverse_cartier(E: HiggsSheaf, lift_choice: dict[str, int] | None = None) -> FlatSheaf:
-    """Twist the canonical connection by the Frobenius pullback of the field."""
+    """Twist the zero connection on the Frobenius pullback of E by F*theta."""
     rep = check_higgs(E)  # includes the nilpotency bound p-1
     if not rep.ok():
         raise TransformError(
             "input is not a valid nilpotent Higgs sheaf: "
             + "; ".join(e.check for e in rep.failures())
         )
-    phi = {chart: [m.frobenius() for m in mats] for chart, mats in E.fields.items()}
-    return _twist(_pulled_back_zero(E), phi, lift_choice)
+    return _forward(E, lift_choice)
 
 
 def lift_change_gauge(
@@ -409,12 +408,13 @@ def untwist(
     # psi of a flat connection commutes (Katz 1970, §5): the nabla_i commute
     if not all(nilpotent_within(mats, p - 1) for mats in psi.comps.values()):
         raise TransformError(f"p-curvature is not nilpotent of exponent <= {p - 1}")
-    return _twist(H, psi.comps, lift_choice), psi
+    return _twist(H.atlas, H.rank, H.conn, H.transitions, psi.comps, lift_choice), psi
 
 
 def cartier(H: FlatSheaf, lift_choice: dict[str, int] | None = None) -> HiggsSheaf:
     """Untwist a nilpotent flat sheaf and descend along its flat sections."""
-    return descend(*untwist(H, lift_choice))
+    # relabelling keeps psi's exponent, which untwist has proven
+    return _descend(*untwist(H, lift_choice), exponent=False)
 
 
 def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
@@ -424,9 +424,14 @@ def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
     the frames by one conjugate-and-relabel step, which accepts S^-1 M S' only
     when d kills it: for T that is the untwisted gluing, for psi_i its
     horizontality (psi commutes with zeta(psi)).  Relabelling is a ring
-    isomorphism, so one `check_higgs` proves psi commutative and checks the
-    cocycle and the gluing of psi.
+    isomorphism, so one `check_higgs` proves psi commutative and nilpotent and
+    checks the cocycle and the gluing of psi.
     """
+    return _descend(untwisted, psi, exponent=True)
+
+
+def _descend(untwisted: FlatSheaf, psi: PCurvature, exponent: bool) -> HiggsSheaf:
+    """`descend`, proving psi's exponent on the result only if `exponent`."""
     atlas, p = untwisted.atlas, untwisted.atlas.ctx.p
     frames = flat_sections(untwisted).frames
     inverses = {chart: s.inverse_unit_det() for chart, s in frames.items()}
@@ -442,7 +447,7 @@ def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
     fields = {chart: [in_frames(inverses[chart], m, s) for m in psi.comps[chart]]
               for chart, s in frames.items()}
     out = HiggsSheaf(atlas, untwisted.rank, fields, transitions)
-    out_rep = check_higgs(out)
+    out_rep = _higgs_report(out, exponent)
     if not out_rep.ok():
         raise TransformError(
             "descended Higgs sheaf fails its checks: "

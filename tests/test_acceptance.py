@@ -230,6 +230,30 @@ def test_verify_all_reports_are_pinned(capsys, form):
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_MD5[form]
 
 
+# md5 over `icartier` and `roundtrip --json` of every gallery Higgs scene at p = 3, 5, 7
+FORWARD_MD5 = "e336206c2770fdd9097c97e878c64b80"
+
+
+def test_forward_and_roundtrip_outputs_are_pinned(tmp_path, capsys):
+    from xcartier.cli import run_cli
+    from xcartier.gallery import GALLERY_NAMES, gallery
+    from xcartier.scene import emit_scene
+    from xcartier.sheaves import HiggsSheaf
+
+    digest = hashlib.md5()
+    for p in (3, 5, 7):
+        for name in GALLERY_NAMES:
+            scene = gallery(name, p)
+            if not isinstance(scene.sheaf, HiggsSheaf):
+                continue
+            path = tmp_path / f"{name}-{p}.json"
+            path.write_text(emit_scene(scene))
+            for argv in (["icartier"], ["roundtrip", "--json"]):
+                assert run_cli(argv + ["--scene", str(path)]) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == FORWARD_MD5
+
+
 def chain_p_curvature(step, length):
     """A p_curvature built from `step(b, A_i, t_i)` applied `length(p)` times to the identity."""
 

@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 
 import pytest
 
 import xcartier.atlas
 from xcartier import acceptance, sheaves, transforms
-from xcartier.atlas import Atlas, FrobLift, h_pair
+from xcartier.atlas import Atlas, AtlasError, FrobLift, h_pair, lift_on_overlap
 from xcartier.gallery import GALLERY_NAMES, gallery
 from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, trunc_exp
 from xcartier.scene import emit_scene, parse_scene
@@ -16,6 +17,7 @@ from xcartier.sheaves import (
     check_higgs,
     nilpotency_exponent,
     p_curvature,
+    pull_back,
     verify_p_curvature_invariants,
 )
 from xcartier.transforms import (
@@ -85,6 +87,15 @@ def test_canonical_connection_rejects_nonzero_field():
         canonical_connection(E)
 
 
+def test_canonical_connection_reads_each_charts_lifting():
+    # the zero-field case of the forward twist: zeta(0) is read from the lifting
+    atlas = Atlas(PrimeContext(3))
+    atlas.add_chart("A1", T)
+    E = HiggsSheaf(atlas, 2, {"A1": [PolyMatrix.zero(2, 2, T, 3)]})
+    with pytest.raises(AtlasError, match="chart 'A1' has no Frobenius lifting #0"):
+        canonical_connection(E)
+
+
 # ------------------------------------------------------- forward transform
 
 
@@ -124,6 +135,37 @@ def test_forward_p1_gluing_matrix():
         [[s ** 3, z], [s ** 2, s ** -3]]
     )
     assert check_flat(H).ok()
+
+
+def lifting_choices(atlas):
+    charts = sorted(atlas.charts)
+    for indices in itertools.product(*(range(len(atlas.lifts[c])) for c in charts)):
+        yield dict(zip(charts, indices))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("name", GALLERY_NAMES[:6])
+def test_forward_is_the_twist_of_the_zero_connection(monkeypatch, name, p):
+    # connection zeta(F*theta); transition F*T trunc_exp(sum_j h_ab(dt_j) F*theta_j)
+    E = gallery(name, p).sheaf
+    atlas = E.atlas
+    built = []
+    post_init = FlatSheaf.__post_init__
+    monkeypatch.setattr(FlatSheaf, "__post_init__", lambda H: built.append(H) or post_init(H))
+    for choice in lifting_choices(atlas):
+        built.clear()
+        H = inverse_cartier(E, choice)
+        assert len(built) == 1 and built[0] is H  # one sheaf, built once
+        for chart, mats in E.fields.items():
+            assert H.conn[chart] == pull_back([m.frobenius() for m in mats], atlas.zeta(chart, choice))
+        for pair, ov in atlas.overlaps.items():
+            images = [lift_on_overlap(atlas, ov, atlas.lift_for(c, choice)) for c in pair]
+            exponent = PolyMatrix.zero(E.rank, E.rank, ov.alpha_vars, p)
+            for u, theta in zip(ov.alpha_vars.names, E.fields[ov.alpha]):
+                h = h_pair(ov.alpha_vars, *images, u)
+                exponent = exponent + theta.frobenius().extend_vars(ov.alpha_vars).scale(h)
+            want = E.transitions[pair].frobenius() @ trunc_exp(exponent, atlas.ctx)
+            assert H.transitions[pair] == want
 
 
 def test_forward_rejects_non_nilpotent():
@@ -449,18 +491,22 @@ def test_transforms_check_each_invariant_once(monkeypatch, name):
     scans = count_calls(monkeypatch, "nilpotent_within")
     H = inverse_cartier(E)
     assert len(scans) == len(E.atlas.charts)  # check_higgs, once per chart
+    scans.clear()
     calls = {name: count_calls(monkeypatch, name)
-             for name in ("p_curvature", "check_flat", "check_higgs")}
+             for name in ("p_curvature", "check_flat", "check_higgs", "_higgs_report")}
     inverses = []
     inverse_unit_det = PolyMatrix.inverse_unit_det
     monkeypatch.setattr(PolyMatrix, "inverse_unit_det",
                         lambda m: inverses.append(m) or inverse_unit_det(m))
     out = cartier(H)
-    # p-curvature and flatness of the input in untwist; the flat frames prove the
-    # untwisted connection flat with zero p-curvature; check_higgs of the output
+    # p-curvature, flatness and psi's exponent of the input in untwist; the flat
+    # frames prove the untwisted connection flat with zero p-curvature; the
+    # output's checks leave out the exponent, which relabelling keeps
     assert [args[0] for args in calls["p_curvature"]] == [H]
     assert [args[0] for args in calls["check_flat"]] == [H]
-    assert [args[0] for args in calls["check_higgs"]] == [out]
+    assert len(scans) == len(E.atlas.charts)  # psi's exponent, once per chart
+    assert calls["check_higgs"] == []
+    assert [args[0] for args in calls["_higgs_report"]] == [out]
     assert len(inverses) == len(E.atlas.charts)  # each frame inverted once, in descend
 
 
@@ -517,6 +563,15 @@ def test_descend_rejects_what_the_deleted_checks_caught():
     assert p_curvature(curved).is_zero()
     with pytest.raises(TransformError, match="frame on 'A2' is not flat"):
         flat_sections(curved)
+
+
+def test_descend_proves_psi_nilpotent():
+    # cartier leaves psi's exponent to untwist; a direct descend proves it itself
+    atlas = a1_atlas()
+    zero = FlatSheaf(atlas, 2, {"A1": [PolyMatrix.zero(2, 2, T, 3)]})
+    identity = PCurvature(2, {"A1": [PolyMatrix.identity(2, T, 3)]})
+    with pytest.raises(TransformError, match=r"fails its checks: nilpotency\[A1\] exponent <= 2$"):
+        descend(zero, identity)
 
 
 # ------------------------------------------------------- gauge comparison
