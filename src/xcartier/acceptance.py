@@ -11,7 +11,7 @@ import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .atlas import Atlas, FrobLift, jacobian_beta_in_alpha, verify_deligne_illusie
+from .atlas import Atlas, FrobLift, verify_deligne_illusie
 from .gallery import gallery
 from .identities import (
     commuting_nilpotent_family,
@@ -272,10 +272,8 @@ def criterion_4() -> Report:
             untwisted, psi = untwist(flat)
             zero_psi = p_curvature(untwisted).is_zero()
             report.add(next(checks), zero_psi)
-            jacobians = {
-                pair: jacobian_beta_in_alpha(ov).frobenius()
-                for pair, ov in flat.atlas.overlaps.items()
-            }
+            jacobians = {pair: flat.atlas.jacobian(pair).frobenius()
+                         for pair in flat.atlas.overlaps}
             glue = check_field_gluing(
                 flat.atlas, psi.comps, untwisted.transitions, jacobians, flat=False
             )

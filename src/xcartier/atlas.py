@@ -33,9 +33,11 @@ t^p, written down directly.
 None of this depends on a sheaf, so an `Atlas` keeps it in one private memo,
 filled on first use: `zeta_form` per (chart, lifting index), the
 `lift_on_overlap` images per (overlap, chart, lifting index), whose
-corruption check therefore runs once.  `validate` and `parse_scene` fill
-none of it.  `add_chart`, `add_overlap` and `add_lift` clear it; an atlas is
-not to be changed any other way.
+corruption check therefore runs once, and `jacobian_beta_in_alpha` per
+overlap, which the gluing checks of every sheaf on the atlas read.
+`validate` fills none of it, and `parse_scene` only the Jacobians of its
+sheaf check.  `add_chart`, `add_overlap` and `add_lift` clear it; an atlas
+is not to be changed any other way.
 
 `validate` checks the liftings (`validate_lifts`) and then every overlap
 (`_validate_overlap`).  An atlas that reuses another's validated Overlap
@@ -170,6 +172,10 @@ class Atlas:
         idx = self.lift_index(chart, choice)
         return self._cached(("zeta", chart, idx), lambda: zeta_form(
             self.chart_vars(chart), self.lifts[chart][idx].images))
+
+    def jacobian(self, pair: tuple[str, str]) -> PolyMatrix:
+        """`jacobian_beta_in_alpha` of the overlap pair, built once per overlap."""
+        return self._cached(("jacobian", pair), lambda: jacobian_beta_in_alpha(self.overlaps[pair]))
 
     def transported_lift(
         self, pair: tuple[str, str], chart: str, choice: dict[str, int] | None = None

@@ -23,18 +23,18 @@ The public constructors `LaurentPoly(...)` and `PolyMatrix(...)` validate
 their input: exponent lengths, negative exponents only on inverted variables,
 one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
 `deriv`, `frobenius`, matrix `@`, `scale`, the linear combination
-`PolyMatrix.combine`, the connection step `nabla` and its chain
-`nabla_power`) keeps those invariants by construction, so it checks the
-operands' ring once per call and builds its result with the trusted `_make`
-constructors, which only reduce mod m and drop zeros.  So are the constants
-(`zero`, `const`, `one`, matrix `zero`, `identity` and `from_int_rows`),
-which check only the modulus and the shape.  `subst` checks that every
-image lives in the target ring and builds its result the same way.  So do
-the other operations that change the ring but keep every exponent valid:
-`reduce_mod` and `divide_by_p` (same variables, a modulus dividing the old
-one; `_divided_by_p` divides unreduced terms, the atlas's derivatives and
-differences, without building them first), and `extend_vars` onto a
-VarSpec that only adds inversions.
+`PolyMatrix.combine`, the connection step `nabla`, its chain `nabla_power`
+and the p-curvature `p_curvature`) keeps those invariants by construction,
+so it checks the operands' ring once per call and builds its result with the
+trusted `_make` constructors, which only reduce mod m and drop zeros.  So are
+the constants (`zero`, `const`, `one`, matrix `zero`, `identity` and
+`from_int_rows`), which check only the modulus and the shape.  `subst`
+checks that every image lives in the target ring and builds its result the
+same way.  So do the other operations that change the ring but keep every
+exponent valid: `reduce_mod` and `divide_by_p` (same variables, a modulus
+dividing the old one; `_divided_by_p` divides unreduced terms, the atlas's
+derivatives and differences, without building them first), and
+`extend_vars` onto a VarSpec that only adds inversions.
 `extend_vars` onto fewer inversions and `map_entries` go through the
 validating constructors.  The trusted constructors, `term_grid` and the
 `_`-helpers on raw term dicts are this module's own; the only other users
@@ -55,6 +55,10 @@ The same-ring kernels use this to skip zeros, always after their ring check:
   both products as reduced grids without building polynomials;
 - `nabla_power` runs its n steps on raw term dicts, builds polynomials only
   for its result, and never writes to an operand's term dicts;
+- `p_curvature` splits A into constant coefficient matrices, kept as sparse
+  lists of row dicts, and when they commute assembles Jacobson's closed form
+  from their p-th powers and the terms of A with exponent -1 mod p; only
+  when they do not does it run the `nabla_power` chain;
 - `combine` (sum_k s_k M_k, behind `trunc_exp` and the Taylor check) adds
   every product into one grid of term dicts; an int s_k scales
   coefficients without a polynomial product, an entry whose one
@@ -609,6 +613,84 @@ def _product_terms(out: dict, a: dict, b: dict) -> dict:
     return out
 
 
+def _wilson_derivative_terms(terms: dict, i: int, p: int) -> dict:
+    """The unreduced terms of the (p-1)-th derivative along variable i mod p,
+    in a fresh dict: -t^(e - (p-1) eps_i) for each term t^e with e_i = -1 mod p."""
+    # lowering exponent i is injective, so no two terms meet
+    return {
+        exps[:i] + (e - p + 1,) + exps[i + 1:]: -c
+        for exps, c in terms.items() if (e := exps[i]) % p == p - 1
+    }
+
+
+# ---------- sparse constant matrices: lists of row dicts {column: coefficient} ----------
+
+
+def _scalar_classes(grid: list[list[dict]], p: int) -> list[tuple[list[dict], list[tuple]]]:
+    """The constant coefficient matrices A_e of the mod-p grid sum_e t^e A_e,
+    grouped by scalar class: [(B, [(e, c), ...])] with A_e = c B, where
+    the first nonzero entry of B, in row-major order, is 1."""
+    coeffs: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for i, row in enumerate(grid):
+        for j, terms in enumerate(row):
+            for e, c in terms.items():
+                if e in coeffs:
+                    coeffs[e].append((i, j, c))
+                else:
+                    coeffs[e] = [(i, j, c)]
+    classes: dict[tuple, tuple[list[dict], list[tuple]]] = {}
+    for e, entries in coeffs.items():  # each in row-major order
+        c = entries[0][2]
+        if c != 1:
+            inv = pow(c, -1, p)
+            entries = tuple((i, j, v * inv % p) for i, j, v in entries)
+        else:
+            entries = tuple(entries)
+        cls = classes.get(entries)
+        if cls is None:
+            b = [{} for _ in grid]
+            for i, j, v in entries:
+                b[i][j] = v
+            cls = classes[entries] = (b, [])
+        cls[1].append((e, c))
+    return list(classes.values())
+
+
+def _constant_product(x: list[dict], y: list[dict], p: int) -> list[dict]:
+    """The product of two sparse constant matrices mod p."""
+    out = []
+    for row in x:
+        acc: dict[int, int] = {}
+        for k, c in row.items():
+            for j, d in y[k].items():
+                acc[j] = acc.get(j, 0) + c * d
+        out.append({j: r for j, v in acc.items() if (r := v % p)})
+    return out
+
+
+def _commute_pairwise(mats: list[list[dict]], p: int) -> bool:
+    """Whether the sparse constant matrices commute pairwise; stops at the
+    first pair that does not."""
+    return all(
+        _constant_product(a, b, p) == _constant_product(b, a, p)
+        for a, b in itertools.combinations(mats, 2)
+    )
+
+
+def _constant_power(x: list[dict], n: int, p: int) -> list[dict]:
+    """x^n mod p for n >= 1 by repeated squaring, stopping at the first zero square."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else _constant_product(result, x, p)
+        n >>= 1
+        if not n:
+            return result
+        x = _constant_product(x, x, p)
+        if not any(x):
+            return x
+
+
 # ---------- division and inversion ----------
 
 
@@ -877,6 +959,49 @@ class PolyMatrix:
                 new_grid.append(new_row)
             grid = new_grid
         return PolyMatrix._from_terms(grid, vars, m)
+
+    def p_curvature(self, name: str) -> "PolyMatrix":
+        """(d/d(name) + A)^p applied to the identity frame, A = self a square
+        mod-p matrix: the p-curvature of the connection d + A along one
+        coordinate t = name.
+
+        Write A = sum_e t^e A_e with constant matrices A_e.  When the A_e
+        commute pairwise, A commutes with all its derivatives, and Jacobson's
+        formula for (d + A)^p, with d^p = 0 on the chart ring and
+        A^p = sum_e t^(pe) A_e^p in characteristic p, gives
+
+            psi = sum_e t^(pe) A_e^p + d^(p-1) A.
+
+        d^(p-1) t^e multiplies t^(e - p + 1) by the product of the p-1
+        consecutive integers e, e-1, ..., e-p+2: (p-1)! = -1 (Wilson) when
+        e = -1 mod p, else 0.  A_e = c B over a representative B of its
+        scalar class, so A_e^p = c B^p, and B^p comes from squarings that
+        stop at the first zero.  The commutation test compares the
+        representatives pairwise (one class at rank 1) and stops at the
+        first pair that differs; then psi is the chain
+        `self.nabla_power(self, name, p - 1)`.  Everything runs on raw term
+        dicts and sparse constant matrices; polynomials are built only for
+        the result.
+        """
+        if self.rows != self.cols:
+            raise RingError(f"p-curvature of a non-square {self.rows}x{self.cols} matrix")
+        p = _frobenius_prime(self.modulus)
+        i = self.vars.index(name)
+        grid = self.term_grid()
+        classes = _scalar_classes(grid, p)
+        if not _commute_pairwise([b for b, _ in classes], p):
+            return self.nabla_power(self, name, p - 1)
+        out = [[_wilson_derivative_terms(x, i, p) if x else None for x in row] for row in grid]
+        for b, members in classes:
+            pth = [(tuple(p * x for x in e), c) for e, c in members]
+            for acc_row, row in zip(out, _constant_power(b, p, p)):
+                for j, v in row.items():
+                    acc = acc_row[j]
+                    if acc is None:
+                        acc = acc_row[j] = {}
+                    for e, c in pth:
+                        acc[e] = acc.get(e, 0) + c * v
+        return PolyMatrix._from_terms(out, self.vars, p)
 
     @staticmethod
     def combine(pairs: Iterable[tuple]) -> "PolyMatrix":

@@ -3,9 +3,12 @@
 Both are lambda-connections (Ogus-Vologodsky): one matrix A_i per coordinate
 dt_i.  A Higgs field is a 0-connection, a connection d + A a 1-connection,
 and the p-curvature psi (one matrix per pulled-back basis element F*dt_i,
-the p-fold application of d/dt_i + A_i to the identity frame: one
-`PolyMatrix.nabla_power` chain of p-1 steps from A_i) a 0-connection on the
-Frobenius pullback.  `flat` is lambda throughout.
+the p-fold application of d/dt_i + A_i to the identity frame,
+`PolyMatrix.p_curvature`) a 0-connection on the Frobenius pullback.  When
+the constant coefficient matrices A_e of A_i = sum_e t^e A_e commute, psi_i
+is Jacobson's closed form sum_e t^(pe) A_e^p + d_i^(p-1) A_i (Katz 1970,
+section 5, at rank one); every other A_i takes the `nabla_power` chain of
+p-1 steps from A_i.  `flat` is lambda throughout.
 `p_curvature` proves no invariant of psi; they are proven where psi is used
 (`transforms.descend`, `verify_p_curvature_invariants`).
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .atlas import Atlas, jacobian_beta_in_alpha, pull_beta_function
+from .atlas import Atlas, pull_beta_function
 from .report import Report
 from .ring import (
     NotAUnitError,
@@ -279,7 +282,7 @@ def _higgs_report(E: HiggsSheaf, exponent: bool) -> Report:
             nilpotent = nilpotent_within(mats, p - 1)
             report.add(check, nilpotent, () if nilpotent else (f"no vanishing up to degree {p - 1}",))
     _check_transition_cocycle(E.atlas, E.transitions, report)
-    jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in E.atlas.overlaps.items()}
+    jacobians = {pair: E.atlas.jacobian(pair) for pair in E.atlas.overlaps}
     report.extend(check_field_gluing(E.atlas, E.fields, E.transitions, jacobians, flat=False))
     return report
 
@@ -291,7 +294,7 @@ def check_flat(H: FlatSheaf) -> Report:
         witness = () if curv is None else (f"curvature dt_{curv[0]}^dt_{curv[1]} = {curv[2]}",)
         report.add(f"zero curvature[{chart}]", curv is None, witness)
     _check_transition_cocycle(H.atlas, H.transitions, report)
-    jacobians = {pair: jacobian_beta_in_alpha(ov) for pair, ov in H.atlas.overlaps.items()}
+    jacobians = {pair: H.atlas.jacobian(pair) for pair in H.atlas.overlaps}
     report.extend(check_field_gluing(H.atlas, H.conn, H.transitions, jacobians, flat=True))
     return report
 
@@ -367,13 +370,16 @@ def check_field_gluing(
 def p_curvature(H: FlatSheaf) -> PCurvature:
     """Psi_i = (d/dt_i + A_i)^p applied to the identity frame, per chart.
 
-    The first step takes the identity frame to A_i; the other p-1 are one
-    chain `A_i.nabla_power(A_i, t_i, p - 1)` of steps b -> d_i b + A_i b.
+    One `A_i.p_curvature(t_i)` per coordinate: Jacobson's closed form
+    sum_e t^(pe) A_e^p + d_i^(p-1) A_i when the constant coefficient
+    matrices A_e of A_i = sum_e t^e A_e commute, as they do on every forward
+    image of a Higgs field whose coefficient matrices commute; otherwise the
+    chain `A_i.nabla_power(A_i, t_i, p - 1)` of steps b -> d_i b + A_i b
+    after the first step, which takes the identity frame to A_i.
     H must be flat: `check_flat` (in `untwist`) and `parse_scene` check it.
     """
-    p = H.atlas.ctx.p
     comps = {
-        chart: [a.nabla_power(a, t, p - 1) for a, t in zip(mats, H.atlas.chart_vars(chart).names)]
+        chart: [a.p_curvature(t) for a, t in zip(mats, H.atlas.chart_vars(chart).names)]
         for chart, mats in H.conn.items()
     }
     return PCurvature(H.rank, comps)

@@ -204,6 +204,39 @@ def test_verify_all_fails_a_wrong_sign_zeta_under_every_perturbed_lifting(monkey
                                "overlap:U0|U1: d(h) = zeta difference [U1#0,U0#0]")
 
 
+PURE_GAUGE = ("c3: p-curvature of the pure gauge d - dF*F^-1 is zero, "
+              "F^-1 = [[1 + t^3, t^2], [t, 1]] (p=3)")
+SIGNS = [f"c3: p-curvature is a single sign times the pulled-back field on {label} (p={p})"
+         for p in (3, 5) for label in ("g2_a1_rank2", "g3_a1_three_lifts", "g5_p1_uniformizing",
+                                       "g6_a2_rank3") + (("g6_a2_rank3(exp3)",) if p == 5 else ())]
+TORUS = [f"c4: {check} on g7_gm_rank1 c={c} (p=3)" for c in (1, 2) for check in (
+    "untwisted connection has zero p-curvature",
+    "p-curvature commutes with the twisted gluing",
+    "descended sheaf passes all checks",
+)]
+# mutants of the p-curvature's closed form: (ring helper, replacement, criterion, its failures)
+CLOSED_FORM_MUTANTS = {
+    # the forward images are nilpotent, so A^p = 0 there; the torus is not
+    "A_e^p dropped": ("_constant_power", lambda x, n, p: [{} for _ in x], "c4:", TORUS),
+    "d^(p-1) A dropped": ("_wilson_derivative_terms", lambda terms, i, p: {}, "c3:", SIGNS + [
+        "c3: one global sign across the whole gallery",
+        "c3: measured sign equals the rank-2 oracle value -1"]),
+    "commutation test skipped": ("_commute_pairwise", lambda mats, p: True, "c3:", [PURE_GAUGE]),
+}
+
+
+@pytest.mark.parametrize("kind", list(CLOSED_FORM_MUTANTS))
+def test_verify_all_fails_a_mutant_of_the_p_curvature_closed_form(monkeypatch, kind):
+    from xcartier import ring
+
+    name, mutant, criterion, want = CLOSED_FORM_MUTANTS[kind]
+    monkeypatch.setattr(ring, name, mutant)
+    report = acceptance.verify_all()  # never raises
+    assert len(report.entries) == 111
+    assert not any(e.check.endswith(" raised") for e in report.entries)
+    assert [e.check for e in report.failures() if e.check.startswith(criterion)] == want
+
+
 def test_verify_all_json_is_byte_identical_across_hash_seeds():
     src = Path(__file__).resolve().parent.parent / "src"
     outs = [

@@ -842,6 +842,19 @@ def test_nabla_power_checks_shape_ring_and_steps_once():
     assert S.nabla_power(S, "t", 0) is S
 
 
+def test_p_curvature_checks_shape_ring_and_name():
+    with pytest.raises(RingError, match="non-square 2x3"):
+        PolyMatrix.zero(2, 3, T, 3).p_curvature("t")
+    with pytest.raises(RingError, match="only defined on mod-p"):
+        PolyMatrix.identity(2, T, 9).p_curvature("t")
+    with pytest.raises(RingError, match="unknown variable"):
+        PolyMatrix.identity(2, T, 3).p_curvature("u")
+    assert PolyMatrix.zero(2, 2, T, 3).p_curvature("t").is_zero()
+    # rank one, p = 3: a^3 = 8*t^6 + t^15 and d^2 a = 4 + 20*t^3 = 1 - t^3
+    a = PolyMatrix([[poly("2*t^2 + t^5")]])
+    assert a.p_curvature("t") == PolyMatrix([[poly("2*t^6 + t^15 - t^3 + 1")]])
+
+
 def generic_product_terms(out, a, b):
     for ea, ca in a.items():
         for eb, cb in b.items():

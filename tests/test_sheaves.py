@@ -338,21 +338,145 @@ def count_matrix_calls(monkeypatch, name):
     return calls
 
 
+CHAIN = PolyMatrix.nabla_power  # the p-curvature's reference and its fallback
+
+
+def pure_gauge(p=3):
+    """Criterion 3's pure gauge d - dF F^-1, F^-1 = [[1 + t^3, t^2], [t, 1]]:
+    its coefficient matrices do not commute."""
+    atlas = gallery("g1_trivial", p).atlas
+    vars = atlas.chart_vars("A1")
+    inv = PolyMatrix([[LaurentPoly.parse(x, vars, p) for x in row]
+                      for row in (("1 + t^3", "t^2"), ("t", "1"))])
+    return FlatSheaf(atlas, 2, {"A1": [-(inv.inverse_unit_det().deriv("t") @ inv)]})
+
+
+def coordinates(H):
+    """(A_i, t_i) for every coordinate of every chart of H."""
+    return [(a, t) for chart, mats in H.conn.items()
+            for a, t in zip(mats, H.atlas.chart_vars(chart).names)]
+
+
 @pytest.mark.parametrize("name,p", [("g5_p1_uniformizing", 3), ("g6_a2_rank3", 5)])
-def test_p_curvature_is_p_minus_one_fused_steps(monkeypatch, name, p):
-    # one chain of p-1 steps per coordinate per chart, and no other product
+def test_p_curvature_of_a_forward_image_takes_the_closed_form(monkeypatch, name, p):
+    # the coefficient matrices of a forward image of g5 or g6 commute
     H = inverse_cartier(gallery(name, p).sheaf)
     chains = count_matrix_calls(monkeypatch, "nabla_power")
     nabla = count_matrix_calls(monkeypatch, "nabla")
     matmul = count_matrix_calls(monkeypatch, "__matmul__")
     psi = p_curvature(H)
-    want = [
-        (a, t) for chart, mats in H.conn.items() for a, t in zip(mats, H.atlas.chart_vars(chart).names)
-    ]
-    assert len(chains) == len(want)
-    assert all(got[0] is a and got[1:] == (t, p - 1) for got, (a, t) in zip(chains, want))
-    assert nabla == [] and matmul == []
+    assert chains == [] and nabla == [] and matmul == []
     assert not psi.is_zero()
+
+
+def test_p_curvature_of_the_pure_gauge_is_one_chain_per_coordinate(monkeypatch):
+    H = pure_gauge()
+    chains = count_matrix_calls(monkeypatch, "nabla_power")
+    psi = p_curvature(H)
+    want = coordinates(H)
+    assert len(chains) == len(want) == 1
+    assert all(got[0] is a and got[1:] == (t, 2) for got, (a, t) in zip(chains, want))
+    assert psi.is_zero()
+
+
+def closed_form_count(monkeypatch, components):
+    """Compare each (A, t)'s p-curvature with the chain; count the closed forms.
+
+    A component answered without a `nabla_power` call took the closed form.
+    """
+    chains = count_matrix_calls(monkeypatch, "nabla_power")
+    closed = 0
+    for a, t in components:
+        chains.clear()
+        assert a.p_curvature(t) == CHAIN(a, a, t, a.modulus - 1)
+        assert chains in ([], [(a, t, a.modulus - 1)])
+        closed += not chains
+    return closed
+
+
+def lifting_choices(atlas):
+    charts = sorted(atlas.charts)
+    for idx in itertools.product(*(range(len(atlas.lifts[c])) for c in charts)):
+        yield dict(zip(charts, idx))
+
+
+@pytest.mark.parametrize("p,count", [(3, 15), (5, 17), (7, 17), (11, 17), (13, 17)])
+def test_p_curvature_closed_form_equals_the_chain_on_gallery_images(monkeypatch, p, count):
+    variants = {"g6_a2_rank3": [{}, {"exponent3": True}] if p >= 5 else [{}],
+                "g7_gm_rank1": [{"c": c} for c in range(3)]}
+    components = []
+    for name in GALLERY_NAMES:
+        for options in variants.get(name, [{}]):
+            scene = gallery(name, p, **options)
+            if isinstance(scene.sheaf, FlatSheaf):
+                components += coordinates(scene.sheaf)
+                continue
+            for choice in lifting_choices(scene.atlas):
+                components += coordinates(inverse_cartier(scene.sheaf, choice))
+    assert closed_form_count(monkeypatch, components) == len(components) == count
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_p_curvature_closed_form_equals_the_chain_on_seeded_jordan_images(monkeypatch, p):
+    from xcartier.acceptance import perturbed_atlas
+
+    components = []
+    for seed in range(6):
+        names = ["t", "u", "v"][:seed % 3 + 1]
+        rank = 2 + seed % (p - 2)
+        atlas = affine_atlas(p, names)
+        if seed % 2:  # liftings t^p + p r(t), so zeta is not diagonal
+            atlas = perturbed_atlas(atlas, seed)
+        E = HiggsSheaf(atlas, rank, {"A": seeded_jordan_fields(p, names, rank, seed)})
+        components += coordinates(inverse_cartier(E))
+    assert closed_form_count(monkeypatch, components) == len(components) == 12
+
+
+def seeded_laurent(rng, vars, p):
+    """Three seeded terms, exponents in [-p - 1, 2p] on inverted variables and
+    in [0, 2p] on the others."""
+    return LaurentPoly(vars, p, {
+        tuple(rng.randint(-p - 1 if vars.allows_negative(n) else 0, 2 * p) for n in vars.names):
+            rng.randrange(1, p)
+        for _ in range(3)
+    })
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_p_curvature_closed_form_equals_the_chain_on_commuting_seeded_connections(monkeypatch, p):
+    rng = random.Random(p)
+    components = []
+    for vars in (VarSpec.make(["t"], ["t"]), VarSpec.make(["t", "u"], ["t"])):
+        zero = LaurentPoly.zero(vars, p)
+        for _ in range(4):
+            rank_one = PolyMatrix([[seeded_laurent(rng, vars, p)]])
+            diagonal = PolyMatrix([[seeded_laurent(rng, vars, p) if i == j else zero
+                                    for j in range(3)] for i in range(3)])
+            # a polynomial in one constant matrix m, which need not be nilpotent
+            m = PolyMatrix.from_int_rows([[rng.randrange(p) for _ in range(3)] for _ in range(3)],
+                                         vars, p)
+            power, in_m = PolyMatrix.identity(3, vars, p), []
+            for _ in range(3):
+                in_m.append((seeded_laurent(rng, vars, p), power))
+                power = power @ m
+            for a in (rank_one, diagonal, PolyMatrix.combine(in_m)):
+                components += [(a, t) for t in vars.names]
+    assert closed_form_count(monkeypatch, components) == len(components) == 36
+
+
+def test_p_curvature_of_non_commuting_coefficients_takes_the_chain(monkeypatch):
+    p = 5
+    E = HiggsSheaf(affine_atlas(p, ["t"]), 3, {"A": seeded_jordan_fields(p, ["t"], 3, 1)})
+    H = inverse_cartier(E)
+    vars = H.atlas.chart_vars("A")
+    g = PolyMatrix.identity(3, vars, p) + e_mat(2, 0, 3, vars, p).scale(
+        LaurentPoly.parse("t^2 + 1", vars, p))
+    # the flat gauge transform (g A - dg) g^-1 of the Jordan image
+    gauged = FlatSheaf(H.atlas, 3, {
+        "A": [(g @ H.conn["A"][0] - g.deriv("t")) @ g.inverse_unit_det()]})
+    assert check_flat(gauged).ok()
+    components = coordinates(gauged) + coordinates(pure_gauge()) + coordinates(pure_gauge(5))
+    assert closed_form_count(monkeypatch, components) == 0 and len(components) == 3
 
 
 @pytest.mark.parametrize("rank", [2, 4, 6])

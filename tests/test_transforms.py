@@ -411,9 +411,11 @@ def count_calls(monkeypatch, name):
 def test_atlas_data_is_built_once_per_lifting(monkeypatch):
     g5, g3 = gallery("g5_p1_uniformizing", 5).sheaf, gallery("g3_a1_three_lifts", 5).sheaf
     calls = {name: count_calls(monkeypatch, name)
-             for name in ("zeta_form", "lift_on_overlap")}
+             for name in ("zeta_form", "lift_on_overlap", "jacobian_beta_in_alpha")}
     for _ in range(3):
         assert cartier(inverse_cartier(g5)) == g5.negated()
+    # the gluing checks of E, of its image and of the descent share one Jacobian
+    assert [args[0].pair for args in calls["jacobian_beta_in_alpha"]] == [("U0", "U1")]
     # one lifting per chart: one zeta per chart, one transport per overlap side
     assert [args[0] for args in calls["zeta_form"]] == [
         g5.atlas.chart_vars(c) for c in g5.atlas.charts]
@@ -438,7 +440,9 @@ def test_a_warm_atlas_gives_the_outputs_of_a_fresh_one(p):
         outputs(warm[name], choice)
     for name, choice in reversed(cases):
         fresh = parse_scene(emit_scene(gallery(name, p))).sheaf
-        assert fresh.atlas._memo == {}  # parsing, which the benchmark's set-up times, fills none
+        # parsing, which the benchmark's set-up times, fills only the Jacobians of
+        # its gluing check, and nothing that depends on a lifting
+        assert {key[0] for key in fresh.atlas._memo} <= {"jacobian"}
         assert outputs(warm[name], choice) == outputs(fresh, choice)
 
 
