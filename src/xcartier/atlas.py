@@ -22,13 +22,12 @@ h_ab[j] = (F_a(t_j) - F_b(t_j))/p, and
 
 `verify_deligne_illusie` checks both, and h_ba = -h_ab, on every ordered
 pair and triple of liftings of a chart or overlap.  It takes Z and h from
-`zeta_form` and `h_pair`, the functions the twist uses, which divide by p
-straight from the terms of the derivative and of the difference.  After one
-ring check per domain it compares reduced term dicts (d(h_ab) + Z_b with
-Z_a); the Jacobian and difference matrices and the vectors' text are built
-only for the witness of a failed entry.  `validate_lifts` and the check of a
-transported lifting compare the reduced terms of each image with those of
-t^p, written down directly.
+`zeta_form` and `h_pair`, the functions the twist uses, and compares
+polynomials entry by entry (d(h_ab) + Z_b with Z_a); the Jacobian and
+difference matrices and the vectors' text are built only for the witness of
+a failed entry.  `validate_lifts` and the check of a transported lifting
+compare each image mod p with t^p.  All of it runs on the public operations
+of `ring`.
 
 None of this depends on a sheaf, so an `Atlas` keeps it in one private memo,
 filled on first use: `zeta_form` per (chart, lifting index), the
@@ -56,11 +55,7 @@ from .ring import (
     PolyMatrix,
     PrimeContext,
     VarSpec,
-    _check_ring,
-    _deriv_terms,
-    _divided_by_p,
-    _reduced_terms,
-    _sum_terms,
+    divide_by_p,
     jacobian,
 )
 
@@ -204,7 +199,7 @@ class Atlas:
                 for coord, img in lift.images.items():
                     if img.modulus != p2 or img.vars != vars:
                         raise AtlasError(f"lift image of {coord!r} on {name!r}: wrong ring")
-                    if _reduced_terms(img.terms, p) != _pth_power(vars, coord, p):
+                    if img.reduce_mod(p) != LaurentPoly.var(vars, p, coord, p):
                         raise AtlasError(
                             f"lift image of {coord!r} on {name!r} is '{img}', "
                             f"not congruent to {coord}^{p} mod {p}"
@@ -248,12 +243,6 @@ class Atlas:
             raise AtlasError(f"overlap {ov.pair}: coordinate-change Jacobian is not a unit")
 
 
-def _pth_power(vars: VarSpec, coord: str, p: int) -> dict:
-    """The terms of coord^p over vars."""
-    k = vars.index(coord)
-    return {(0,) * k + (p,) + (0,) * (vars.arity - k - 1): 1}
-
-
 # ---------- coordinate changes ----------
 
 
@@ -272,18 +261,9 @@ def pull_beta_function(ov: Overlap, f: LaurentPoly) -> LaurentPoly:
 
 
 def zeta_form(vars: VarSpec, images: dict[str, LaurentPoly]) -> PolyMatrix:
-    """Z[j][i] = d_i F(t_j)/p: row j is zeta(1 (x) dt_j) as a mod-p 1-form.
-
-    Each entry is divided by p straight from the derivative's terms.
-    """
-    rows = []
-    for coord in vars.names:
-        img = images[coord]
-        rows.append([
-            _divided_by_p(img.vars, img.modulus, _deriv_terms(img.terms, img.vars.index(name)))
-            for name in vars.names
-        ])
-    return PolyMatrix(rows)
+    """Z[j][i] = d_i F(t_j)/p: row j is zeta(1 (x) dt_j) as a mod-p 1-form."""
+    return PolyMatrix([[divide_by_p(images[coord].deriv(name)) for name in vars.names]
+                       for coord in vars.names])
 
 
 def h_pair(
@@ -292,13 +272,8 @@ def h_pair(
     images_b: dict[str, LaurentPoly],
     coord: str,
 ) -> LaurentPoly:
-    """h_ab(1 (x) dt_coord) = (F_a(t) - F_b(t))/p as a mod-p function.
-
-    The difference is divided by p straight from its terms.
-    """
-    a, b = images_a[coord], images_b[coord]
-    _check_ring(a, b)
-    return _divided_by_p(a.vars, a.modulus, _sum_terms(a.terms, b.terms, -1))
+    """h_ab(1 (x) dt_coord) = (F_a(t) - F_b(t))/p as a mod-p function."""
+    return divide_by_p(images_a[coord] - images_b[coord])
 
 
 def lift_on_overlap(atlas: Atlas, ov: Overlap, lift: FrobLift) -> dict[str, LaurentPoly]:
@@ -324,7 +299,7 @@ def lift_on_overlap(atlas: Atlas, ov: Overlap, lift: FrobLift) -> dict[str, Laur
     else:
         raise AtlasError(f"lifting on {lift.chart!r} does not live on overlap {ov.pair}")
     for u, img in out.items():
-        if _reduced_terms(img.terms, p) != _pth_power(ov.alpha_vars, u, p):
+        if img.reduce_mod(p) != LaurentPoly.var(ov.alpha_vars, p, u, p):
             raise AtlasError(
                 f"transported lifting is corrupt: image of {u!r} is '{img}' mod {p2}"
             )
@@ -353,10 +328,11 @@ def _domains_with_lifts(atlas: Atlas):
 def verify_deligne_illusie(atlas: Atlas) -> Report:
     """Check both homotopy identities for all ordered lift pairs and triples.
 
-    On each domain every `zeta_form` and `h_pair` value is checked once to
-    live in one ring; then d(h_ab) + zeta_b and zeta_a, h_ba and -h_ab, and
-    h_ab + h_bc and h_ac are compared as reduced term dicts.  The matrices
-    and vectors of a witness are built only for a failed entry.
+    d(h_ab) + zeta_b = zeta_a, h_ab + h_ba = 0 and h_ab + h_bc = h_ac are
+    compared entry by entry.  The sums check their operands' ring, and a
+    failed entry builds its witness matrices, which check theirs, so values
+    from two rings raise before any entry is recorded.  The matrices and
+    vectors of a witness are built only for a failed entry.
     """
     report = Report()
     found_any = False
@@ -367,25 +343,18 @@ def verify_deligne_illusie(atlas: Atlas) -> Report:
             (a, b): [h_pair(vars, img_a, img_b, c) for c in vars.names]
             for (a, img_a), (b, img_b) in itertools.permutations(lifted, 2)
         }
-        ring = next(iter(zetas.values()))
-        for x in itertools.chain(zetas.values(), *h.values()):
-            _check_ring(ring, x)
-        m, n = ring.modulus, ring.vars.arity
-        z_terms = {tag: z.term_grid() for tag, z in zetas.items()}
-        h_terms = {pair: [x.terms for x in hs] for pair, hs in h.items()}
         for a, b in itertools.permutations(zetas, 2):
-            hab, za, zb = h_terms[a, b], z_terms[a], z_terms[b]
+            hab, za, zb = h[a, b], zetas[a].entries, zetas[b].entries
             witness = ()
-            if any(_reduced_terms(_sum_terms(_deriv_terms(hab[j], i), zb[j][i], 1), m) != za[j][i]
-                   for j in range(len(hab)) for i in range(n)):  # d h_ab + zeta_b = zeta_a
-                dh, diff = jacobian(h[a, b]), zetas[a] - zetas[b]
+            if any(x.deriv(name) + zb[j][i] != za[j][i]  # d h_ab + zeta_b = zeta_a
+                   for j, x in enumerate(hab) for i, name in enumerate(vars.names)):
+                dh, diff = jacobian(hab), zetas[a] - zetas[b]
                 witness = (f"d h = {dh}", f"zeta_a - zeta_b = {diff}")
-            elif h_terms[b, a] != [{e: m - c for e, c in x.items()} for x in hab]:  # -h_ab
-                witness = (f"h_ab = {_vector(h[a, b])}", f"h_ba = {_vector(h[b, a])}")
+            elif not all((x + y).is_zero() for x, y in zip(hab, h[b, a])):  # h_ba = -h_ab
+                witness = (f"h_ab = {_vector(hab)}", f"h_ba = {_vector(h[b, a])}")
             report.add(f"{label}: d(h) = zeta difference [{a},{b}]", not witness, witness)
         for a, b, c in itertools.permutations(zetas, 3):
-            ok = [_reduced_terms(_sum_terms(x, y, 1), m)
-                  for x, y in zip(h_terms[a, b], h_terms[b, c])] == h_terms[a, c]
+            ok = all(x + y == z for x, y, z in zip(h[a, b], h[b, c], h[a, c]))
             witness = () if ok else (
                 f"h_ab = {_vector(h[a, b])}, h_bc = {_vector(h[b, c])}",
                 f"h_ac = {_vector(h[a, c])}",

@@ -32,14 +32,12 @@ the constants (`zero`, `const`, `one`, matrix `zero`, `identity` and
 checks that every image lives in the target ring and builds its result the
 same way.  So do the other operations that change the ring but keep every
 exponent valid: `reduce_mod` and `divide_by_p` (same variables, a modulus
-dividing the old one; `_divided_by_p` divides unreduced terms, the atlas's
-derivatives and differences, without building them first), and
-`extend_vars` onto a VarSpec that only adds inversions.
-`extend_vars` onto fewer inversions and `map_entries` go through the
-validating constructors.  The trusted constructors, `term_grid` and the
-`_`-helpers on raw term dicts are this module's own; the only other users
-are the atlas's Deligne-Illusie kernels and the gauge search in
-`transforms` (`tests/test_boundaries.py` holds that list).
+dividing the old one), and `extend_vars` onto a VarSpec that only adds
+inversions.  `extend_vars` onto fewer inversions and `map_entries` go
+through the validating constructors.  The term-dict format, the trusted
+constructors, `term_grid` and the `_`-helpers on raw term dicts belong to
+this module alone: every other module works through the public operations
+(`tests/test_boundaries.py` checks this).
 
 Polynomials and matrices are immutable: nothing writes to `terms`,
 `entries`, `vars` or `modulus` after construction.  A result may therefore
@@ -59,9 +57,9 @@ The same-ring kernels use this to skip zeros, always after their ring check:
   lists of row dicts, and when they commute assembles Jacobson's closed form
   from their p-th powers and the terms of A with exponent -1 mod p; only
   when they do not does it run the `nabla_power` chain;
-- `combine` (sum_k s_k M_k, behind `trunc_exp` and the Taylor check) adds
-  every product into one grid of term dicts; an int s_k scales
-  coefficients without a polynomial product, an entry whose one
+- `combine` (sum_k s_k M_k, behind `trunc_exp`, the Taylor check and
+  Katz's projector) adds every product into one grid of term dicts; an int
+  s_k scales coefficients without a polynomial product, an entry whose one
   contribution has s_k = 1 is that operand's entry, and the entries with
   none share one zero, as do the zero entries of `from_int_rows`;
 - `subst` keeps its image powers as term dicts and accumulates every term
@@ -696,25 +694,16 @@ def _constant_power(x: list[dict], n: int, p: int) -> list[dict]:
 
 def divide_by_p(q: LaurentPoly) -> LaurentPoly:
     """Divide a mod-p**2 polynomial with p-divisible coefficients by p."""
-    return _divided_by_p(q.vars, q.modulus, q.terms)
-
-
-def _divided_by_p(vars: VarSpec, modulus: int, terms: dict) -> LaurentPoly:
-    """divide_by_p of the mod-p**2 polynomial with the unreduced terms over vars.
-
-    The exponent vectors must already be valid for vars.
-    """
-    p, level = char_of_modulus(modulus)
+    p, level = char_of_modulus(q.modulus)
     if level != 2:
         raise RingError("divide_by_p expects a mod-p**2 polynomial")
     out = {}
-    for exps, c in terms.items():
-        if c := c % modulus:
-            if c % p != 0:
-                mono = LaurentPoly.monomial(vars, modulus, c, exps)
-                raise NotDivisibleError(f"coefficient of term '{mono}' is not divisible by {p}")
-            out[exps] = c // p
-    return LaurentPoly._make(vars, p, out)
+    for exps, c in q.terms.items():
+        if c % p != 0:
+            mono = LaurentPoly.monomial(q.vars, q.modulus, c, exps)
+            raise NotDivisibleError(f"coefficient of term '{mono}' is not divisible by {p}")
+        out[exps] = c // p
+    return LaurentPoly._make(q.vars, p, out)
 
 
 def invert_poly(u: LaurentPoly) -> LaurentPoly:

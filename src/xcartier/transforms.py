@@ -27,11 +27,11 @@ by `p_curvature_sign`, not hard-coded.
 sum c t^m E_ij over a box of exponents m.  The constraints are linear, and
 R_lambda(t^m g) = t^m R_lambda(g) - lambda d(t^m) g for a constant g, so the
 residual E_ij A - B E_ij of each matrix unit and its overlap products
-T_2 E_ij and E_ij T_1 are written down once per search, in closed form: E_ij A
-is row j of A placed in row i, and B E_ij is column i of B placed in column
-j.  Every degree bound reads its rows off them by exponent shifts, the
-derivative term and, on the beta side of an overlap, the product with
-pull_beta_function(t^m).
+T_2 E_ij and E_ij T_1 are written down once per search, in closed form and
+as polynomials: E_ij A is row j of A placed in row i, and B E_ij is column i
+of B placed in column j.  Every degree bound reads its rows off the terms of
+their entries times t^m, built in the entry's ring or, on the beta side of
+an overlap, as pull_beta_function(t^m), and off the derivative term.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ from .ring import (
     LaurentPoly,
     PolyMatrix,
     VarSpec,
-    _product_terms,
-    _reduced_terms,
-    _sum_terms,
     monomial_sort_key,
     monomials_in_box,
     trunc_exp,
@@ -332,13 +329,14 @@ def _solve_flat_frame(H: FlatSheaf, chart: str) -> PolyMatrix:
                 break
             powers.append(nxt)
         for a in range(p):
-            acc = PolyMatrix.zero(r, r, vars, p)
-            for m, power in enumerate(powers):
-                c = (-1) ** m if a == 0 else math.comb(a - 1, p - 1 - m)
-                if c % p:
-                    exps = tuple(a + m if v == i else 0 for v in range(vars.arity))
-                    acc = acc + power.scale(LaurentPoly.monomial(vars, p, c * inv_fact[m], exps))
-            yield from projected(acc, i + 1)
+            pairs = [
+                (LaurentPoly.monomial(vars, p, c * inv_fact[m],
+                                      [a + m if v == i else 0 for v in range(vars.arity)]), power)
+                for m, power in enumerate(powers)
+                if (c := (-1) ** m if a == 0 else math.comb(a - 1, p - 1 - m)) % p
+            ]
+            yield from projected(
+                PolyMatrix.combine(pairs) if pairs else PolyMatrix.zero(r, r, vars, p), i + 1)
 
     def frame(cols):
         if len(cols) == r and PolyMatrix([list(row) for row in zip(*cols)]).det().is_unit():
@@ -500,7 +498,7 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
 
     The residuals and overlap products of the matrix units E_ij are read off
     the matrices here (`_unit_residual`, rows and columns placed), once for
-    every bound; each bound shifts and multiplies their terms (module
+    every bound; each bound multiplies their entries by t^m (module
     docstring).
     """
     atlas = sheaf1.atlas
@@ -512,31 +510,32 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
     # (chart, i, j) -> [(row key prefix, nonzero entries, overlap on whose beta side or None)]
     blocks: dict[tuple, list] = {}
     for chart in charts:
-        grids1 = [a.term_grid() for a in mats1[chart]]
-        grids2 = [b.term_grid() for b in mats2[chart]]
         for i, j in itertools.product(range(r), repeat=2):
-            out = [(("chart", chart, k), _unit_residual(a, b, i, j, p), None)
-                   for k, (a, b) in enumerate(zip(grids1, grids2))]
+            out = [(("chart", chart, k), _unit_residual(a, b, i, j), None)
+                   for k, (a, b) in enumerate(zip(mats1[chart], mats2[chart]))]
             for pair, ov in atlas.overlaps.items():
                 if chart == ov.alpha:  # -T_2 E_ij: column i of -T_2 in column j
                     t2 = sheaf2.transitions[pair].entries
                     out.append((("overlap", pair),
-                                [(a, j, {e: -c % p for e, c in t2[a][i].terms.items()})
-                                 for a in range(r) if t2[a][i].terms], None))
+                                [(a, j, -t2[a][i]) for a in range(r) if not t2[a][i].is_zero()],
+                                None))
                 if chart == ov.beta:  # E_ij T_1: row j of T_1 in row i
                     t1 = sheaf1.transitions[pair].entries
                     out.append((("overlap", pair),
-                                [(i, b, x.terms) for b, x in enumerate(t1[j]) if x.terms], ov))
+                                [(i, b, x) for b, x in enumerate(t1[j]) if not x.is_zero()], ov))
             blocks[chart, i, j] = out
-    pulled: dict[tuple, dict] = {}  # (pair, m) -> terms of pull_beta_function(t^m)
+    shifts: dict[tuple, LaurentPoly] = {}  # (ring or overlap pair, m) -> t^m there
 
-    def multiplier(m: tuple[int, ...], ov) -> dict:
-        if ov is None:
-            return {m: 1}
-        if (ov.pair, m) not in pulled:
-            mono = LaurentPoly.monomial(atlas.chart_vars(ov.beta), p, 1, m)
-            pulled[ov.pair, m] = pull_beta_function(ov, mono).terms
-        return pulled[ov.pair, m]
+    def multiplier(m: tuple[int, ...], x: LaurentPoly, ov) -> LaurentPoly:
+        """t^m in the ring of the entry x, or pulled back from the beta chart of ov."""
+        key = (x.vars if ov is None else ov.pair, m)
+        if key not in shifts:
+            if ov is None:
+                shifts[key] = LaurentPoly.monomial(x.vars, p, 1, m)
+            else:
+                mono = LaurentPoly.monomial(atlas.chart_vars(ov.beta), p, 1, m)
+                shifts[key] = pull_beta_function(ov, mono)
+        return shifts[key]
 
     def solution_space(bound: int):
         unknowns = [
@@ -554,9 +553,8 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
 
         for col, (chart, m, i, j) in enumerate(unknowns):
             for prefix, entries, ov in blocks[chart, i, j]:
-                mult = multiplier(m, ov)
-                for a, b, terms in entries:
-                    for e, c in _product_terms({}, terms, mult).items():
+                for a, b, x in entries:
+                    for e, c in (x * multiplier(m, x, ov)).terms.items():
                         add(prefix + (a, b, e), col, c)
             if flat:  # -lambda d(t^m) E_ij = -sum_k m_k t^(m - e_k) E_ij dt_k
                 for k, mk in enumerate(m):
@@ -567,20 +565,24 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
     return solution_space
 
 
-def _unit_residual(a: list[list[dict]], b: list[list[dict]], i: int, j: int, p: int) -> list:
-    """The nonzero entries (row, column, terms) of E_ij A - B E_ij, in row order.
+def _unit_residual(A: PolyMatrix, B: PolyMatrix, i: int, j: int) -> list:
+    """The nonzero entries (row, column, polynomial) of E_ij A - B E_ij, in row order.
 
     E_ij A is row j of A placed in row i, and B E_ij is column i of B placed
-    in column j; A and B are grids of term dicts.
+    in column j.
     """
+    a, b = A.entries, B.entries
     out = []
     for row in range(len(a)):
         for col in range(len(a)):
-            terms = a[j][col] if row == i else {}
-            if col == j and b[row][i]:
-                terms = _reduced_terms(_sum_terms(terms, b[row][i], -1), p)
-            if terms:
-                out.append((row, col, terms))
+            if row == i:
+                x = a[j][col] - b[row][i] if col == j else a[j][col]
+            elif col == j:
+                x = -b[row][i]
+            else:
+                continue
+            if not x.is_zero():
+                out.append((row, col, x))
     return out
 
 
@@ -594,7 +596,8 @@ def _combine(basis, coeffs, unknowns, atlas, r) -> dict[str, PolyMatrix]:
                 cell = cells[chart][i][j]
                 cell[m] = cell.get(m, 0) + c * v
     return {
-        chart: PolyMatrix._from_terms(rows, atlas.chart_vars(chart), atlas.ctx.p)
+        chart: PolyMatrix([[LaurentPoly(atlas.chart_vars(chart), atlas.ctx.p, cell) for cell in row]
+                           for row in rows])
         for chart, rows in cells.items()
     }
 

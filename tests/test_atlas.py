@@ -12,6 +12,7 @@ from xcartier.atlas import (
     zeta_form,
 )
 from xcartier.gallery import gallery
+from xcartier.report import Report
 from xcartier.ring import (
     LaurentPoly,
     PolyMatrix,
@@ -224,11 +225,30 @@ def test_lemma_witnesses_of_a_broken_zeta_form_are_pinned(monkeypatch):
 
 def test_lemma_refuses_values_from_two_rings(monkeypatch):
     atlas = gallery("g3_a1_three_lifts", 3).atlas
-    real_h_pair = xcartier.atlas.h_pair
-    monkeypatch.setattr(xcartier.atlas, "h_pair", lambda vars, a, b, coord: real_h_pair(
-        vars, a, b, coord).extend_vars(VarSpec.make(["t"], ["t"])))
-    with pytest.raises(RingError, match="different rings"):
-        verify_deligne_illusie(atlas)
+    other = VarSpec.make(["t"], ["t"])
+    failed, real_add = [], Report.add
+    monkeypatch.setattr(Report, "add", lambda self, check, passed, witness=(): (
+        passed or failed.append(check), real_add(self, check, passed, witness)))
+    real_h_pair, real_zeta = xcartier.atlas.h_pair, xcartier.atlas.zeta_form
+    with monkeypatch.context() as patch:
+        patch.setattr(xcartier.atlas, "h_pair", lambda vars, a, b, coord: real_h_pair(
+            vars, a, b, coord).extend_vars(other))
+        with pytest.raises(RingError, match="different rings"):
+            verify_deligne_illusie(atlas)
+    # zeta of every lifting, of the first or of the second from another ring
+    for moved in ({0, 1, 2}, {0}, {1}):
+        calls = iter(range(3))
+
+        def zeta(vars, images):
+            z = real_zeta(vars, images)
+            return z.extend_vars(other) if next(calls) in moved else z
+
+        with monkeypatch.context() as patch:
+            patch.setattr(xcartier.atlas, "zeta_form", zeta)
+            with pytest.raises(RingError, match="different rings"):
+                verify_deligne_illusie(atlas)
+    assert failed == []  # no entry recorded as failed before the ring error
+    assert verify_deligne_illusie(atlas).ok()
 
 
 def zeta_by_polynomials(vars, images):

@@ -1,36 +1,20 @@
 """Module boundaries of the package, read from its source without importing it.
 
-`xcartier.ring` alone knows the term-dict format of its polynomials: its
-`_`-helpers on raw term dicts, its trusted constructors `_make` and
-`_from_terms`, and `PolyMatrix.term_grid`.  Two places outside it stay on raw
-terms, and they are listed here by name:
+The term-dict format of `xcartier.ring`'s polynomials belongs to that module
+alone: its `_`-helpers on raw term dicts, its trusted constructors `_make`
+and `_from_terms`, and `PolyMatrix.term_grid`.  No other module imports a
+`_`-name from it or touches those constructors, with no exceptions.
 
-* the atlas's Deligne-Illusie kernels, whose port onto the public
-  operations made the lemma checks about a quarter slower;
-* the gauge search in `transforms`, which the roadmap replaces by a closed
-  formula.
-
-The same parse checks that every module-level import is used.
+The same parse checks that every module-level import is used and that every
+private function or method is called from the package itself.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "xcartier"
 TRUSTED = {"_make", "_from_terms", "term_grid"}
-
-# module -> enclosing top-level definition (None: anywhere) -> ring internals used there
-RAW_TERM_USERS = {
-    "atlas": {
-        None: {"_check_ring", "_deriv_terms", "_divided_by_p", "_reduced_terms", "_sum_terms"},
-        "verify_deligne_illusie": {"term_grid"},
-    },
-    "transforms": {
-        "_gauge_solution_spaces": {"term_grid", "_product_terms"},
-        "_unit_residual": {"_reduced_terms", "_sum_terms"},
-        "_combine": {"_from_terms"},
-    },
-}
 
 
 def modules():
@@ -38,50 +22,23 @@ def modules():
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def ring_internals(tree: ast.Module) -> tuple[set[str], set[tuple[str | None, str]]]:
-    """The `_`-names a module imports from `.ring`, and every use of a ring
-    internal, one of those names or an attribute in TRUSTED, as (enclosing
-    top-level definition or None, name)."""
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ring"
-        for alias in node.names if alias.name.startswith("_")
-    }
-    uses = set()
-    for stmt in tree.body:
-        scope = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id in imported:
-                uses.add((scope, node.id))
-            elif isinstance(node, ast.Attribute) and node.attr in TRUSTED:
-                uses.add((scope, node.attr))
-    return imported, uses
+def ring_internals(tree: ast.Module) -> list[str]:
+    """The `_`-names a module imports from `.ring` and the attributes in
+    TRUSTED it touches, each as 'name (line)'."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ring":
+            found += [f"imports {a.name} ({node.lineno})" for a in node.names
+                      if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in TRUSTED:
+            found.append(f"uses {node.attr} ({node.lineno})")
+    return found
 
 
-def test_only_ring_and_the_listed_kernels_touch_the_term_dicts():
-    strays, listed = [], set()
-    for module, tree in modules():
-        if module == "ring":
-            continue
-        allowed = RAW_TERM_USERS.get(module, {})
-        imported, uses = ring_internals(tree)
-        strays += [f"{module} imports {name}" for name in sorted(imported)
-                   if not any(name in names for names in allowed.values())]
-        for scope, name in sorted(uses, key=str):
-            where = scope if name in allowed.get(scope, ()) else None
-            if name in allowed.get(where, ()):
-                listed.add((module, where, name))
-            else:
-                strays.append(f"{module}.{scope or '<module>'} uses {name}")
+def test_only_ring_touches_the_term_dicts():
+    strays = [f"{module} {use}" for module, tree in modules() if module != "ring"
+              for use in ring_internals(tree)]
     assert strays == []
-    # and the list names nothing the code no longer uses
-    assert listed == {
-        (module, scope, name)
-        for module, scopes in RAW_TERM_USERS.items()
-        for scope, names in scopes.items()
-        for name in names
-    }
 
 
 def test_every_module_level_import_is_used():
@@ -98,3 +55,28 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}:{line} {b}" for b, line in bound.items() if b not in used]
     assert unused == []
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is read below node, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_function_is_called_from_the_package():
+    """A `_`-function or `_`-method that only its own body or the tests read is dead."""
+    trees = dict(modules())
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    private = [
+        (f"{module}.{d.name}", d)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        for d in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
+        if isinstance(d, ast.FunctionDef) and d.name.startswith("_")
+        and not d.name.endswith("__")
+    ]
+    assert len(private) > 50  # the walk sees the package's helpers
+    dead = [name for name, d in private if everywhere[d.name] == references(d)[d.name]]
+    assert dead == []
