@@ -264,6 +264,14 @@ class LaurentPoly:
         self.terms = {e: r for e, c in terms.items() if (r := c % modulus)}
         return self
 
+    def _with_terms(self, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """A polynomial of this ring with terms that are already reduced."""
+        out = object.__new__(LaurentPoly)
+        out.vars = self.vars
+        out.modulus = self.modulus
+        out.terms = terms
+        return out
+
     # ---------- constructors ----------
 
     @classmethod
@@ -326,13 +334,13 @@ class LaurentPoly:
             return self
         if not self.terms:
             return other
-        return LaurentPoly._make(self.vars, self.modulus, _sum_terms(self.terms, other.terms, 1))
+        return self._with_terms(_sum_terms(self.terms, other.terms, 1, self.modulus))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_ring(self, other)
         if not other.terms:
             return self
-        return LaurentPoly._make(self.vars, self.modulus, _sum_terms(self.terms, other.terms, -1))
+        return self._with_terms(_sum_terms(self.terms, other.terms, -1, self.modulus))
 
     def __neg__(self) -> "LaurentPoly":
         if not self.terms:
@@ -535,11 +543,18 @@ def _frobenius_prime(modulus: int) -> int:
     return p
 
 
-def _sum_terms(a: dict, b: dict, sign: int) -> dict:
-    """The unreduced terms of a + sign*b."""
+def _sum_terms(a: dict, b: dict, sign: int, m: int) -> dict:
+    """The reduced terms of a + sign*b mod m, for reduced a and b.
+
+    One pass over b into a copy of a: only the entries b touches are reduced
+    again, and those that cancel are dropped.
+    """
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, 0) + sign * c
+        if r := (out.get(e, 0) + sign * c) % m:
+            out[e] = r
+        else:
+            del out[e]
     return out
 
 
@@ -876,7 +891,7 @@ class PolyMatrix:
             tuple([
                 tuple([
                     a if not b.terms else b if sign > 0 and not a.terms
-                    else LaurentPoly._make(vars, m, _sum_terms(a.terms, b.terms, sign))
+                    else a._with_terms(_sum_terms(a.terms, b.terms, sign, m))
                     for a, b in zip(ra, rb)
                 ])
                 for ra, rb in zip(self.entries, other.entries)

@@ -9,6 +9,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -128,17 +129,89 @@ def test_verify_all_keeps_the_report_when_a_criterion_raises(monkeypatch):
     def raising():
         raise transforms.TransformError("input is not a valid flat sheaf: connection gluing[U0|U1]")
 
+    original = acceptance.CRITERIA
+    # criterion 8 runs in the forked child where verify_all forks
+    for number in ("4", "8"):
+        criteria = dict(original)
+        criteria[number] = raising
+        monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria.items()))
+        report = acceptance.verify_all()  # never raises
+        assert not report.ok()
+        raised = {e.check: e.witness for e in report.failures() if e.check.endswith(" raised")}
+        assert raised == {
+            f"c{number}: criterion {number} raised": (
+                "input is not a valid flat sheaf: connection gluing[U0|U1]",),
+        }
+        for other in set(criteria) - {number}:
+            assert any(e.check.startswith(f"c{other}: ") for e in report.entries)
+
+
+# where verify_all forks, criteria 7-9 run in a child that inherits every monkeypatch
+FORKS = hasattr(os, "fork") and acceptance._usable_cpus() > 1
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not FORKS, reason="verify_all forks only with os.fork and two usable CPUs")
+def test_verify_all_forks_once_and_agrees_with_the_in_process_loop(monkeypatch):
+    forks = count_forks(monkeypatch)
+    threads = threading.active_count()
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    forked = acceptance.verify_all().to_dict()
+    assert forks == [1]
+    assert_no_child_left()
+    assert threading.active_count() == threads
+    if cpus is not None:
+        assert os.sched_getaffinity(0) == cpus  # the caller gets its CPUs back
+    # a second thread, then one usable CPU: no fork, the same report
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        assert acceptance.verify_all().to_dict() == forked
+    finally:
+        done.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
+    assert acceptance.verify_all().to_dict() == forked
+    assert forks == [1]
+
+
+def test_verify_all_raises_what_criterion_8_raises_in_its_child(monkeypatch):
+    def failing():
+        raise AssertionError("Taylor regrouping lost a term")
+
     criteria = dict(acceptance.CRITERIA)
-    criteria["4"] = raising
+    criteria["8"] = failing
     monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria.items()))
-    report = acceptance.verify_all()  # never raises
-    assert not report.ok()
-    raised = {e.check: e.witness for e in report.failures() if e.check.endswith(" raised")}
-    assert raised == {
-        "c4: criterion 4 raised": ("input is not a valid flat sheaf: connection gluing[U0|U1]",),
-    }
-    for number in ("1", "2", "3", "5"):
-        assert any(e.check.startswith(f"c{number}: ") for e in report.entries)
+    with pytest.raises(AssertionError, match="^Taylor regrouping lost a term$"):
+        acceptance.verify_all()
+    if FORKS:
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(not FORKS, reason="verify_all forks only with os.fork and two usable CPUs")
+def test_verify_all_raises_when_its_child_gives_no_answer(monkeypatch):
+    caller = os.getpid()
+    criteria = dict(acceptance.CRITERIA)
+    criteria["8"] = lambda: (os._exit(3) if os.getpid() != caller
+                             else pytest.fail("criterion 8 ran in the caller"))
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria.items()))
+    with pytest.raises(RuntimeError, match=r"^criteria 7, 8, 9 gave no answer: "
+                                           r"their forked child ended with exit status 3$"):
+        acceptance.verify_all()
+    assert_no_child_left()
 
 
 def test_criteria_4_and_5_fail_only_the_scenes_that_raise(monkeypatch):
@@ -261,6 +334,21 @@ def test_verify_all_reports_are_pinned(capsys, form):
 
     assert run_cli(["verify-all"] + (["--json"] if form == "--json" else [])) == 0
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_MD5[form]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("form", list(VERIFY_ALL_MD5))
+def test_verify_all_reports_are_pinned_on_one_cpu(form):
+    # on one usable CPU verify_all runs every criterion in process
+    cpu = min(os.sched_getaffinity(0))
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("0", "1"):
+        out = subprocess.run(
+            [sys.executable, "-m", "xcartier.cli", "verify-all"] + ([form] if form == "--json" else []),
+            capture_output=True, check=True, timeout=300, cwd=src,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpu})).stdout
+        assert hashlib.md5(out).hexdigest() == VERIFY_ALL_MD5[form]
 
 
 # md5 over `icartier` and `roundtrip --json` of every gallery Higgs scene at p = 3, 5, 7
