@@ -44,7 +44,6 @@ from .transforms import (
     DescentResult,
     GaugeWitness,
     TransformError,
-    canonical_connection,
     cartier,
     descend,
     flat_sections,

@@ -92,7 +92,7 @@ def symmetrized_f(p: int, k: int) -> LaurentPoly:
     """
     base = f_poly(p, k)
     orbits: dict[tuple[int, ...], int] = {}
-    for exps, c in base.terms.items():
+    for exps, c in base.coefficients.items():
         key = tuple(sorted(exps))
         orbits[key] = orbits.get(key, 0) + c
     total: dict[tuple[int, ...], int] = {}

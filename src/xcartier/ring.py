@@ -22,26 +22,28 @@ conversion (4300 digits).
 The public constructors `LaurentPoly(...)` and `PolyMatrix(...)` validate
 their input: exponent lengths, negative exponents only on inverted variables,
 one ring for all matrix entries.  Same-ring arithmetic (`+ - *`, negation,
-`deriv`, `frobenius`, matrix `@`, `scale`, the linear combination
-`PolyMatrix.combine`, the connection step `nabla`, its chain `nabla_power`
-and the p-curvature `p_curvature`) keeps those invariants by construction,
-so it checks the operands' ring once per call and builds its result with the
-trusted `_make` constructors, which only reduce mod m and drop zeros.  So are
-the constants (`zero`, `const`, `one`, matrix `zero`, `identity` and
-`from_int_rows`), which check only the modulus and the shape.  `subst`
-checks that every image lives in the target ring and builds its result the
-same way.  So do the other operations that change the ring but keep every
-exponent valid: `reduce_mod` and `divide_by_p` (same variables, a modulus
-dividing the old one), and `extend_vars` onto a VarSpec that only adds
-inversions.  `extend_vars` onto fewer inversions and `map_entries` go
-through the validating constructors.  The term-dict format, the trusted
-constructors, `term_grid` and the `_`-helpers on raw term dicts belong to
-this module alone: every other module works through the public operations
+`deriv`, `frobenius` and its inverse `frobenius_root`, matrix `@`, `scale`,
+the linear combination `PolyMatrix.combine`, the connection step `nabla`,
+its chain `nabla_power` and the p-curvature `p_curvature`) keeps those
+invariants by construction, so it checks the operands' ring once per call
+and builds its result with the trusted `_make` constructors, which only
+reduce mod m and drop zeros.  So are the constants (`zero`, `const`, `one`,
+matrix `zero`, `identity` and `from_int_rows`), which check only the modulus
+and the shape.  `subst` checks that every image lives in the target ring and
+builds its result the same way.  So do the other operations that change the
+ring but keep every exponent valid: `reduce_mod` and `divide_by_p` (same
+variables, a modulus dividing the old one), and `extend_vars` onto a VarSpec
+that only adds inversions.  `extend_vars` onto fewer inversions and
+`map_entries` go through the validating constructors.  The term-dict format
+(`terms`), the trusted constructors, `term_grid` and the `_`-helpers on raw
+term dicts belong to this module alone: every other module works through the
+public operations and reads coefficients through `LaurentPoly.coefficients`
 (`tests/test_boundaries.py` checks this).
 
 Polynomials and matrices are immutable: nothing writes to `terms`,
-`entries`, `vars` or `modulus` after construction.  A result may therefore
-share entries with its operands, and one polynomial may fill several entries.
+`entries`, `vars` or `modulus` after construction, and `coefficients` is a
+view that refuses writes.  A result may therefore share entries with its
+operands, and one polynomial may fill several entries.
 The same-ring kernels use this to skip zeros, always after their ring check:
 - `a + 0`, `a - 0` and `0 + b` return the nonzero operand; `0 * b`, `a * 0`
   and `-0` return the zero one;
@@ -80,6 +82,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -302,6 +305,11 @@ class LaurentPoly:
 
     # ---------- predicates ----------
 
+    @property
+    def coefficients(self) -> Mapping[tuple[int, ...], int]:
+        """The read-only map {exponent vector -> nonzero residue}."""
+        return MappingProxyType(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -404,6 +412,19 @@ class LaurentPoly:
             self.vars, self.modulus,
             {tuple(p * e for e in exps): c for exps, c in self.terms.items()},
         )
+
+    def frobenius_root(self) -> "LaurentPoly":
+        """The inverse of `frobenius`: every exponent divided by p.
+
+        Raises NotDivisibleError when p does not divide some exponent.
+        """
+        p = _frobenius_prime(self.modulus)
+        terms = {}
+        for exps, c in self.terms.items():
+            if any(e % p for e in exps):
+                raise NotDivisibleError(f"'{self}' has an exponent not divisible by {p}")
+            terms[tuple(e // p for e in exps)] = c
+        return self._with_terms(terms)
 
     def reduce_mod(self, modulus: int) -> "LaurentPoly":
         if modulus < 2:
@@ -1109,7 +1130,7 @@ class PolyMatrix:
 
     # ---------- entry-wise semilinear maps ----------
 
-    # both validate before mapping, because _map_same_ring skips zero entries
+    # each validates before mapping, because _map_same_ring skips zero entries
 
     def deriv(self, name: str) -> "PolyMatrix":
         i, vars, m = self.vars.index(name), self.vars, self.modulus
@@ -1118,6 +1139,10 @@ class PolyMatrix:
     def frobenius(self) -> "PolyMatrix":
         _frobenius_prime(self.modulus)
         return self._map_same_ring(lambda x: x.frobenius())
+
+    def frobenius_root(self) -> "PolyMatrix":
+        _frobenius_prime(self.modulus)
+        return self._map_same_ring(lambda x: x.frobenius_root())
 
     def subst(self, images, target: VarSpec) -> "PolyMatrix":
         return self.map_entries(lambda x: x.subst(images, target))

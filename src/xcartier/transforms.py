@@ -45,6 +45,7 @@ from .linalg import nullspace_mod_p
 from .report import Report
 from .ring import (
     LaurentPoly,
+    NotDivisibleError,
     PolyMatrix,
     VarSpec,
     monomial_sort_key,
@@ -72,30 +73,15 @@ class TransformError(ValueError):
 # ---------- helpers ----------
 
 
-def relabel_poly(f: LaurentPoly, p: int) -> LaurentPoly:
-    """Divide every exponent by p; the input must have p-divisible exponents."""
-    out = {}
-    for exps, c in f.terms.items():
-        if any(e % p != 0 for e in exps):
-            raise TransformError(
-                f"descended entry '{f}' has an exponent not divisible by {p}"
-            )
-        out[tuple(e // p for e in exps)] = c
-    return LaurentPoly(f.vars, f.modulus, out)
-
-
-def relabel_matrix(m: PolyMatrix, p: int) -> PolyMatrix:
-    return m.map_entries(lambda f: relabel_poly(f, p))
+def relabel_matrix(m: PolyMatrix) -> PolyMatrix:
+    """Divide every exponent by p (`frobenius_root`); p must divide them all."""
+    try:
+        return m.frobenius_root()
+    except NotDivisibleError as exc:
+        raise TransformError(f"descended entry {exc}") from None
 
 
 # ---------- the forward functor ----------
-
-
-def canonical_connection(E: HiggsSheaf) -> FlatSheaf:
-    """The flat sheaf on the Frobenius pullback of a zero-Higgs sheaf."""
-    if not E.is_zero_field():
-        raise TransformError("canonical connection requires a zero Higgs field")
-    return _forward(E, None)
 
 
 def _forward(E: HiggsSheaf, lift_choice: dict[str, int] | None) -> FlatSheaf:
@@ -205,39 +191,26 @@ class DescentResult:
     frames: dict[str, PolyMatrix]                       # columns are flat sections
 
 
-def _shift_scale(poly: LaurentPoly, shift: tuple[int, ...], scale: int) -> LaurentPoly:
-    return LaurentPoly(
-        poly.vars,
-        poly.modulus,
-        {tuple(e - s for e, s in zip(exps, shift)): c * scale for exps, c in poly.terms.items()},
-    )
-
-
 def _normalize_column(col: list[LaurentPoly], p: int) -> list[LaurentPoly]:
-    """Scale by a unit so the simplest term has coefficient 1 and exponents in [0, p)."""
-    terms = [
+    """Multiply a column of a unit-determinant frame by a unit monomial of the
+    p-th powers: its simplest term gets coefficient 1 and exponents in [0, p)
+    on the inverted variables.  The others need no shift, since a column
+    divisible by t^p would make the determinant divisible by t^p."""
+    _, _, e_star, c_star = min(
         (monomial_sort_key(e), k, e, c)
         for k, poly in enumerate(col)
-        for e, c in poly.terms.items()
-    ]
-    if not terms:
-        return col
-    _, _, e_star, c_star = min(terms)
+        for e, c in poly.coefficients.items()
+    )
     vars = col[0].vars
-    shift = []
-    for i, name in enumerate(vars.names):
-        s = p * (e_star[i] // p)
-        if not vars.allows_negative(name):
-            min_e = min(t[2][i] for t in terms)
-            s = min(s, p * (min_e // p))
-        shift.append(s)
-    scale = pow(c_star, p - 2, p)
-    return [_shift_scale(x, tuple(shift), scale) for x in col]
+    shift = [-p * (e // p) if vars.allows_negative(name) else 0
+             for e, name in zip(e_star, vars.names)]
+    unit = LaurentPoly.monomial(vars, p, pow(c_star, p - 2, p), shift)
+    return [unit * x for x in col]
 
 
 def _coordinate(x: LaurentPoly, j: tuple[int, ...], p: int) -> dict[tuple[int, ...], int]:
     """Terms of x with exponents congruent to j mod p: one coordinate over the p-th powers."""
-    return {e: c for e, c in x.terms.items() if tuple(a % p for a in e) == j}
+    return {e: c for e, c in x.coefficients.items() if tuple(a % p for a in e) == j}
 
 
 def _euclid(b: list[LaurentPoly], v: list[LaurentPoly], l: int, j: tuple[int, ...], p: int):
@@ -257,7 +230,8 @@ def _euclid(b: list[LaurentPoly], v: list[LaurentPoly], l: int, j: tuple[int, ..
             for i, name in enumerate(vars.names)
         ]
         k, c = max(terms.items(), key=lambda kc: (sum(kc[0]), kc[0]))
-        col = [_shift_scale(x, tuple(p * s for s in shift), 1) for x in col]
+        unit = LaurentPoly.monomial(vars, p, 1, [-p * s for s in shift])
+        col = [unit * x for x in col]
         return col, [a - s for a, s in zip(k, shift)], c
 
     while _coordinate(v[l], j, p):
@@ -282,7 +256,7 @@ def _echelon_insert(echelon: dict, col: list[LaurentPoly], p: int) -> dict | Non
     echelon = dict(echelon)
     while any(not x.is_zero() for x in col):
         l = next(l for l, x in enumerate(col) if not x.is_zero())
-        lead = (l, min(tuple(a % p for a in e) for e in col[l].terms))
+        lead = (l, min(tuple(a % p for a in e) for e in col[l].coefficients))
         if lead not in echelon:
             echelon[lead] = col
             break
@@ -430,12 +404,12 @@ def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
 
 def _descend(untwisted: FlatSheaf, psi: PCurvature, exponent: bool) -> HiggsSheaf:
     """`descend`, proving psi's exponent on the result only if `exponent`."""
-    atlas, p = untwisted.atlas, untwisted.atlas.ctx.p
+    atlas = untwisted.atlas
     frames = flat_sections(untwisted).frames
     inverses = {chart: s.inverse_unit_det() for chart, s in frames.items()}
 
     def in_frames(s_inv: PolyMatrix, m: PolyMatrix, s: PolyMatrix) -> PolyMatrix:
-        return relabel_matrix(s_inv @ m @ s, p)
+        return relabel_matrix(s_inv @ m @ s)
 
     transitions = {  # on an overlap, the beta-side inverse is the pulled-back chart inverse
         pair: in_frames(inverses[ov.beta].map_entries(lambda f: pull_beta_function(ov, f)),
@@ -554,7 +528,7 @@ def _gauge_solution_spaces(sheaf1, sheaf2, flat: bool):
         for col, (chart, m, i, j) in enumerate(unknowns):
             for prefix, entries, ov in blocks[chart, i, j]:
                 for a, b, x in entries:
-                    for e, c in (x * multiplier(m, x, ov)).terms.items():
+                    for e, c in (x * multiplier(m, x, ov)).coefficients.items():
                         add(prefix + (a, b, e), col, c)
             if flat:  # -lambda d(t^m) E_ij = -sum_k m_k t^(m - e_k) E_ij dt_k
                 for k, mk in enumerate(m):

@@ -375,6 +375,42 @@ def test_forward_and_roundtrip_outputs_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == FORWARD_MD5
 
 
+# md5 over `cartier` of flat scenes whose flat frames are not the identity: the
+# torus at every residue and the g2 and g3 forward images under lifting 1
+# (descended with lifting 0) at p = 3, 5, 7, and criterion 3's pure gauge at
+# p = 3, whose frame takes a Euclid step
+CARTIER_MD5 = "c804f93894b3b46c5fa8ccb8fe2cfc60"
+
+
+def test_descent_outputs_on_non_identity_frames_are_pinned(tmp_path, capsys):
+    from xcartier.cli import run_cli
+    from xcartier.gallery import gallery
+    from xcartier.ring import LaurentPoly
+    from xcartier.scene import Scene, emit_scene
+    from xcartier.sheaves import FlatSheaf
+
+    scenes = []
+    for p in (3, 5, 7):
+        scenes += [gallery("g7_gm_rank1", p, c=c) for c in range(1, p)]
+        for name in ("g2_a1_rank2", "g3_a1_three_lifts"):
+            s = gallery(name, p)
+            scenes.append(Scene(s.ctx, s.atlas, transforms.inverse_cartier(s.sheaf, {"A1": 1}),
+                                s.metadata))
+    s = gallery("g1_trivial", 3)
+    vars = s.atlas.chart_vars("A1")
+    inv = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row]
+                      for row in (("1 + t^3", "t^2"), ("t", "1"))])
+    gauge = FlatSheaf(s.atlas, 2, {"A1": [-(inv.inverse_unit_det().deriv("t") @ inv)]})
+    scenes.append(Scene(s.ctx, s.atlas, gauge, {"name": "pure gauge"}))
+    digest = hashlib.md5()
+    for k, scene in enumerate(scenes):
+        path = tmp_path / f"{k}.json"
+        path.write_text(emit_scene(scene))
+        assert run_cli(["cartier", "--scene", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CARTIER_MD5
+
+
 def chain_p_curvature(step, length):
     """A p_curvature built from `step(b, A_i, t_i)` applied `length(p)` times to the identity."""
 

@@ -1,9 +1,11 @@
 """Module boundaries of the package, read from its source without importing it.
 
 The term-dict format of `xcartier.ring`'s polynomials belongs to that module
-alone: its `_`-helpers on raw term dicts, its trusted constructors `_make`
-and `_from_terms`, and `PolyMatrix.term_grid`.  No other module imports a
-`_`-name from it or touches those constructors, with no exceptions.
+alone: the `terms` attribute, its `_`-helpers on raw term dicts, its trusted
+constructors `_make` and `_from_terms`, and `PolyMatrix.term_grid`.  No other
+module imports a `_`-name from it or touches those attributes, with no
+exceptions; they read coefficients through the view
+`LaurentPoly.coefficients`, which refuses writes.
 
 The same parse checks that every module-level import is used and that every
 private function or method is called from the package itself.
@@ -13,8 +15,10 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "xcartier"
-TRUSTED = {"_make", "_from_terms", "term_grid"}
+RING_ONLY = {"terms", "_make", "_from_terms", "term_grid"}
 
 
 def modules():
@@ -24,13 +28,13 @@ def modules():
 
 def ring_internals(tree: ast.Module) -> list[str]:
     """The `_`-names a module imports from `.ring` and the attributes in
-    TRUSTED it touches, each as 'name (line)'."""
+    RING_ONLY it touches, each as 'name (line)'."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ring":
             found += [f"imports {a.name} ({node.lineno})" for a in node.names
                       if a.name.startswith("_")]
-        elif isinstance(node, ast.Attribute) and node.attr in TRUSTED:
+        elif isinstance(node, ast.Attribute) and node.attr in RING_ONLY:
             found.append(f"uses {node.attr} ({node.lineno})")
     return found
 
@@ -39,6 +43,18 @@ def test_only_ring_touches_the_term_dicts():
     strays = [f"{module} {use}" for module, tree in modules() if module != "ring"
               for use in ring_internals(tree)]
     assert strays == []
+
+
+def test_the_coefficient_view_refuses_writes():
+    from xcartier.ring import LaurentPoly, VarSpec
+
+    f = LaurentPoly.parse("t^2 + 2", VarSpec.make(["t"]), 3)
+    view = f.coefficients
+    with pytest.raises(TypeError):
+        view[(1,)] = 1
+    with pytest.raises(TypeError):
+        del view[(0,)]
+    assert dict(view) == {(2,): 1, (0,): 2} and str(f) == "t^2 + 2"
 
 
 def test_every_module_level_import_is_used():

@@ -66,6 +66,9 @@ def test_triple_derivative_of_inverse_t_vanishes_mod_3():
 
 def test_frobenius_freshman_dream():
     assert poly("t + 1").frobenius() == poly("t^3 + 1")
+    assert poly("t^3 + 1").frobenius_root() == poly("t + 1")
+    with pytest.raises(NotDivisibleError, match="'t\\^4 \\+ 1' has an exponent not divisible by 3"):
+        poly("t^4 + 1").frobenius_root()
 
 
 def test_negative_exponent_rejected_on_plain_variable():
@@ -178,6 +181,7 @@ def test_text_round_trip(f):
 def test_frobenius_is_a_ring_map(a, b):
     assert (a * b).frobenius() == a.frobenius() * b.frobenius()
     assert (a + b).frobenius() == a.frobenius() + b.frobenius()
+    assert a.frobenius().frobenius_root() == a
 
 
 @given(laurent_polys())
@@ -539,7 +543,8 @@ def test_same_ring_polynomial_ops_are_canonical(data):
     results = [a + b, a - b, a * b, -a, a * k, k * a]
     results += [a.deriv(name) for name in vars.names]
     if m in (3, 5, 7):
-        results.append(a.frobenius())
+        results += [a.frobenius(), a.frobenius().frobenius_root()]
+        assert results[-1] == a
     for r in results:
         assert r.vars is vars and r.modulus == m
         assert_canonical(r)
@@ -561,7 +566,8 @@ def test_same_ring_matrix_ops_are_canonical(data):
             assert product.entries[i][j] == naive
     results = [product, A + B, A - B, -A, A.scale(f), A.scale(m + 2), A.deriv(vars.names[0])]
     if m in (3, 5, 7):
-        results.append(A.frobenius())
+        results += [A.frobenius(), A.frobenius().frobenius_root()]
+        assert results[-1] == A
     for R in results:
         assert R == PolyMatrix(R.entries)
         for row in R.entries:
@@ -709,6 +715,8 @@ def test_zero_entries_still_get_the_ring_checks():
     Z = PolyMatrix.zero(2, 2, T, 9)
     with pytest.raises(RingError, match="only defined on mod-p"):
         Z.frobenius()
+    with pytest.raises(RingError, match="only defined on mod-p"):
+        Z.frobenius_root()
     with pytest.raises(RingError, match="unknown variable"):
         Z.deriv("u")
     with pytest.raises(RingError, match="different rings"):

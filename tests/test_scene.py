@@ -358,3 +358,62 @@ def test_atlas_entries_that_are_not_objects_are_parse_errors(field, value):
     with pytest.raises(SceneError) as info:
         parse_scene(json.dumps(data))
     assert str(info.value) == f"atlas.{field}[0]: expected a JSON object, got {value!r}"
+
+
+# each error a scene file can raise: the g5 scene at p = 3 after one edit (raw
+# text where the edit breaks the JSON), and the start of its message
+SCENE_FILE_ERRORS = [
+    pytest.param("{", "not valid JSON: ", id="not-json"),
+    pytest.param("[]", "top level must be a JSON object", id="top-level-array"),
+    pytest.param(lambda d: d.pop("atlas"), "atlas: missing or not an object", id="no-atlas"),
+    pytest.param(lambda d: d.update(sheaf=[]), "sheaf: not an object", id="sheaf-array"),
+    pytest.param(lambda d: d["sheaf"].update(kind="smooth"),
+                 "sheaf.kind: expected 'higgs' or 'flat', got 'smooth'", id="sheaf-kind"),
+    pytest.param(lambda d: d["sheaf"]["matrices"]["U0"].pop("s"),
+                 "sheaf.matrices[U0]: missing coordinate 's'", id="missing-coordinate"),
+    pytest.param(lambda d: d["sheaf"]["transitions"].update({"U1,U0": ["1", "0", "0", "1"]}),
+                 "sheaf.transitions: unknown overlap key 'U1,U0'", id="transition-key"),
+    pytest.param(lambda d: d.update(metadata=[]), "metadata: not an object", id="metadata-array"),
+    pytest.param(lambda d: d["sheaf"]["matrices"]["U0"]["s"].__setitem__(0, 0),
+                 "sheaf.matrices[U0][s][0,0]: expected a polynomial string, got 0",
+                 id="entry-not-a-string"),
+    pytest.param(lambda d: d["sheaf"]["matrices"]["U0"]["s"].pop(),
+                 "sheaf.matrices[U0][s]: expected 4 row-major polynomial strings",
+                 id="matrix-length"),
+    pytest.param(lambda d: d["sheaf"]["matrices"].pop("U1"),
+                 "sheaf: missing matrices for charts ['U1']", id="missing-chart-matrices"),
+    pytest.param(lambda d: d["sheaf"]["transitions"].clear(),
+                 "sheaf: missing transitions for overlaps [('U0', 'U1')]",
+                 id="missing-transitions"),
+    pytest.param(lambda d: d["atlas"]["charts"].append(d["atlas"]["charts"][0]),
+                 "atlas.charts[2]: duplicate chart name 'U0'", id="duplicate-chart"),
+    pytest.param(lambda d: d["atlas"]["charts"][0].update(name="U,0"),
+                 "atlas.charts[0]: chart name 'U,0' may not contain ',' or '|'",
+                 id="comma-in-chart-name"),
+    pytest.param(lambda d: d["atlas"]["lifts"][1]["images"].clear(),
+                 "atlas: lift on 'U1' must cover coordinates ('w',)", id="lift-coverage"),
+    pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"]["w"].update(
+                     poly="2*s^-1", lift="2*s^-1"),
+                 "atlas: overlap ('U0', 'U1'): coordinate 's' does not round-trip",
+                 id="overlap-round-trip"),
+    pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"]["w"].update(lift="s"),
+                 "atlas.overlaps[0]: lift 's' does not reduce to 's^-1' mod 3",
+                 id="overlap-lift-reduction"),
+    pytest.param(lambda d: d["atlas"]["overlaps"][0].update(alpha_in_beta={}),
+                 "atlas: overlap ('U0', 'U1'): alpha_in_beta must cover ('s',)",
+                 id="overlap-coverage"),
+]
+
+
+@pytest.mark.parametrize("edit, where", SCENE_FILE_ERRORS)
+def test_scene_file_errors_exit_2_naming_the_field(tmp_path, capsys, edit, where):
+    if isinstance(edit, str):
+        text = edit
+    else:
+        data = json.loads(emit_scene(gallery("g5_p1_uniformizing", 3)))
+        edit(data)
+        text = json.dumps(data)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli(["icartier", "--scene", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")

@@ -461,7 +461,12 @@ def test_p_curvature_closed_form_equals_the_chain_on_commuting_seeded_connection
                 power = power @ m
             for a in (rank_one, diagonal, PolyMatrix.combine(in_m)):
                 components += [(a, t) for t in vars.names]
-    assert closed_form_count(monkeypatch, components) == len(components) == 36
+        # a 3-cycle b: b^p = b^(p mod 3), which at p = 3, 5 has entries where b has none
+        b = PolyMatrix.from_int_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]], vars, p)
+        two = PolyMatrix.from_int_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]], vars, p)
+        for a in (b, b.scale(LaurentPoly.var(vars, p, "t", p - 1)), b + two):
+            components += [(a, t) for t in vars.names]
+    assert closed_form_count(monkeypatch, components) == len(components) == 45
 
 
 def test_p_curvature_of_non_commuting_coefficients_takes_the_chain(monkeypatch):
