@@ -206,7 +206,15 @@ class Atlas:
                         )
 
     def _validate_overlap(self, ov: Overlap) -> None:
-        """The coordinate changes round-trip at both levels, with a unit Jacobian."""
+        """The coordinate changes round-trip at both levels.
+
+        That makes the Jacobian J_b = `jacobian_beta_in_alpha(ov)` a unit,
+        with no check: mod p the round trips make b = beta_in_alpha and
+        a = alpha_in_beta inverse ring isomorphisms, and the chain rule on
+        a(b(u)) = u and b(a(w)) = w gives (J_a o b) J_b = I and
+        (J_b o a) J_a = I.  So both charts have one dimension, and
+        det(J_a o b) det J_b = 1.
+        """
         a_chart, b_chart = self.charts[ov.alpha], self.charts[ov.beta]
         if ov.alpha_vars.names != a_chart.vars.names:
             raise AtlasError(f"overlap {ov.pair}: alpha-side names must match chart {ov.alpha!r}")
@@ -238,9 +246,6 @@ class Atlas:
                         f"overlap {ov.pair}: coordinate {w!r} does not round-trip "
                         f"(got '{back}' mod {m})"
                     )
-        jac = jacobian_beta_in_alpha(ov)
-        if not jac.det().is_unit():
-            raise AtlasError(f"overlap {ov.pair}: coordinate-change Jacobian is not a unit")
 
 
 # ---------- coordinate changes ----------

@@ -28,16 +28,20 @@ which for unit-determinant g means  g A g^-1 - lambda (dg) g^-1 = B:
   * gauge: R(g; A, B) = 0 on every chart;
   * flat frame: R_1(S; 0, A) = 0;  horizontality of psi: R_1(psi_i; A, A) = 0.
 
-Nilpotency of exponent <= p-1 is `nilpotent_within`, which takes a
-commuting family: for rank r <= p-1 it squares each matrix ceil(log2 r)
-times with `@` (commuting nilpotent matrices over a domain are
-simultaneously strictly upper triangular, so r of them multiply to zero);
-above that rank, or mod p**2, it scans monomial by monomial
-(`nilpotency_exponent`).  The families are the Higgs field of a chart that
-`check_higgs` found integrable (it leaves the nilpotency of a
-non-integrable chart undecided: the monomial scan stands for every product
-only when the family commutes) and psi, which commutes because the
-connection is flat (Katz 1970, section 5).
+Nilpotency of exponent <= p-1 is `nilpotent_within`, decided in three
+steps.  First the support graph (`support_depth`), which needs no
+commutation and no domain: when some matrix's entry (i, j) is nonzero draw
+an edge j -> i; if the graph is acyclic with longest path L, every product
+of L+1 matrices is zero, with no product taken.  A cyclic graph or
+L+1 > p-1 decides nothing, and the family must commute: for rank
+r <= p-1 it squares each matrix ceil(log2 r) times with `@` (commuting
+nilpotent matrices over a domain are simultaneously strictly upper
+triangular, so r of them multiply to zero); above that rank, or mod p**2,
+it scans monomial by monomial (`nilpotency_exponent`).  The families are
+the Higgs field of a chart that `check_higgs` found integrable (it leaves
+the nilpotency of a non-integrable chart undecided: the monomial scan
+stands for every product only when the family commutes) and psi, which
+commutes because the connection is flat (Katz 1970, section 5).
 """
 
 from __future__ import annotations
@@ -231,9 +235,45 @@ def nilpotency_exponent(mats: list[PolyMatrix], max_n: int) -> int | None:
     return None
 
 
+def support_depth(mats: list[PolyMatrix]) -> int | None:
+    """The longest path of the family's support graph, or None if it has a cycle.
+
+    The graph has an edge j -> i when some matrix has entry (i, j) != 0, so
+    a nonzero diagonal entry is a self-loop.  In a topological order of an
+    acyclic graph every matrix is strictly lower triangular, and a product
+    of L+1 of them is zero: this needs neither commutation nor a domain.
+    Kahn's algorithm, with each index's depth the longest path into it.
+    """
+    n = mats[0].rows
+    targets = [set() for _ in range(n)]
+    for m in mats:
+        for i, row in enumerate(m.entries):
+            for j, f in enumerate(row):
+                if not f.is_zero():
+                    targets[j].add(i)
+    indegree = [0] * n
+    for ends in targets:
+        for i in ends:
+            indegree[i] += 1
+    depth = [0] * n
+    ready = [i for i in range(n) if not indegree[i]]
+    done = 0
+    while ready:
+        j = ready.pop()
+        done += 1
+        for i in targets[j]:
+            depth[i] = max(depth[i], depth[j] + 1)
+            indegree[i] -= 1
+            if not indegree[i]:
+                ready.append(i)
+    return max(depth) if done == n else None
+
+
 def nilpotent_within(mats: list[PolyMatrix], bound: int) -> bool:
     """Whether every product of `bound` matrices of a commuting family is zero.
 
+    An acyclic support graph of longest path L with L + 1 <= bound proves it
+    for any family (`support_depth`).  Otherwise commutation is needed.
     Commuting nilpotent r x r matrices over a domain are simultaneously
     strictly upper triangular over the closure of its fraction field, so
     every product of r of them is zero; and one A is nilpotent exactly when
@@ -245,6 +285,8 @@ def nilpotent_within(mats: list[PolyMatrix], bound: int) -> bool:
     commuting family.  The caller proves that the family commutes (its
     integrability check, or a theorem).
     """
+    if mats and (depth := support_depth(mats)) is not None and depth + 1 <= bound:
+        return True
     if not (mats and mats[0].rows <= bound and is_prime(mats[0].modulus)):
         return nilpotency_exponent(mats, bound) is not None
     squarings = (mats[0].rows - 1).bit_length()

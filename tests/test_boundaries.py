@@ -7,6 +7,10 @@ module imports a `_`-name from it or touches those attributes, with no
 exceptions; they read coefficients through the view
 `LaurentPoly.coefficients`, which refuses writes.
 
+Nilpotency is decided in one place, `sheaves.nilpotent_within`: no other
+function calls the monomial scan `nilpotency_exponent` or squares a matrix
+(`x @ x`).
+
 The same parse checks that every module-level import is used and that every
 private function or method is called from the package itself.
 """
@@ -43,6 +47,24 @@ def test_only_ring_touches_the_term_dicts():
     strays = [f"{module} {use}" for module, tree in modules() if module != "ring"
               for use in ring_internals(tree)]
     assert strays == []
+
+
+def nilpotency_deciders(tree: ast.Module):
+    """The top-level function around each call of `nilpotency_exponent` and
+    each squaring `x @ x` in tree."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            scan = isinstance(node, ast.Call) and "nilpotency_exponent" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            square = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                      and ast.dump(node.left) == ast.dump(node.right))
+            if scan or square:
+                yield getattr(top, "name", None)
+
+
+def test_nilpotency_is_decided_only_in_nilpotent_within():
+    found = {(module, where) for module, tree in modules() for where in nilpotency_deciders(tree)}
+    assert found == {("sheaves", "nilpotent_within")}
 
 
 def test_the_coefficient_view_refuses_writes():

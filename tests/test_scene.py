@@ -360,8 +360,25 @@ def test_atlas_entries_that_are_not_objects_are_parse_errors(field, value):
     assert str(info.value) == f"atlas.{field}[0]: expected a JSON object, got {value!r}"
 
 
+# chart A in u and chart B in w1, w2 at p = 5, with w1 -> u, w2 -> 0 and u -> w1:
+# u round-trips, w2 does not
+BETA_ROUND_TRIP_SCENE = json.dumps({"p": 5, "atlas": {
+    "charts": [{"name": "A", "coords": ["u"], "inverted": []},
+               {"name": "B", "coords": ["w1", "w2"], "inverted": []}],
+    "overlaps": [{"alpha": "A", "beta": "B", "alpha_inverted": [], "beta_inverted": [],
+                  "beta_in_alpha": {"w1": {"poly": "u", "lift": "u"},
+                                    "w2": {"poly": "0", "lift": "0"}},
+                  "alpha_in_beta": {"u": {"poly": "w1", "lift": "w1"}}}],
+    "lifts": [{"chart": "A", "images": {"u": "u^5"}},
+              {"chart": "B", "images": {"w1": "w1^5", "w2": "w2^5"}}],
+}, "sheaf": {"kind": "higgs", "rank": 1,
+             "matrices": {"A": {"u": ["0"]}, "B": {"w1": ["0"], "w2": ["0"]}},
+             "transitions": {"A,B": ["1"]}}})
+
+
 # each error a scene file can raise: the g5 scene at p = 3 after one edit (raw
-# text where the edit breaks the JSON), and the start of its message
+# text where the edit breaks the JSON or no edit of g5 reaches the check), and
+# the start of its message
 SCENE_FILE_ERRORS = [
     pytest.param("{", "not valid JSON: ", id="not-json"),
     pytest.param("[]", "top level must be a JSON object", id="top-level-array"),
@@ -396,6 +413,9 @@ SCENE_FILE_ERRORS = [
                      poly="2*s^-1", lift="2*s^-1"),
                  "atlas: overlap ('U0', 'U1'): coordinate 's' does not round-trip",
                  id="overlap-round-trip"),
+    pytest.param(BETA_ROUND_TRIP_SCENE,
+                 "atlas: overlap ('A', 'B'): coordinate 'w2' does not round-trip (got '0' mod 5)",
+                 id="overlap-beta-round-trip"),
     pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"]["w"].update(lift="s"),
                  "atlas.overlaps[0]: lift 's' does not reduce to 's^-1' mod 3",
                  id="overlap-lift-reduction"),

@@ -1,18 +1,20 @@
+import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xcartier import sheaves
+from xcartier import sheaves, transforms
 from xcartier.atlas import Atlas, FrobLift, Overlap, SubstPair
 from xcartier.gallery import GALLERY_NAMES, gallery
 from xcartier.identities import commuting_nilpotent_family
-from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, jacobian
+from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, is_prime, jacobian
 from xcartier.scene import Scene, emit_scene
 from xcartier.sheaves import (
     FlatSheaf,
@@ -26,9 +28,10 @@ from xcartier.sheaves import (
     nilpotent_within,
     p_curvature,
     pull_back,
+    support_depth,
     verify_p_curvature_invariants,
 )
-from xcartier.transforms import inverse_cartier, verify_gauge_witness
+from xcartier.transforms import cartier, inverse_cartier, verify_gauge_witness
 
 T = VarSpec.make(["t"])
 
@@ -59,6 +62,11 @@ def e_mat(i, j, n, vars, p):
     return PolyMatrix.from_int_rows(
         [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)], vars, p
     )
+
+
+def jordan_block(rank, vars, modulus):
+    return PolyMatrix.from_int_rows(
+        [[1 if j == i + 1 else 0 for j in range(rank)] for i in range(rank)], vars, modulus)
 
 
 # ---------------------------------------------------------------- Higgs checks
@@ -261,25 +269,128 @@ def count_scans(monkeypatch):
     return scans
 
 
+def boolean_depth(mats):
+    """The reference for `support_depth`, from powers of the support matrix.
+
+    S[i][j] holds when some matrix has entry (i, j) != 0, and the boolean
+    power S^k holds the paths of k edges: None when S^n != 0 (a cycle), else
+    the largest k with S^k != 0.
+    """
+    n = mats[0].rows
+    s = [[any(not m.entries[i][j].is_zero() for m in mats) for j in range(n)] for i in range(n)]
+    power, depth = s, 0
+    while any(map(any, power)):
+        depth += 1
+        if depth == n:
+            return None
+        power = [[any(power[i][k] and s[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return depth
+
+
+def expected_step(mats, bound):
+    """The step of nilpotent_within that decides, from the reference depth:
+    the graph, then the squarings of a mod-p family of rank <= bound, then
+    the scan."""
+    depth = boolean_depth(mats)
+    if depth is not None and depth + 1 <= bound:
+        return "graph"
+    return "squarings" if mats[0].rows <= bound and is_prime(mats[0].modulus) else "scan"
+
+
+def decided_by(scans, matmul, mats, bound, want):
+    """Check nilpotent_within's verdict and that the expected step decided:
+    the graph makes no `@` and no scan, the squarings no scan and (above
+    rank one) some `@`, and the scan one scan at the bound."""
+    scans.clear()
+    matmul.clear()
+    assert nilpotent_within(mats, bound) == want
+    step = expected_step(mats, bound)
+    assert scans == ([bound] if step == "scan" else [])
+    if step == "graph":
+        assert matmul == []
+    elif step == "squarings":
+        assert matmul or mats[0].rows == 1
+    return step
+
+
 def test_nilpotent_within_matches_the_exhaustive_reference(monkeypatch):
     scans = count_scans(monkeypatch)
-    count = squared = 0
+    matmul = count_matrix_calls(monkeypatch, "__matmul__")
+    count, steps = 0, Counter()
     for mats in nilpotency_families():
         p = mats[0].modulus
         commuting = curvature(mats, mats[0].vars, flat=False) is None
+        assert support_depth(mats) == boolean_depth(mats)
         for bound in range(1, p + 2):
             want = exhaustive_nilpotency_exponent(mats, bound) is not None
             # the scan's own row: what a rank above the bound falls back to
             assert (nilpotency_exponent(mats, bound) is not None) == want
             if not commuting:  # check_higgs leaves these undecided
                 continue
-            scans.clear()
-            assert nilpotent_within(mats, bound) == want
-            # squaring decides exactly the families of rank <= bound
-            assert scans == ([] if mats[0].rows <= bound else [bound])
-            squared += not scans
+            steps[decided_by(scans, matmul, mats, bound, want)] += 1
         count += 1
-    assert count == 90 and squared > 0
+    # every commuting family here has an acyclic support, so the squarings
+    # decide none of them (graph_families has the cyclic ones)
+    assert count == 90 and set(steps) == {"graph", "scan"}
+
+
+def dense_unimodular(rank, vars, p):
+    """(I + sum_j t E_(j+1, j)) times (I + sum_j 2 E_(j, j+1)): unit determinant,
+    and below and above the diagonal a nonzero entry in every place."""
+    t = LaurentPoly.var(vars, p, vars.names[0])
+    lower, upper = PolyMatrix.identity(rank, vars, p), PolyMatrix.identity(rank, vars, p)
+    for j in range(rank - 1):
+        lower = lower + e_mat(j + 1, j, rank, vars, p).scale(t)
+        upper = upper + e_mat(j, j + 1, rank, vars, p).scale(LaurentPoly.const(vars, p, 2))
+    return lower @ upper
+
+
+def graph_families():
+    """Families beyond nilpotency_families, each with its depth:
+    cyclic supports that are still nilpotent, acyclic supports whose
+    products cancel before L + 1 factors, and mod-p**2 families."""
+    for p in (5, 7):
+        for rank in (3, 4):
+            g = dense_unimodular(rank, T, p)
+            conj = g @ jordan_block(rank, T, p) @ g.inverse_unit_det()
+            yield [conj, conj @ conj], None  # a dense gauge of a Jordan block
+    # m = a + b with m^2 = ab = ba = 0, but the support has the path 3 -> 1 -> 0
+    a = e_mat(0, 1, 4, T, 5) + e_mat(0, 2, 4, T, 5)
+    b = e_mat(1, 3, 4, T, 5) - e_mat(2, 3, 4, T, 5)
+    yield [a, b], 2
+    yield [a + b], 2
+    # mod 25: a Jordan block, 5 with 5^2 = 0, and 5I + N with (5I + N)^3 = 0
+    yield [jordan_block(3, T, 25)], 2
+    yield [PolyMatrix.from_int_rows([[5]], T, 25)], None
+    yield [PolyMatrix.from_int_rows([[5, 1], [0, 5]], T, 25)], None
+    yield [jordan_block(3, T, 25).scale(LaurentPoly.parse("t + 5", T, 25)),
+           e_mat(0, 2, 3, T, 25).scale(LaurentPoly.parse("10*t", T, 25))], 2
+
+
+def test_support_graph_verdicts_match_the_exhaustive_reference(monkeypatch):
+    scans = count_scans(monkeypatch)
+    matmul = count_matrix_calls(monkeypatch, "__matmul__")
+    steps = Counter()
+    for mats, depth in graph_families():
+        assert curvature(mats, mats[0].vars, flat=False) is None
+        assert support_depth(mats) == boolean_depth(mats) == depth
+        for bound in range(1, 8):
+            want = exhaustive_nilpotency_exponent(mats, bound) is not None
+            steps[decided_by(scans, matmul, mats, bound, want)] += 1
+    assert set(steps) == {"graph", "squarings", "scan"}
+
+
+def test_an_acyclic_support_decides_a_family_that_does_not_commute():
+    vars = VarSpec.make(["t", "u"])
+    t, u = (LaurentPoly.var(vars, 5, x) for x in ("t", "u"))
+    mats = [e_mat(0, 1, 3, vars, 5).scale(t), e_mat(1, 2, 3, vars, 5),
+            e_mat(0, 2, 3, vars, 5).scale(u)]
+    assert curvature(mats, vars, flat=False) is not None
+    assert support_depth(mats) == 2 and nilpotent_within(mats, 3)
+    assert all(functools.reduce(PolyMatrix.__matmul__, prod).is_zero()
+               for prod in itertools.product(mats, repeat=3))
+    assert not (mats[0] @ mats[1]).is_zero()
 
 
 def affine_atlas(p, names):
@@ -313,16 +424,52 @@ def test_nilpotency_of_a_non_integrable_chart_is_not_decided(monkeypatch, names,
 
 def test_nilpotent_within_scans_what_squaring_cannot_decide(monkeypatch):
     scans = count_scans(monkeypatch)
-    # rank 2 <= 4: squaring decides, and e_00 is not nilpotent
-    assert not nilpotent_within([e_mat(0, 0, 2, T, 5)], 4) and scans == []
-    # rank 4 > bound 3: N^4 = 0 but N^3 != 0
-    block = PolyMatrix.from_int_rows(
-        [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)], T, 5)
-    assert not nilpotent_within([block], 3) and scans == [3]
-    scans.clear()  # rank 4 > bound 2, and N^2 of the block has exponent 2
-    assert nilpotent_within([block @ block], 2) and scans == [2]
-    scans.clear()  # mod p**2 rings are not domains: [5] squares to zero mod 25
-    assert nilpotent_within([PolyMatrix.from_int_rows([[5]], T, 25)], 2) and scans == [2]
+    matmul = count_matrix_calls(monkeypatch, "__matmul__")
+    # rank 2 <= 4: the self-loop leaves it to squaring, and e_00 is not nilpotent
+    assert decided_by(scans, matmul, [e_mat(0, 0, 2, T, 5)], 4, False) == "squarings"
+    # rank 4 > bound 3, and its path of 3 edges > bound - 1: N^4 = 0 but N^3 != 0
+    block = jordan_block(4, T, 5)
+    assert decided_by(scans, matmul, [block], 3, False) == "scan"
+    # N^2 of the block: two paths of one edge, so its graph proves exponent <= 2
+    assert decided_by(scans, matmul, [block @ block], 2, True) == "graph"
+    # a path of 2 edges > bound - 1, but the products cancel: the scan finds m^2 = 0
+    m = e_mat(0, 1, 4, T, 5) + e_mat(0, 2, 4, T, 5) + e_mat(1, 3, 4, T, 5) - e_mat(2, 3, 4, T, 5)
+    assert decided_by(scans, matmul, [m], 2, True) == "scan"
+    # mod p**2 rings are not domains: [5] squares to zero mod 25
+    assert decided_by(scans, matmul, [PolyMatrix.from_int_rows([[5]], T, 25)], 2, True) == "scan"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_rank_p_jordan_block_is_not_nilpotent_within_p_minus_1(p):
+    # its path of p - 1 edges leaves the bound p - 1 open, and N^(p-1) != 0
+    atlas = affine_atlas(p, ["t"])
+    block = jordan_block(p, atlas.chart_vars("A"), p)
+    assert support_depth([block]) == p - 1
+    assert not nilpotent_within([block], p - 1) and nilpotent_within([block], p)
+    rep = check_higgs(HiggsSheaf(atlas, p, {"A": [block]}))
+    assert [(e.check, e.witness) for e in rep.failures()] == [
+        (f"nilpotency[A] exponent <= {p - 1}", (f"no vanishing up to degree {p - 1}",))]
+
+
+def test_the_headline_round_trip_squares_nothing(monkeypatch):
+    """p = 23, two variables, rank 22: the input's and psi's exponents are read
+    off their support graphs, with no `@` inside nilpotent_within."""
+    p, names, rank = 23, ["t", "u"], 22
+    E = HiggsSheaf(affine_atlas(p, names), rank, {"A": seeded_jordan_fields(p, names, rank, 1)})
+    matmul = count_matrix_calls(monkeypatch, "__matmul__")
+    inside = []
+    decide = sheaves.nilpotent_within
+
+    def counted(mats, bound):
+        before = len(matmul)
+        verdict = decide(mats, bound)
+        inside.append(len(matmul) - before)
+        return verdict
+
+    for module in (sheaves, transforms):
+        monkeypatch.setattr(module, "nilpotent_within", counted)
+    assert cartier(inverse_cartier(E)) == E.negated()
+    assert inside == [0, 0]  # check_higgs on theta, then untwist on psi
 
 
 def count_matrix_calls(monkeypatch, name):
@@ -486,9 +633,7 @@ def test_p_curvature_of_non_commuting_coefficients_takes_the_chain(monkeypatch):
 
 @pytest.mark.parametrize("rank", [2, 4, 6])
 def test_nilpotency_exponent_of_a_jordan_block_makes_rank_minus_one_products(monkeypatch, rank):
-    block = PolyMatrix.from_int_rows(
-        [[1 if j == i + 1 else 0 for j in range(rank)] for i in range(rank)], T, 7
-    )
+    block = jordan_block(rank, T, 7)
     matmul = count_matrix_calls(monkeypatch, "__matmul__")
     assert nilpotency_exponent([block], 6) == rank
     assert len(matmul) == rank - 1
