@@ -23,7 +23,6 @@ from .atlas import (
     Chart,
     FrobLift,
     Overlap,
-    SubstPair,
     h_pair,
     lift_on_overlap,
     verify_deligne_illusie,

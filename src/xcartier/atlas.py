@@ -1,13 +1,21 @@
 """Charts, overlaps, Frobenius liftings and their divided-Frobenius data.
 
 An overlap stores its localized coordinate systems on both sides plus the
-coordinate change in both directions, each with a mod-p**2 lift:
+coordinate change in both directions, once, as mod-p**2 polynomials: the
+coordinate change of the W_2-lifting of X, whose reduction mod p is that
+of X.
 
     alpha_vars  -- the alpha chart's names with extra inversions (the
                    canonical coordinates of the overlap ring)
     beta_vars   -- likewise for the beta side
     beta_in_alpha[w] -- the beta coordinate w as a function of alpha_vars
     alpha_in_beta[u] -- the alpha coordinate u as a function of beta_vars
+
+The mod-p maps, which move functions and Jacobians between the charts of X,
+are their reductions (`beta_in_alpha_mod_p`, `alpha_in_beta_mod_p`), built
+once per overlap.  `_validate_overlap` checks the round trips mod p**2 only:
+reduction mod p is a ring homomorphism that commutes with substitution, so
+the mod-p round trips are their images.
 
 A Frobenius lifting assigns to each chart coordinate a mod-p**2 image
 congruent to its p-th power.  `lift_on_overlap` transports a lifting from
@@ -48,6 +56,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import isqrt
 
 from .report import Report
 from .ring import (
@@ -71,31 +81,25 @@ class Chart:
 
 
 @dataclass(frozen=True)
-class SubstPair:
-    """One coordinate image: its mod-p expression and a mod-p**2 lift."""
-
-    poly: LaurentPoly
-    lift: LaurentPoly
-
-    def __post_init__(self):
-        if self.lift.reduce_mod(self.poly.modulus) != self.poly:
-            raise AtlasError(
-                f"lift '{self.lift}' does not reduce to '{self.poly}' mod {self.poly.modulus}"
-            )
-
-
-@dataclass(frozen=True)
 class Overlap:
     alpha: str
     beta: str
     alpha_vars: VarSpec
     beta_vars: VarSpec
-    beta_in_alpha: dict[str, SubstPair]
-    alpha_in_beta: dict[str, SubstPair]
+    beta_in_alpha: dict[str, LaurentPoly]  # mod p**2, on alpha_vars
+    alpha_in_beta: dict[str, LaurentPoly]  # mod p**2, on beta_vars
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.alpha, self.beta)
+
+    @cached_property
+    def beta_in_alpha_mod_p(self) -> dict[str, LaurentPoly]:
+        return {w: f.reduce_mod(isqrt(f.modulus)) for w, f in self.beta_in_alpha.items()}
+
+    @cached_property
+    def alpha_in_beta_mod_p(self) -> dict[str, LaurentPoly]:
+        return {u: f.reduce_mod(isqrt(f.modulus)) for u, f in self.alpha_in_beta.items()}
 
 
 @dataclass(frozen=True)
@@ -206,12 +210,12 @@ class Atlas:
                         )
 
     def _validate_overlap(self, ov: Overlap) -> None:
-        """The coordinate changes round-trip at both levels.
+        """Each image is a mod-p**2 polynomial on its side, and the maps round-trip.
 
         That makes the Jacobian J_b = `jacobian_beta_in_alpha(ov)` a unit,
-        with no check: mod p the round trips make b = beta_in_alpha and
-        a = alpha_in_beta inverse ring isomorphisms, and the chain rule on
-        a(b(u)) = u and b(a(w)) = w gives (J_a o b) J_b = I and
+        with no check: reduced mod p the round trips make b = beta_in_alpha
+        and a = alpha_in_beta inverse ring isomorphisms, and the chain rule
+        on a(b(u)) = u and b(a(w)) = w gives (J_a o b) J_b = I and
         (J_b o a) J_a = I.  So both charts have one dimension, and
         det(J_a o b) det J_b = 1.
         """
@@ -224,27 +228,21 @@ class Atlas:
             raise AtlasError(f"overlap {ov.pair}: beta_in_alpha must cover {b_chart.vars.names}")
         if set(ov.alpha_in_beta) != set(a_chart.vars.names):
             raise AtlasError(f"overlap {ov.pair}: alpha_in_beta must cover {a_chart.vars.names}")
-        # mutual inversion on coordinates, at both modulus levels
-        for level in (1, 2):
-            def pick(sp: SubstPair) -> LaurentPoly:
-                return sp.poly if level == 1 else sp.lift
-
-            b_map = {w: pick(sp) for w, sp in ov.beta_in_alpha.items()}
-            a_map = {u: pick(sp) for u, sp in ov.alpha_in_beta.items()}
-            m = self.ctx.p if level == 1 else self.ctx.p2
-            for u in a_chart.vars.names:
-                back = a_map[u].subst(b_map, ov.alpha_vars)
-                if back != LaurentPoly.var(ov.alpha_vars, m, u):
+        p2 = self.ctx.p2
+        for images, vars, side in ((ov.beta_in_alpha, ov.alpha_vars, "alpha"),
+                                   (ov.alpha_in_beta, ov.beta_vars, "beta")):
+            for coord, img in images.items():
+                if not isinstance(img, LaurentPoly) or img.modulus != p2 or img.vars != vars:
+                    raise AtlasError(f"overlap {ov.pair}: image of {coord!r} is not a polynomial "
+                                     f"mod {p2} in the {side}-side overlap coordinates")
+        for images, back_maps, vars in ((ov.alpha_in_beta, ov.beta_in_alpha, ov.alpha_vars),
+                                        (ov.beta_in_alpha, ov.alpha_in_beta, ov.beta_vars)):
+            for coord in vars.names:
+                back = images[coord].subst(back_maps, vars)
+                if back != LaurentPoly.var(vars, p2, coord):
                     raise AtlasError(
-                        f"overlap {ov.pair}: coordinate {u!r} does not round-trip "
-                        f"(got '{back}' mod {m})"
-                    )
-            for w in b_chart.vars.names:
-                back = b_map[w].subst(a_map, ov.beta_vars)
-                if back != LaurentPoly.var(ov.beta_vars, m, w):
-                    raise AtlasError(
-                        f"overlap {ov.pair}: coordinate {w!r} does not round-trip "
-                        f"(got '{back}' mod {m})"
+                        f"overlap {ov.pair}: coordinate {coord!r} does not round-trip "
+                        f"(got '{back}' mod {p2})"
                     )
 
 
@@ -253,13 +251,12 @@ class Atlas:
 
 def jacobian_beta_in_alpha(ov: Overlap) -> PolyMatrix:
     """J[j][i] = d(w_j)/d(u_i) on alpha-side coordinates."""
-    return jacobian([ov.beta_in_alpha[w].poly for w in ov.beta_vars.names])
+    return jacobian([ov.beta_in_alpha_mod_p[w] for w in ov.beta_vars.names])
 
 
 def pull_beta_function(ov: Overlap, f: LaurentPoly) -> LaurentPoly:
     """Express a function on the beta chart in alpha-side overlap coordinates."""
-    images = {w: sp.poly for w, sp in ov.beta_in_alpha.items()}
-    return f.subst(images, ov.alpha_vars)
+    return f.subst(ov.beta_in_alpha_mod_p, ov.alpha_vars)
 
 
 # ---------- divided Frobenius and homotopies ----------
@@ -295,12 +292,10 @@ def lift_on_overlap(atlas: Atlas, ov: Overlap, lift: FrobLift) -> dict[str, Laur
         out = {u: img.extend_vars(ov.alpha_vars) for u, img in lift.images.items()}
     elif lift.chart == ov.beta:
         frob_images = {w: img.extend_vars(ov.beta_vars) for w, img in lift.images.items()}
-        back = {w: sp.lift for w, sp in ov.beta_in_alpha.items()}
         out = {}
         for u in ov.alpha_vars.names:
-            expr = ov.alpha_in_beta[u].lift  # u as function of beta coords, mod p**2
-            pushed = expr.subst(frob_images, ov.beta_vars)
-            out[u] = pushed.subst(back, ov.alpha_vars)
+            pushed = ov.alpha_in_beta[u].subst(frob_images, ov.beta_vars)
+            out[u] = pushed.subst(ov.beta_in_alpha, ov.alpha_vars)
     else:
         raise AtlasError(f"lifting on {lift.chart!r} does not live on overlap {ov.pair}")
     for u, img in out.items():

@@ -9,7 +9,7 @@ tautological line bundles with the constant field between them.
 
 from __future__ import annotations
 
-from .atlas import Atlas, FrobLift, Overlap, SubstPair
+from .atlas import Atlas, FrobLift, Overlap
 from .ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
 from .scene import Scene
 from .sheaves import FlatSheaf, HiggsSheaf
@@ -48,24 +48,9 @@ def _p1_atlas(ctx: PrimeContext) -> Atlas:
     atlas.add_chart("U1", w_vars)
     ov_a = s_vars.with_inverted(["s"])
     ov_b = w_vars.with_inverted(["w"])
-    atlas.add_overlap(
-        Overlap(
-            "U0",
-            "U1",
-            ov_a,
-            ov_b,
-            beta_in_alpha={
-                "w": SubstPair(
-                    LaurentPoly.var(ov_a, p, "s", -1), LaurentPoly.var(ov_a, p2, "s", -1)
-                )
-            },
-            alpha_in_beta={
-                "s": SubstPair(
-                    LaurentPoly.var(ov_b, p, "w", -1), LaurentPoly.var(ov_b, p2, "w", -1)
-                )
-            },
-        )
-    )
+    atlas.add_overlap(Overlap("U0", "U1", ov_a, ov_b,
+                              beta_in_alpha={"w": LaurentPoly.var(ov_a, p2, "s", -1)},
+                              alpha_in_beta={"s": LaurentPoly.var(ov_b, p2, "w", -1)}))
     atlas.add_lift(FrobLift("U0", {"s": LaurentPoly.var(s_vars, p2, "s", p)}))
     atlas.add_lift(
         FrobLift(

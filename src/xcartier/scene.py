@@ -4,11 +4,13 @@ Scenes are the only wire format.  Polynomials are strings: a sum of signed
 terms, each a `*`-product of integer literals and `name` or `name^int`
 factors, with whitespace allowed between any two tokens (`ring` module
 docstring).  Matrices are row-major string arrays, transitions are keyed by
-the ordered chart pair "alpha,beta".  Parsing validates every structural
-invariant (odd prime, lifting reductions, overlap round trips, sheaf
-integrability/nilpotency/gluing) and rejects bad scenes with a SceneError
-"<field path>: <message>"; `_at` gives that form to a package error raised
-while a field is read.  Emission is canonical, so
+the ordered chart pair "alpha,beta".  An overlap gives each coordinate's
+image as one mod-p**2 polynomial string (`atlas` module docstring); the
+mod-p coordinate change is its reduction.  Parsing validates every
+structural invariant (odd prime, lifting reductions, overlap round trips
+mod p**2, sheaf integrability/nilpotency/gluing) and rejects bad scenes
+with a SceneError "<field path>: <message>"; `_at` gives that form to a
+package error raised while a field is read.  Emission is canonical, so
 emit(parse(emit(x))) == emit(x).
 """
 
@@ -18,7 +20,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .atlas import Atlas, FrobLift, Overlap, SubstPair
+from .atlas import Atlas, FrobLift, Overlap
 from .ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec
 from .sheaves import FlatSheaf, HiggsSheaf, check_flat, check_higgs
 
@@ -118,19 +120,12 @@ def parse_scene(text: str) -> Scene:
                 _names(ov.get("alpha_inverted", []), f"{where}.alpha_inverted"))
             b_vars = b_chart.vars.with_inverted(
                 _names(ov.get("beta_inverted", []), f"{where}.beta_inverted"))
-
-            def pair(entry, vars, wh) -> SubstPair:
-                return SubstPair(
-                    _poly(entry["poly"], vars, p, wh + ".poly"),
-                    _poly(entry["lift"], vars, p2, wh + ".lift"),
-                )
-
             beta_in_alpha = {
-                w: pair(e, a_vars, f"{where}.beta_in_alpha[{w}]")
+                w: _poly(e, a_vars, p2, f"{where}.beta_in_alpha[{w}]")
                 for w, e in _expect(ov["beta_in_alpha"], dict, f"{where}.beta_in_alpha").items()
             }
             alpha_in_beta = {
-                u: pair(e, b_vars, f"{where}.alpha_in_beta[{u}]")
+                u: _poly(e, b_vars, p2, f"{where}.alpha_in_beta[{u}]")
                 for u, e in _expect(ov["alpha_in_beta"], dict, f"{where}.alpha_in_beta").items()
             }
             atlas.add_overlap(
@@ -230,14 +225,8 @@ def scene_to_dict(scene: Scene) -> dict:
                 "beta": ov.beta,
                 "alpha_inverted": sorted(ov.alpha_vars.inverted - a_chart.vars.inverted),
                 "beta_inverted": sorted(ov.beta_vars.inverted - b_chart.vars.inverted),
-                "beta_in_alpha": {
-                    w: {"poly": str(sp.poly), "lift": str(sp.lift)}
-                    for w, sp in ov.beta_in_alpha.items()
-                },
-                "alpha_in_beta": {
-                    u: {"poly": str(sp.poly), "lift": str(sp.lift)}
-                    for u, sp in ov.alpha_in_beta.items()
-                },
+                "beta_in_alpha": {w: str(f) for w, f in ov.beta_in_alpha.items()},
+                "alpha_in_beta": {u: str(f) for u, f in ov.alpha_in_beta.items()},
             }
         )
     lifts = [

@@ -363,11 +363,11 @@ def _check_transition_cocycle(atlas: Atlas, transitions, report: Report) -> None
         ab = atlas.overlaps[(a, b)]
         third = atlas.overlaps[(c, a)].beta_vars if cycle else atlas.overlaps[(a, c)].alpha_vars
         vars = ab.alpha_vars.with_inverted(third.inverted)
-        b_in_a = {w: sp.poly.extend_vars(vars) for w, sp in ab.beta_in_alpha.items()}
+        b_in_a = {w: f.extend_vars(vars) for w, f in ab.beta_in_alpha_mod_p.items()}
         lhs = transitions[(b, c)].subst(b_in_a, vars) @ transitions[(a, b)].extend_vars(vars)
         if cycle:
             ca = atlas.overlaps[(c, a)]
-            c_in_a = {u: sp.poly.extend_vars(vars) for u, sp in ca.alpha_in_beta.items()}
+            c_in_a = {u: f.extend_vars(vars) for u, f in ca.alpha_in_beta_mod_p.items()}
             ok = (transitions[(c, a)].subst(c_in_a, vars) @ lhs).is_identity()
         else:
             ok = lhs == transitions[(a, c)].extend_vars(vars)

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from xcartier import acceptance, transforms
-from xcartier.report import ReportEntry
+from xcartier.report import Report, ReportEntry
 from xcartier.ring import PolyMatrix
 from xcartier.sheaves import PCurvature
 
@@ -70,6 +70,21 @@ def test_verify_all_aggregate():
     assert [f.name for f in dataclasses.fields(ReportEntry)] == ["check", "status", "witness"]
     for item in report.to_dict()["entries"]:
         assert set(item) in ({"check", "status"}, {"check", "status", "witness"})
+
+
+def test_failed_entries_print_their_witness_and_fail_the_report():
+    report = Report()
+    report.add("held", True)
+    report.add("<check>", False, ("a", "b"))
+    report.add("bare", False)
+    report.skip("skipped", "no data")
+    assert report.lines() == [
+        "[PASS] held",
+        "[FAIL] <check>  witness: a; b",
+        "[FAIL] bare",
+        "[skip] skipped  (no data)",
+        "overall: fail",
+    ]
 
 
 def count_gallery_builds(monkeypatch):
@@ -185,6 +200,28 @@ def test_verify_all_forks_once_and_agrees_with_the_in_process_loop(monkeypatch):
     assert not waiter.is_alive()
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
     assert acceptance.verify_all().to_dict() == forked
+    assert forks == [1]
+
+
+@pytest.mark.skipif(not FORKS or not os.path.isdir("/proc/self/fd"),
+                    reason="verify_all forks only with os.fork and two usable CPUs; "
+                           "open descriptors are counted in /proc/self/fd")
+def test_verify_all_runs_in_process_when_the_fork_fails(monkeypatch):
+    def failing_fork():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    forks = []
+    monkeypatch.setattr(os, "fork", failing_fork)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    fds = len(os.listdir("/proc/self/fd"))
+    fallback = acceptance.verify_all().to_dict()
+    assert forks == [1]
+    assert len(os.listdir("/proc/self/fd")) == fds  # both pipe ends are closed
+    if cpus is not None:
+        assert os.sched_getaffinity(0) == cpus
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
+    assert fallback == acceptance.verify_all().to_dict()
     assert forks == [1]
 
 
@@ -352,7 +389,7 @@ def test_verify_all_reports_are_pinned_on_one_cpu(form):
 
 
 # md5 over `icartier` and `roundtrip --json` of every gallery Higgs scene at p = 3, 5, 7
-FORWARD_MD5 = "e336206c2770fdd9097c97e878c64b80"
+FORWARD_MD5 = "1d184f54bf55667347d3b7891353f6f6"
 
 
 def test_forward_and_roundtrip_outputs_are_pinned(tmp_path, capsys):

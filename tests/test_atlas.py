@@ -1,3 +1,5 @@
+import json
+
 import pytest
 import xcartier.atlas
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from xcartier.atlas import (
     Atlas,
     AtlasError,
     FrobLift,
+    Overlap,
     h_pair,
     lift_on_overlap,
     verify_deligne_illusie,
@@ -367,15 +370,13 @@ def test_lemma_on_gallery_scenes(p):
 
 def translation_overlap(p, shift):
     """V0 and V1 glued by y = x - shift."""
-    from xcartier.atlas import Overlap, SubstPair
+    from xcartier.atlas import Overlap
 
     xv, yv = VarSpec.make(["x"]), VarSpec.make(["y"])
     return Overlap(
         "V0", "V1", xv, yv,
-        beta_in_alpha={"y": SubstPair(LaurentPoly.parse(f"x - {shift}", xv, p),
-                                      LaurentPoly.parse(f"x - {shift}", xv, p * p))},
-        alpha_in_beta={"x": SubstPair(LaurentPoly.parse(f"y + {shift}", yv, p),
-                                      LaurentPoly.parse(f"y + {shift}", yv, p * p))},
+        beta_in_alpha={"y": LaurentPoly.parse(f"x - {shift}", xv, p * p)},
+        alpha_in_beta={"x": LaurentPoly.parse(f"y + {shift}", yv, p * p)},
     )
 
 
@@ -451,6 +452,68 @@ def test_missing_lift_rejected():
     atlas.add_chart("A1", T)
     with pytest.raises(AtlasError, match="no Frobenius lifting"):
         atlas.validate()
+
+
+X, Y = VarSpec.make(["x"]), VarSpec.make(["y"])
+
+
+def glue_translation(p, beta_in_alpha, alpha_in_beta):
+    """translation_atlas(p) with its overlap maps replaced, validated."""
+    atlas = translation_atlas(p)
+    atlas.add_overlap(Overlap("V0", "V1", X, Y, beta_in_alpha, alpha_in_beta))
+    atlas.validate()
+    return atlas
+
+
+@pytest.mark.parametrize("beta_in_alpha, alpha_in_beta, message", [
+    pytest.param({"y": LaurentPoly.parse("x - 1", X, 3)}, {"x": LaurentPoly.parse("y + 1", Y, 9)},
+                 "image of 'y' is not a polynomial mod 9 in the alpha-side", id="mod-p"),
+    pytest.param({"y": LaurentPoly.parse("x - 1", VarSpec.make(["x"], ["x"]), 9)},
+                 {"x": LaurentPoly.parse("y + 1", Y, 9)},
+                 "image of 'y' is not a polynomial mod 9 in the alpha-side", id="other-inversions"),
+    pytest.param({"y": LaurentPoly.parse("x - 1", X, 9)}, {"x": "y + 1"},
+                 "image of 'x' is not a polynomial mod 9 in the beta-side", id="string"),
+])
+def test_overlap_images_are_checked_for_their_ring_before_the_round_trip(
+        beta_in_alpha, alpha_in_beta, message):
+    with pytest.raises(AtlasError, match=r"overlap \('V0', 'V1'\): " + message):
+        glue_translation(3, beta_in_alpha, alpha_in_beta)
+
+
+def test_overlap_round_trips_are_checked_mod_p2():
+    # y = x - 1 + 3x^2 and x = y + 1 reduce to inverse translations mod 3
+    with pytest.raises(AtlasError, match=r"coordinate 'x' does not round-trip \(got '3\*x\^2 "
+                                         r"\+ x' mod 9\)"):
+        glue_translation(3, {"y": LaurentPoly.parse("x - 1 + 3*x^2", X, 9)},
+                         {"x": LaurentPoly.parse("y + 1", Y, 9)})
+
+
+def test_mod_p_maps_are_the_reductions_of_the_stored_maps():
+    # another W_2-lifting of the translation y = x - 1 over F_3: y = x - 1 + 3x^2,
+    # inverted by x = 6y^2 + 4y + 7 mod 9
+    from xcartier.atlas import pull_beta_function
+    from xcartier.scene import Scene, emit_scene, parse_scene
+
+    atlas = glue_translation(3, {"y": LaurentPoly.parse("x - 1 + 3*x^2", X, 9)},
+                             {"x": LaurentPoly.parse("6*y^2 + 4*y + 7", Y, 9)})
+    ov = atlas.overlaps[("V0", "V1")]
+    assert ov.beta_in_alpha_mod_p == {"y": LaurentPoly.parse("x - 1", X, 3)}
+    assert ov.alpha_in_beta_mod_p == {"x": LaurentPoly.parse("y + 1", Y, 3)}
+    assert ov.beta_in_alpha_mod_p is ov.beta_in_alpha_mod_p  # derived once
+    assert pull_beta_function(ov, LaurentPoly.parse("y^2", Y, 3)) == LaurentPoly.parse(
+        "x^2 + x + 1", X, 3)
+    # the transported lifting reads the mod-p**2 map, so it differs from the plain translation's
+    plain = translation_atlas(3)
+    assert lift_on_overlap(atlas, ov, atlas.lifts["V1"][0])["x"] == LaurentPoly.parse(
+        "6*x^6 + x^3 + 6*x^2 + 3*x", X, 9)
+    assert lift_on_overlap(plain, plain.overlaps[("V0", "V1")], plain.lifts["V1"][0])["x"] == (
+        LaurentPoly.parse("x^3 + 6*x^2 + 3*x", X, 9))
+    assert verify_deligne_illusie(atlas).ok()
+    text = emit_scene(Scene(atlas.ctx, atlas))
+    entry = json.loads(text)["atlas"]["overlaps"][0]
+    assert (entry["beta_in_alpha"], entry["alpha_in_beta"]) == (
+        {"y": "3*x^2 + x + 8"}, {"x": "6*y^2 + 4*y + 7"})
+    assert emit_scene(parse_scene(text)) == text
 
 
 def test_lift_choice_names_exactly_one_lifting():

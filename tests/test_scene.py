@@ -366,9 +366,8 @@ BETA_ROUND_TRIP_SCENE = json.dumps({"p": 5, "atlas": {
     "charts": [{"name": "A", "coords": ["u"], "inverted": []},
                {"name": "B", "coords": ["w1", "w2"], "inverted": []}],
     "overlaps": [{"alpha": "A", "beta": "B", "alpha_inverted": [], "beta_inverted": [],
-                  "beta_in_alpha": {"w1": {"poly": "u", "lift": "u"},
-                                    "w2": {"poly": "0", "lift": "0"}},
-                  "alpha_in_beta": {"u": {"poly": "w1", "lift": "w1"}}}],
+                  "beta_in_alpha": {"w1": "u", "w2": "0"},
+                  "alpha_in_beta": {"u": "w1"}}],
     "lifts": [{"chart": "A", "images": {"u": "u^5"}},
               {"chart": "B", "images": {"w1": "w1^5", "w2": "w2^5"}}],
 }, "sheaf": {"kind": "higgs", "rank": 1,
@@ -409,16 +408,21 @@ SCENE_FILE_ERRORS = [
                  id="comma-in-chart-name"),
     pytest.param(lambda d: d["atlas"]["lifts"][1]["images"].clear(),
                  "atlas: lift on 'U1' must cover coordinates ('w',)", id="lift-coverage"),
-    pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"]["w"].update(
-                     poly="2*s^-1", lift="2*s^-1"),
+    pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"].update(w="2*s^-1"),
                  "atlas: overlap ('U0', 'U1'): coordinate 's' does not round-trip",
                  id="overlap-round-trip"),
     pytest.param(BETA_ROUND_TRIP_SCENE,
-                 "atlas: overlap ('A', 'B'): coordinate 'w2' does not round-trip (got '0' mod 5)",
+                 "atlas: overlap ('A', 'B'): coordinate 'w2' does not round-trip (got '0' mod 25)",
                  id="overlap-beta-round-trip"),
-    pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"]["w"].update(lift="s"),
-                 "atlas.overlaps[0]: lift 's' does not reduce to 's^-1' mod 3",
-                 id="overlap-lift-reduction"),
+    pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"].update(
+                     w={"poly": "s^-1", "lift": "s^-1"}),
+                 "atlas.overlaps[0].beta_in_alpha[w]: expected a polynomial string, "
+                 "got {'poly': 's^-1', 'lift': 's^-1'}",
+                 id="overlap-old-form"),
+    pytest.param(lambda d: d["atlas"]["overlaps"][0]["alpha_in_beta"].update(
+                     s={"poly": "w^-1", "lift": "w^-1"}),
+                 "atlas.overlaps[0].alpha_in_beta[s]: expected a polynomial string",
+                 id="overlap-old-form-alpha_in_beta"),
     pytest.param(lambda d: d["atlas"]["overlaps"][0].update(alpha_in_beta={}),
                  "atlas: overlap ('U0', 'U1'): alpha_in_beta must cover ('s',)",
                  id="overlap-coverage"),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xcartier import sheaves, transforms
-from xcartier.atlas import Atlas, FrobLift, Overlap, SubstPair
+from xcartier.atlas import Atlas, FrobLift, Overlap
 from xcartier.gallery import GALLERY_NAMES, gallery
 from xcartier.identities import commuting_nilpotent_family
 from xcartier.ring import LaurentPoly, PolyMatrix, PrimeContext, VarSpec, is_prime, jacobian
@@ -720,7 +720,7 @@ def glued_charts(names, inverted_pairs=(), p=3, pairs=None):
         atlas.add_lift(FrobLift(name, {name.lower(): frobenius}))
 
     def coordinate(name, vars):
-        return SubstPair(LaurentPoly.var(vars, p, name), LaurentPoly.var(vars, ctx.p2, name))
+        return LaurentPoly.var(vars, ctx.p2, name)
 
     for a, b in pairs or itertools.combinations(names, 2):
         inv = (a, b) in inverted_pairs

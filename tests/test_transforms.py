@@ -284,6 +284,47 @@ def test_flat_sections_frame_outside_the_projected_generators(names, inverted):
     assert cartier(H).is_zero_field()
 
 
+def test_normalized_frame_columns_shift_inverted_variables_into_range():
+    # on G_m at p=3 the projected generators give the frame column t^-4 e_2;
+    # the normalizing shift by t^6 brings it to t^2 e_2
+    vars = VarSpec.make(["t"], ["t"])
+    ctx = PrimeContext(3)
+    atlas = Atlas(ctx)
+    atlas.add_chart("Gm", vars)
+    atlas.add_lift(FrobLift("Gm", {"t": LaurentPoly.var(vars, ctx.p2, "t", 3)}))
+    atlas.validate()
+    A = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row]
+                    for row in [["2*t^-1", "0"], ["t^-5", "t^-1"]]])
+    H = FlatSheaf(atlas, 2, {"Gm": [A]})
+    assert check_flat(H).ok() and p_curvature(H).is_zero()
+    expected = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row]
+                           for row in [["0", "t"], ["t^2", "2*t^-3"]]])
+    assert flat_sections(H).frames["Gm"] == expected
+    assert cartier(H).is_zero_field()
+
+
+def test_first_projected_images_give_the_frame_the_echelon_misses():
+    # a pure gauge A = -dF F^-1 on the plane with u inverted at p=3: the first
+    # three nonzero projected images have a unit determinant, while the column
+    # echelon form reaches no unimodular frame
+    vars = VarSpec.make(["t", "u"], ["u"])
+    ctx = PrimeContext(3)
+    atlas = Atlas(ctx)
+    atlas.add_chart("C", vars)
+    atlas.add_lift(FrobLift("C", {n: LaurentPoly.var(vars, ctx.p2, n, 3) for n in vars.names}))
+    atlas.validate()
+    inv = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row] for row in [
+        ["t^2*u^2 + 1", "0", "t^4*u^2 + t^2*u^2 + t^2*u + t^2 + 1"],
+        ["t^3*u^4 + t*u^2 + t*u + 2*t^2*u^-2 + u^-2", "2*t^2 + 1",
+         "t^5*u^4 + t^3*u^4 + t^3*u^3 + t^3*u^2 + t^3*u + t*u^2 + t*u + t"],
+        ["u + 2*t*u^-2", "2*t", "t^2*u + u + 1"],
+    ]])
+    frame = inv.inverse_unit_det()
+    H = FlatSheaf(atlas, 3, {"C": [-(frame.deriv(n) @ inv) for n in vars.names]})
+    assert check_flat(H).ok()
+    assert cartier(H).is_zero_field()
+
+
 def test_echelon_step_needs_comparable_leading_monomials():
     vars = VarSpec.make(["t", "u"])
     t3, u3 = (LaurentPoly.var(vars, 3, n, 3) for n in ("t", "u"))
@@ -947,7 +988,7 @@ def rank3_twist_bundle(p):
 def test_two_variable_two_chart_round_trip():
     # plane charts glued by a translation in the first coordinate, one chart
     # carrying a perturbed lifting in the second
-    from xcartier.atlas import Atlas, FrobLift, Overlap, SubstPair, verify_deligne_illusie
+    from xcartier.atlas import Atlas, FrobLift, Overlap, verify_deligne_illusie
 
     p = 3
     ctx = PrimeContext(p)
@@ -961,8 +1002,8 @@ def test_two_variable_two_chart_round_trip():
 
     atlas.add_overlap(Overlap(
         "W0", "W1", xv, yv,
-        beta_in_alpha={"y1": pair_sub("x1 - 1", xv, p), "y2": pair_sub("x2", xv, p)},
-        alpha_in_beta={"x1": pair_sub("y1 + 1", yv, p), "x2": pair_sub("y2", yv, p)},
+        beta_in_alpha={"y1": sp("x1 - 1", xv, 9), "y2": sp("x2", xv, 9)},
+        alpha_in_beta={"x1": sp("y1 + 1", yv, 9), "x2": sp("y2", yv, 9)},
     ))
     atlas.add_lift(FrobLift("W0", {"x1": sp("x1^3", xv, 9), "x2": sp("x2^3 + 3*x2", xv, 9)}))
     atlas.add_lift(FrobLift("W1", {"y1": sp("y1^3", yv, 9), "y2": sp("y2^3", yv, 9)}))
@@ -987,14 +1028,6 @@ def test_two_variable_two_chart_round_trip():
     rep, rt = roundtrip_check(E)
     assert rep.ok()
     assert rt == E.negated()
-
-
-def pair_sub(text, vars, p):
-    from xcartier.atlas import SubstPair
-
-    return SubstPair(
-        LaurentPoly.parse(text, vars, p), LaurentPoly.parse(text, vars, p * p)
-    )
 
 
 def test_rank3_gluing_with_quadratic_exponential_term():
