@@ -64,6 +64,7 @@ from .ring import (
     LaurentPoly,
     PolyMatrix,
     PrimeContext,
+    SubstitutionError,
     VarSpec,
     divide_by_p,
     jacobian,
@@ -238,7 +239,10 @@ class Atlas:
         for images, back_maps, vars in ((ov.alpha_in_beta, ov.beta_in_alpha, ov.alpha_vars),
                                         (ov.beta_in_alpha, ov.alpha_in_beta, ov.beta_vars)):
             for coord in vars.names:
-                back = images[coord].subst(back_maps, vars)
+                try:  # a negative power of a non-unit image
+                    back = images[coord].subst(back_maps, vars)
+                except SubstitutionError as exc:
+                    raise AtlasError(f"overlap {ov.pair}: {exc}") from exc
                 if back != LaurentPoly.var(vars, p2, coord):
                     raise AtlasError(
                         f"overlap {ov.pair}: coordinate {coord!r} does not round-trip "

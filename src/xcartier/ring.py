@@ -55,10 +55,14 @@ The same-ring kernels use this to skip zeros, always after their ring check:
   both products as reduced grids without building polynomials;
 - `nabla_power` runs its n steps on raw term dicts, builds polynomials only
   for its result, and never writes to an operand's term dicts;
-- `p_curvature` splits A into constant coefficient matrices, kept as sparse
-  lists of row dicts, and when they commute assembles Jacobson's closed form
-  from their p-th powers and the terms of A with exponent -1 mod p; only
-  when they do not does it run the `nabla_power` chain;
+- `p_curvature` is the Wilson term d^(p-1) A, from the terms of A with
+  exponent -1 mod p, plus an A^p term read off the support graph of A
+  (`support_depth`, shared with `sheaves.nilpotent_within`): frobenius(A)
+  at rank one, zero on an acyclic support of longest path L with
+  L + 1 <= p (with no commutation test when L <= 1), and otherwise
+  Jacobson's sum of the p-th powers of A's constant coefficient matrices,
+  kept as sparse lists of row dicts, when they commute; only when they do
+  not does it run the `nabla_power` chain;
 - `combine` (sum_k s_k M_k, behind `trunc_exp`, the Taylor check and
   Katz's projector) adds every product into one grid of term dicts; an int
   s_k scales coefficients without a polynomial product, an entry whose one
@@ -660,9 +664,9 @@ def _wilson_derivative_terms(terms: dict, i: int, p: int) -> dict:
 # ---------- sparse constant matrices: lists of row dicts {column: coefficient} ----------
 
 
-def _scalar_classes(grid: list[list[dict]], p: int) -> list[tuple[list[dict], list[tuple]]]:
+def _scalar_classes(grid: list[list[dict]], p: int) -> list[tuple[list[dict], dict]]:
     """The constant coefficient matrices A_e of the mod-p grid sum_e t^e A_e,
-    grouped by scalar class: [(B, [(e, c), ...])] with A_e = c B, where
+    grouped by scalar class: [(B, {e: c, ...})] with A_e = c B, where
     the first nonzero entry of B, in row-major order, is 1."""
     coeffs: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for i, row in enumerate(grid):
@@ -672,7 +676,7 @@ def _scalar_classes(grid: list[list[dict]], p: int) -> list[tuple[list[dict], li
                     coeffs[e].append((i, j, c))
                 else:
                     coeffs[e] = [(i, j, c)]
-    classes: dict[tuple, tuple[list[dict], list[tuple]]] = {}
+    classes: dict[tuple, tuple[list[dict], dict]] = {}
     for e, entries in coeffs.items():  # each in row-major order
         c = entries[0][2]
         if c != 1:
@@ -685,8 +689,8 @@ def _scalar_classes(grid: list[list[dict]], p: int) -> list[tuple[list[dict], li
             b = [{} for _ in grid]
             for i, j, v in entries:
                 b[i][j] = v
-            cls = classes[entries] = (b, [])
-        cls[1].append((e, c))
+            cls = classes[entries] = (b, {})
+        cls[1][e] = c
     return list(classes.values())
 
 
@@ -723,6 +727,53 @@ def _constant_power(x: list[dict], n: int, p: int) -> list[dict]:
         x = _constant_product(x, x, p)
         if not any(x):
             return x
+
+
+def _pth_power_terms(terms: dict, p: int) -> dict:
+    """The terms of f^p = sum_e c t^(pe) for f = sum_e c t^e mod p, since
+    c^p = c in F_p, in a fresh dict: the A^p term of a rank-one p-curvature
+    and the t^(pe) of each class in Jacobson's A^p."""
+    return {tuple(p * x for x in e): c for e, c in terms.items()}
+
+
+# ---------- the support graph ----------
+
+
+def support_depth(mats: list["PolyMatrix"]) -> int | None:
+    """The longest path of the family's support graph, or None if it has a cycle.
+
+    The graph has an edge j -> i when some matrix has entry (i, j) != 0, so
+    a nonzero diagonal entry is a self-loop.  In a topological order of an
+    acyclic graph every matrix is strictly lower triangular, and a product
+    of L+1 of them is zero: this needs neither commutation nor a domain.
+    The same holds for the derivatives of the matrices, whose supports lie
+    in the graph.  Kahn's algorithm, with each index's depth the longest
+    path into it.  `sheaves.nilpotent_within` and `PolyMatrix.p_curvature`
+    read it.
+    """
+    n = mats[0].rows
+    targets = [set() for _ in range(n)]
+    for m in mats:
+        for i, row in enumerate(m.entries):
+            for j, f in enumerate(row):
+                if not f.is_zero():
+                    targets[j].add(i)
+    indegree = [0] * n
+    for ends in targets:
+        for i in ends:
+            indegree[i] += 1
+    depth = [0] * n
+    ready = [i for i in range(n) if not indegree[i]]
+    done = 0
+    while ready:
+        j = ready.pop()
+        done += 1
+        for i in targets[j]:
+            depth[i] = max(depth[i], depth[j] + 1)
+            indegree[i] -= 1
+            if not indegree[i]:
+                ready.append(i)
+    return max(depth) if done == n else None
 
 
 # ---------- division and inversion ----------
@@ -990,36 +1041,53 @@ class PolyMatrix:
         mod-p matrix: the p-curvature of the connection d + A along one
         coordinate t = name.
 
-        Write A = sum_e t^e A_e with constant matrices A_e.  When the A_e
-        commute pairwise, A commutes with all its derivatives, and Jacobson's
-        formula for (d + A)^p, with d^p = 0 on the chart ring and
-        A^p = sum_e t^(pe) A_e^p in characteristic p, gives
+        Unrolled, the chain b -> d b + A b from b = A is a sum of products of
+        derivatives of A.  Its one-factor term is d^(p-1) A: d^(p-1) t^e
+        multiplies t^(e - p + 1) by the product of the p-1 consecutive
+        integers e, e-1, ..., e-p+2, which is (p-1)! = -1 (Wilson) when
+        e = -1 mod p and else 0.  Its p-factor term is A^p.  When A commutes
+        with all its derivatives the other terms cancel (Jacobson's formula
+        for (d + A)^p, with d^p = 0 on the chart ring), so
 
-            psi = sum_e t^(pe) A_e^p + d^(p-1) A.
+            psi = d^(p-1) A + A^p.
 
-        d^(p-1) t^e multiplies t^(e - p + 1) by the product of the p-1
-        consecutive integers e, e-1, ..., e-p+2: (p-1)! = -1 (Wilson) when
-        e = -1 mod p, else 0.  A_e = c B over a representative B of its
-        scalar class, so A_e^p = c B^p, and B^p comes from squarings that
-        stop at the first zero.  The commutation test compares the
-        representatives pairwise (one class at rank 1) and stops at the
-        first pair that differs; then psi is the chain
-        `self.nabla_power(self, name, p - 1)`.  Everything runs on raw term
-        dicts and sparse constant matrices; polynomials are built only for
-        the result.
+        The A^p term is read off the support graph of A (`support_depth`):
+        - rank one: A^p = frobenius(A), as c^p = c in F_p, with no
+          commutation test;
+        - an acyclic support of longest path L <= 1: every product of two
+          derivatives of A is zero, so psi = d^(p-1) A with no commutation
+          test;
+        - otherwise write A = sum_e t^e A_e with constant A_e = c B over a
+          representative B of its scalar class.  If the representatives
+          commute pairwise, so does A with its derivatives, and
+          A^p = sum_e t^(pe) A_e^p.  An acyclic support with L + 1 <= p
+          makes every A_e^p zero; on any other support B^p comes from
+          squarings that stop at the first zero.  If they do not commute
+          (the test stops at the first pair that differs), psi is the
+          chain `self.nabla_power(self, name, p - 1)`.
+
+        Everything runs on raw term dicts and sparse constant matrices;
+        polynomials are built only for the result.
         """
         if self.rows != self.cols:
             raise RingError(f"p-curvature of a non-square {self.rows}x{self.cols} matrix")
         p = _frobenius_prime(self.modulus)
         i = self.vars.index(name)
         grid = self.term_grid()
-        classes = _scalar_classes(grid, p)
-        if not _commute_pairwise([b for b, _ in classes], p):
-            return self.nabla_power(self, name, p - 1)
+        if self.rows == 1:
+            powers = [([{0: 1}], grid[0][0])]  # (B^p, {e: c}) with B = 1
+        elif (depth := support_depth([self])) is not None and depth <= 1:
+            powers = []  # psi is the Wilson term alone
+        else:
+            classes = _scalar_classes(grid, p)
+            if not _commute_pairwise([b for b, _ in classes], p):
+                return self.nabla_power(self, name, p - 1)
+            powers = [] if depth is not None and depth + 1 <= p else [
+                (_constant_power(b, p, p), members) for b, members in classes]
         out = [[_wilson_derivative_terms(x, i, p) if x else None for x in row] for row in grid]
-        for b, members in classes:
-            pth = [(tuple(p * x for x in e), c) for e, c in members]
-            for acc_row, row in zip(out, _constant_power(b, p, p)):
+        for power, members in powers:
+            pth = _pth_power_terms(members, p).items()
+            for acc_row, row in zip(out, power):
                 for j, v in row.items():
                     acc = acc_row[j]
                     if acc is None:

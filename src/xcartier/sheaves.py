@@ -5,10 +5,15 @@ dt_i.  A Higgs field is a 0-connection, a connection d + A a 1-connection,
 and the p-curvature psi (one matrix per pulled-back basis element F*dt_i,
 the p-fold application of d/dt_i + A_i to the identity frame,
 `PolyMatrix.p_curvature`) a 0-connection on the Frobenius pullback.  When
-the constant coefficient matrices A_e of A_i = sum_e t^e A_e commute, psi_i
-is Jacobson's closed form sum_e t^(pe) A_e^p + d_i^(p-1) A_i (Katz 1970,
-section 5, at rank one); every other A_i takes the `nabla_power` chain of
-p-1 steps from A_i.  `flat` is lambda throughout.
+A_i commutes with its derivatives, psi_i is the Wilson term d_i^(p-1) A_i
+plus an A_i^p term (Jacobson's formula; Katz 1970, section 5, at rank
+one).  The support graph of A_i (`support_depth`, which `nilpotent_within`
+also reads) gives the A_i^p term: frobenius(A_i) at rank one; zero on an
+acyclic support of longest path L with L+1 <= p, where L <= 1 needs no
+commutation test because every product of two derivatives of A_i is zero;
+otherwise sum_e t^(pe) A_e^p over the constant coefficient matrices A_e of
+A_i = sum_e t^e A_e, when they commute.  Every other A_i takes the
+`nabla_power` chain of p-1 steps from A_i.  `flat` is lambda throughout.
 `p_curvature` proves no invariant of psi; they are proven where psi is used
 (`transforms.descend`, `verify_p_curvature_invariants`).
 
@@ -29,9 +34,10 @@ which for unit-determinant g means  g A g^-1 - lambda (dg) g^-1 = B:
   * flat frame: R_1(S; 0, A) = 0;  horizontality of psi: R_1(psi_i; A, A) = 0.
 
 Nilpotency of exponent <= p-1 is `nilpotent_within`, decided in three
-steps.  First the support graph (`support_depth`), which needs no
-commutation and no domain: when some matrix's entry (i, j) is nonzero draw
-an edge j -> i; if the graph is acyclic with longest path L, every product
+steps.  First the support graph (`support_depth`, defined in `ring` for
+the p-curvature too and re-exported here), which needs no commutation and
+no domain: when some matrix's entry (i, j) is nonzero draw an edge
+j -> i; if the graph is acyclic with longest path L, every product
 of L+1 matrices is zero, with no product taken.  A cyclic graph or
 L+1 > p-1 decides nothing, and the family must commute: for rank
 r <= p-1 it squares each matrix ceil(log2 r) times with `@` (commuting
@@ -56,6 +62,7 @@ from .ring import (
     PolyMatrix,
     VarSpec,
     is_prime,
+    support_depth,
 )
 
 
@@ -235,40 +242,6 @@ def nilpotency_exponent(mats: list[PolyMatrix], max_n: int) -> int | None:
     return None
 
 
-def support_depth(mats: list[PolyMatrix]) -> int | None:
-    """The longest path of the family's support graph, or None if it has a cycle.
-
-    The graph has an edge j -> i when some matrix has entry (i, j) != 0, so
-    a nonzero diagonal entry is a self-loop.  In a topological order of an
-    acyclic graph every matrix is strictly lower triangular, and a product
-    of L+1 of them is zero: this needs neither commutation nor a domain.
-    Kahn's algorithm, with each index's depth the longest path into it.
-    """
-    n = mats[0].rows
-    targets = [set() for _ in range(n)]
-    for m in mats:
-        for i, row in enumerate(m.entries):
-            for j, f in enumerate(row):
-                if not f.is_zero():
-                    targets[j].add(i)
-    indegree = [0] * n
-    for ends in targets:
-        for i in ends:
-            indegree[i] += 1
-    depth = [0] * n
-    ready = [i for i in range(n) if not indegree[i]]
-    done = 0
-    while ready:
-        j = ready.pop()
-        done += 1
-        for i in targets[j]:
-            depth[i] = max(depth[i], depth[j] + 1)
-            indegree[i] -= 1
-            if not indegree[i]:
-                ready.append(i)
-    return max(depth) if done == n else None
-
-
 def nilpotent_within(mats: list[PolyMatrix], bound: int) -> bool:
     """Whether every product of `bound` matrices of a commuting family is zero.
 
@@ -412,12 +385,15 @@ def check_field_gluing(
 def p_curvature(H: FlatSheaf) -> PCurvature:
     """Psi_i = (d/dt_i + A_i)^p applied to the identity frame, per chart.
 
-    One `A_i.p_curvature(t_i)` per coordinate: Jacobson's closed form
-    sum_e t^(pe) A_e^p + d_i^(p-1) A_i when the constant coefficient
-    matrices A_e of A_i = sum_e t^e A_e commute, as they do on every forward
-    image of a Higgs field whose coefficient matrices commute; otherwise the
-    chain `A_i.nabla_power(A_i, t_i, p - 1)` of steps b -> d_i b + A_i b
-    after the first step, which takes the identity frame to A_i.
+    One `A_i.p_curvature(t_i)` per coordinate: d_i^(p-1) A_i + A_i^p, with
+    the A_i^p term read off the support graph of A_i.  It is frobenius(A_i)
+    at rank one, and zero on an acyclic support of longest path L with
+    L + 1 <= p, as on the forward images of the gallery and the Jordan
+    scenes; any other support needs commuting constant coefficient
+    matrices A_e of A_i = sum_e t^e A_e and takes sum_e t^(pe) A_e^p.
+    An A_i that fails the commutation test takes the chain
+    `A_i.nabla_power(A_i, t_i, p - 1)` of steps b -> d_i b + A_i b after
+    the first step, which takes the identity frame to A_i.
     H must be flat: `check_flat` (in `untwist`) and `parse_scene` check it.
     """
     comps = {

@@ -326,8 +326,9 @@ TORUS = [f"c4: {check} on g7_gm_rank1 c={c} (p=3)" for c in (1, 2) for check in 
 )]
 # mutants of the p-curvature's closed form: (ring helper, replacement, criterion, its failures)
 CLOSED_FORM_MUTANTS = {
-    # the forward images are nilpotent, so A^p = 0 there; the torus is not
-    "A_e^p dropped": ("_constant_power", lambda x, n, p: [{} for _ in x], "c4:", TORUS),
+    # the forward images are nilpotent, so A^p = 0 there; the torus is rank one, where A^p is
+    # frobenius(A), and Jacobson's sum over the classes takes the same helper
+    "A_e^p dropped": ("_pth_power_terms", lambda terms, p: {}, "c4:", TORUS),
     "d^(p-1) A dropped": ("_wilson_derivative_terms", lambda terms, i, p: {}, "c3:", SIGNS + [
         "c3: one global sign across the whole gallery",
         "c3: measured sign equals the rank-2 oracle value -1"]),
@@ -412,6 +413,35 @@ def test_forward_and_roundtrip_outputs_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == FORWARD_MD5
 
 
+def pure_gauge_scene():
+    """Criterion 3's pure gauge d - dF*F^-1 at p = 3, F^-1 = [[1 + t^3, t^2], [t, 1]]."""
+    from xcartier.gallery import gallery
+    from xcartier.ring import LaurentPoly
+    from xcartier.scene import Scene
+    from xcartier.sheaves import FlatSheaf
+
+    s = gallery("g1_trivial", 3)
+    vars = s.atlas.chart_vars("A1")
+    inv = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row]
+                      for row in (("1 + t^3", "t^2"), ("t", "1"))])
+    gauge = FlatSheaf(s.atlas, 2, {"A1": [-(inv.inverse_unit_det().deriv("t") @ inv)]})
+    return Scene(s.ctx, s.atlas, gauge, {"name": "pure gauge"})
+
+
+def digest_cli_outputs(tmp_path, capsys, argv, scenes):
+    """md5 over the stdout of `argv --scene` on each scene, which must exit 0."""
+    from xcartier.cli import run_cli
+    from xcartier.scene import emit_scene
+
+    digest = hashlib.md5()
+    for k, scene in enumerate(scenes):
+        path = tmp_path / f"{k}.json"
+        path.write_text(emit_scene(scene))
+        assert run_cli(argv + ["--scene", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
 # md5 over `cartier` of flat scenes whose flat frames are not the identity: the
 # torus at every residue and the g2 and g3 forward images under lifting 1
 # (descended with lifting 0) at p = 3, 5, 7, and criterion 3's pure gauge at
@@ -420,11 +450,8 @@ CARTIER_MD5 = "c804f93894b3b46c5fa8ccb8fe2cfc60"
 
 
 def test_descent_outputs_on_non_identity_frames_are_pinned(tmp_path, capsys):
-    from xcartier.cli import run_cli
     from xcartier.gallery import gallery
-    from xcartier.ring import LaurentPoly
-    from xcartier.scene import Scene, emit_scene
-    from xcartier.sheaves import FlatSheaf
+    from xcartier.scene import Scene
 
     scenes = []
     for p in (3, 5, 7):
@@ -433,19 +460,39 @@ def test_descent_outputs_on_non_identity_frames_are_pinned(tmp_path, capsys):
             s = gallery(name, p)
             scenes.append(Scene(s.ctx, s.atlas, transforms.inverse_cartier(s.sheaf, {"A1": 1}),
                                 s.metadata))
-    s = gallery("g1_trivial", 3)
-    vars = s.atlas.chart_vars("A1")
-    inv = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row]
-                      for row in (("1 + t^3", "t^2"), ("t", "1"))])
-    gauge = FlatSheaf(s.atlas, 2, {"A1": [-(inv.inverse_unit_det().deriv("t") @ inv)]})
-    scenes.append(Scene(s.ctx, s.atlas, gauge, {"name": "pure gauge"}))
-    digest = hashlib.md5()
-    for k, scene in enumerate(scenes):
-        path = tmp_path / f"{k}.json"
-        path.write_text(emit_scene(scene))
-        assert run_cli(["cartier", "--scene", str(path)]) == 0
-        digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == CARTIER_MD5
+    scenes.append(pure_gauge_scene())
+    assert digest_cli_outputs(tmp_path, capsys, ["cartier"], scenes) == CARTIER_MD5
+
+
+# md5 over `pcurv --json` of the forward image of every gallery Higgs scene
+# (g6's exponent-3 variant included) under every lifting choice, of the torus
+# at every residue, both at p = 3, 5, 7, 11, 13, and of criterion 3's pure
+# gauge at p = 3: every branch of the p-curvature's closed form and its chain
+PCURV_MD5 = "6005858226ade7b289a4169b6204c73a"
+
+
+def test_p_curvature_outputs_are_pinned(tmp_path, capsys):
+    import itertools
+
+    from xcartier.gallery import GALLERY_NAMES, gallery
+    from xcartier.scene import Scene
+    from xcartier.sheaves import HiggsSheaf
+
+    scenes = []
+    for p in (3, 5, 7, 11, 13):
+        for name in GALLERY_NAMES:
+            for options in [{}] + ([{"exponent3": True}] if name == "g6_a2_rank3" and p >= 5 else []):
+                s = gallery(name, p, **options)
+                if not isinstance(s.sheaf, HiggsSheaf):
+                    continue
+                charts = sorted(s.atlas.charts)
+                for idx in itertools.product(*(range(len(s.atlas.lifts[c])) for c in charts)):
+                    flat = transforms.inverse_cartier(s.sheaf, dict(zip(charts, idx)))
+                    scenes.append(Scene(s.ctx, s.atlas, flat, s.metadata))
+        scenes += [gallery("g7_gm_rank1", p, c=c) for c in range(p)]
+    scenes.append(pure_gauge_scene())
+    assert len(scenes) == 89
+    assert digest_cli_outputs(tmp_path, capsys, ["pcurv", "--json"], scenes) == PCURV_MD5
 
 
 def chain_p_curvature(step, length):

@@ -411,6 +411,9 @@ SCENE_FILE_ERRORS = [
     pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"].update(w="2*s^-1"),
                  "atlas: overlap ('U0', 'U1'): coordinate 's' does not round-trip",
                  id="overlap-round-trip"),
+    pytest.param(lambda d: d["atlas"]["overlaps"][0]["beta_in_alpha"].update(w="s^-1 + 1"),
+                 "atlas: overlap ('U0', 'U1'): substituting 'w'^-1: '1 + s^-1' is not of unit "
+                 "shape m*(1 + p*x)", id="overlap-round-trip-non-unit"),
     pytest.param(BETA_ROUND_TRIP_SCENE,
                  "atlas: overlap ('A', 'B'): coordinate 'w2' does not round-trip (got '0' mod 25)",
                  id="overlap-beta-round-trip"),

@@ -155,7 +155,7 @@ def test_p_curvature_three_fold_application():
     assert psi.comps["A1"][0] == -e_mat(0, 1, 2, T, 3)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_rank_one_torus_p_curvature_matches_jacobson(p):
     # independent oracle: a^p + d^(p-1)(a) for the 1x1 connection a = c/t
     scene = gallery("g7_gm_rank1", p, c=1)
@@ -526,19 +526,56 @@ def test_p_curvature_of_the_pure_gauge_is_one_chain_per_coordinate(monkeypatch):
     assert psi.is_zero()
 
 
+def p_curvature_branches(monkeypatch):
+    """A function (A, t) -> the branch of A.p_curvature(t) that answered, after
+    checking the answer against the chain.
+
+    The branches are read from the ring helpers each one calls: 'frobenius'
+    (rank one: the p-th power terms and no scalar classes), 'wilson' (the
+    support graph alone), 'commutation' (the pairwise test, then A^p = 0 on
+    an acyclic support), 'powers' (the test, then Jacobson's squarings) and
+    'chain' (the test failed).
+    """
+    from xcartier import ring
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(ring, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ring, name, wrapper)
+
+    for name in ("_scalar_classes", "_commute_pairwise", "_constant_power", "_pth_power_terms"):
+        counted(name)
+    chains = count_matrix_calls(monkeypatch, "nabla_power")
+
+    def branch(a, t):
+        calls.clear()
+        chains.clear()
+        assert a.p_curvature(t) == CHAIN(a, a, t, a.modulus - 1)
+        if chains:
+            assert chains == [(a, t, a.modulus - 1)] and not calls["_pth_power_terms"]
+            return "chain"
+        if not calls["_scalar_classes"]:
+            assert not calls["_commute_pairwise"] and not calls["_constant_power"]
+            return "frobenius" if calls["_pth_power_terms"] else "wilson"
+        assert calls["_commute_pairwise"] == 1
+        return "powers" if calls["_constant_power"] else "commutation"
+
+    return branch
+
+
 def closed_form_count(monkeypatch, components):
     """Compare each (A, t)'s p-curvature with the chain; count the closed forms.
 
     A component answered without a `nabla_power` call took the closed form.
     """
-    chains = count_matrix_calls(monkeypatch, "nabla_power")
-    closed = 0
-    for a, t in components:
-        chains.clear()
-        assert a.p_curvature(t) == CHAIN(a, a, t, a.modulus - 1)
-        assert chains in ([], [(a, t, a.modulus - 1)])
-        closed += not chains
-    return closed
+    branch = p_curvature_branches(monkeypatch)
+    return sum(branch(a, t) != "chain" for a, t in components)
 
 
 def lifting_choices(atlas):
@@ -629,6 +666,78 @@ def test_p_curvature_of_non_commuting_coefficients_takes_the_chain(monkeypatch):
     assert check_flat(gauged).ok()
     components = coordinates(gauged) + coordinates(pure_gauge()) + coordinates(pure_gauge(5))
     assert closed_form_count(monkeypatch, components) == 0 and len(components) == 3
+
+
+def test_p_curvature_equals_the_chain_on_every_small_matrix_over_f3(monkeypatch):
+    """All 9^4 2x2 matrices over F_3[t] with entries a + b t."""
+    branch = p_curvature_branches(monkeypatch)
+    entries = [LaurentPoly(T, 3, {(0,): a, (1,): b}) for a in range(3) for b in range(3)]
+    branches = Counter(branch(PolyMatrix([list(m[:2]), list(m[2:])]), "t")
+                       for m in itertools.product(entries, repeat=4))
+    # acyclic: zero, or one nonzero entry off the diagonal (support depth 1)
+    assert branches["wilson"] == 1 + 2 * 8
+    assert set(branches) == {"wilson", "powers", "chain"} and sum(branches.values()) == 6561
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_p_curvature_at_rank_one_is_frobenius_plus_wilson(monkeypatch, p):
+    branch = p_curvature_branches(monkeypatch)
+    rng = random.Random(p)
+    for vars in (VarSpec.make(["t"], ["t"]), VarSpec.make(["t", "u"], ["t"]),
+                 VarSpec.make(["t", "u"], ["t", "u"])):
+        for _ in range(6):
+            a = PolyMatrix([[seeded_laurent(rng, vars, p)]])
+            assert {branch(a, t) for t in vars.names} == {"frobenius"}
+
+
+def test_p_curvature_of_a_depth_one_support_makes_no_commutation_test(monkeypatch):
+    """On a support of longest path 1 every product of two matrices is zero, so the
+    derivatives of A commute with A, however many scalar classes A has, and
+    psi = d^(p-1) A.  Here A_t and A_u do not commute with each other."""
+    branch = p_curvature_branches(monkeypatch)
+    p = 5
+    vars = VarSpec.make(["t", "u"], ["t"])
+    a_t = PolyMatrix([[LaurentPoly.parse(x, vars, p) for x in row] for row in (
+        ("0", "0", "t^-1 + u", "2*t^4"),
+        ("0", "0", "1 + t^9*u", "t^-6 - u^2"),
+        ("0", "0", "0", "0"),
+        ("0", "0", "0", "0"),
+    )])
+    a_u = e_mat(2, 0, 4, vars, p).scale(LaurentPoly.parse("u^4 + t^-1", vars, p))
+    assert support_depth([a_t]) == support_depth([a_u]) == 1
+    assert not a_t.commutes_with(a_u)
+    assert [branch(a, t) for a in (a_t, a_u) for t in vars.names] == ["wilson"] * 4
+    assert not a_t.p_curvature("t").is_zero() and not a_u.p_curvature("u").is_zero()
+
+
+def test_p_curvature_of_a_deeper_support_takes_the_commutation_test(monkeypatch):
+    """Longest path 2 <= p - 1: commuting classes give psi = d^(p-1) A, since
+    every A_e^p is zero; non-commuting classes take the chain."""
+    branch = p_curvature_branches(monkeypatch)
+    for p in (3, 5, 7):
+        vars = VarSpec.make(["t", "u"])
+        n = jordan_block(3, vars, p)
+        f, g = (LaurentPoly.parse(x, vars, p) for x in (f"t^{p - 1} + u", f"2*t^{2 * p - 1}*u + 1"))
+        commuting = n.scale(f) + (n @ n).scale(g)
+        # f E_01 + E_12: the classes E_01 and E_12 do not commute, E_01 E_12 = E_02
+        crossing = e_mat(0, 1, 3, vars, p).scale(f) + e_mat(1, 2, 3, vars, p)
+        assert support_depth([commuting]) == support_depth([crossing]) == 2
+        assert [branch(a, t) for a in (commuting, crossing) for t in vars.names] == [
+            "commutation", "commutation", "chain", "chain"]
+        assert not commuting.p_curvature("t").is_zero()
+        # a rank-p Jordan block has longest path p - 1, the largest with N^p = 0
+        block = jordan_block(p, vars, p)
+        assert branch(block, "t") == "commutation" and block.p_curvature("t").is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_p_curvature_of_a_rank_p_plus_1_jordan_block_is_its_p_th_power(monkeypatch, p):
+    """Longest path p: the support no longer proves N^p = 0, and psi = N^p = E_(0,p)."""
+    branch = p_curvature_branches(monkeypatch)
+    block = jordan_block(p + 1, T, p)
+    assert support_depth([block]) == p
+    assert branch(block, "t") == "powers"
+    assert block.p_curvature("t") == e_mat(0, p, p + 1, T, p)
 
 
 @pytest.mark.parametrize("rank", [2, 4, 6])
