@@ -196,7 +196,8 @@ def criterion_2() -> Report:
 
 @_scene_cache()
 def criterion_3() -> Report:
-    """One global p-curvature sign across every gallery item, matching -1; zero on a pure gauge."""
+    """One global p-curvature sign across every gallery item, matching -1;
+    zero on two pure gauges."""
     report = Report()
     signs = []
     for p in (3, 5):
@@ -233,20 +234,25 @@ def criterion_3() -> Report:
         oracle == -1 and measured == -1,
         (f"oracle {oracle}, measured {measured}",) if (oracle != -1 or measured != -1) else (),
     )
-    # A = -dF F^-1 does not commute with its derivative, so psi = 0 needs A
-    # on the left of every step and all p of them
+    # pure gauges A = -dF F^-1, whose psi is zero.  The first A does not commute
+    # with its derivative, so psi = 0 needs A on the left of every step and all p
+    # of them.  The second has an acyclic support of longest path 2 whose
+    # coefficient matrices do not commute, so the Wilson term alone gives 2 E_02.
     atlas = _scene("g1_trivial", 3).atlas
     vars = atlas.chart_vars("A1")
-    inv = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row]
-                      for row in (("1 + t^3", "t^2"), ("t", "1"))])
-    gauge = FlatSheaf(atlas, 2, {"A1": [-(inv.inverse_unit_det().deriv("t") @ inv)]})
-    psi = p_curvature(gauge).comps["A1"][0]
-    report.add(
-        "c3: p-curvature of the pure gauge d - dF*F^-1 is zero, "
-        "F^-1 = [[1 + t^3, t^2], [t, 1]] (p=3)",
-        psi.is_zero(),
-        () if psi.is_zero() else (f"psi = {psi}",),
-    )
+    for name, rows in (("F^-1", (("1 + t^3", "t^2"), ("t", "1"))),
+                       ("F", (("1", "t", "t^2 + t"), ("0", "1", "t^2"), ("0", "0", "1")))):
+        f = PolyMatrix([[LaurentPoly.parse(x, vars, 3) for x in row] for row in rows])
+        if name == "F^-1":
+            f = f.inverse_unit_det()
+        gauge = FlatSheaf(atlas, f.rows, {"A1": [-(f.deriv("t") @ f.inverse_unit_det())]})
+        psi = p_curvature(gauge).comps["A1"][0]
+        report.add(
+            f"c3: p-curvature of the pure gauge d - dF*F^-1 is zero, "
+            f"{name} = [{', '.join('[' + ', '.join(row) + ']' for row in rows)}] (p=3)",
+            psi.is_zero(),
+            () if psi.is_zero() else (f"psi = {psi}",),
+        )
     return report
 
 

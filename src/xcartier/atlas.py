@@ -211,7 +211,9 @@ class Atlas:
                         )
 
     def _validate_overlap(self, ov: Overlap) -> None:
-        """Each image is a mod-p**2 polynomial on its side, and the maps round-trip.
+        """The overlap joins two distinct charts and its reverse is not stored
+        (no cocycle check compares the two transitions), each image is a
+        mod-p**2 polynomial on its side, and the maps round-trip.
 
         That makes the Jacobian J_b = `jacobian_beta_in_alpha(ov)` a unit,
         with no check: reduced mod p the round trips make b = beta_in_alpha
@@ -220,6 +222,9 @@ class Atlas:
         (J_b o a) J_a = I.  So both charts have one dimension, and
         det(J_a o b) det J_b = 1.
         """
+        if ov.alpha == ov.beta or (ov.beta, ov.alpha) in self.overlaps:
+            raise AtlasError(
+                f"overlap {ov.pair}: needs two distinct charts and no reverse overlap")
         a_chart, b_chart = self.charts[ov.alpha], self.charts[ov.beta]
         if ov.alpha_vars.names != a_chart.vars.names:
             raise AtlasError(f"overlap {ov.pair}: alpha-side names must match chart {ov.alpha!r}")

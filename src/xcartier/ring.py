@@ -55,14 +55,10 @@ The same-ring kernels use this to skip zeros, always after their ring check:
   both products as reduced grids without building polynomials;
 - `nabla_power` runs its n steps on raw term dicts, builds polynomials only
   for its result, and never writes to an operand's term dicts;
-- `p_curvature` is the Wilson term d^(p-1) A, from the terms of A with
-  exponent -1 mod p, plus an A^p term read off the support graph of A
-  (`support_depth`, shared with `sheaves.nilpotent_within`): frobenius(A)
-  at rank one, zero on an acyclic support of longest path L with
-  L + 1 <= p (with no commutation test when L <= 1), and otherwise
-  Jacobson's sum of the p-th powers of A's constant coefficient matrices,
-  kept as sparse lists of row dicts, when they commute; only when they do
-  not does it run the `nabla_power` chain;
+- `p_curvature` is a closed form on raw term dicts at rank one and on an
+  acyclic support graph (`support_depth`, shared with
+  `sheaves.nilpotent_within`), and the `nabla_power` chain otherwise; its
+  docstring describes the dispatch;
 - `combine` (sum_k s_k M_k, behind `trunc_exp`, the Taylor check and
   Katz's projector) adds every product into one grid of term dicts; an int
   s_k scales coefficients without a polynomial product, an entry whose one
@@ -411,11 +407,7 @@ class LaurentPoly:
 
     def frobenius(self) -> "LaurentPoly":
         """g -> g^p, term-wise since coefficients in F_p are Frobenius-fixed."""
-        p = _frobenius_prime(self.modulus)
-        return LaurentPoly._make(
-            self.vars, self.modulus,
-            {tuple(p * e for e in exps): c for exps, c in self.terms.items()},
-        )
+        return self._with_terms(_frobenius_terms(self.terms, _frobenius_prime(self.modulus)))
 
     def frobenius_root(self) -> "LaurentPoly":
         """The inverse of `frobenius`: every exponent divided by p.
@@ -664,9 +656,9 @@ def _wilson_derivative_terms(terms: dict, i: int, p: int) -> dict:
 # ---------- sparse constant matrices: lists of row dicts {column: coefficient} ----------
 
 
-def _scalar_classes(grid: list[list[dict]], p: int) -> list[tuple[list[dict], dict]]:
-    """The constant coefficient matrices A_e of the mod-p grid sum_e t^e A_e,
-    grouped by scalar class: [(B, {e: c, ...})] with A_e = c B, where
+def _scalar_classes(grid: list[list[dict]], p: int) -> list[list[dict]]:
+    """One representative B per scalar class of the constant coefficient
+    matrices A_e of the mod-p grid sum_e t^e A_e, so that each A_e = c B;
     the first nonzero entry of B, in row-major order, is 1."""
     coeffs: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for i, row in enumerate(grid):
@@ -676,21 +668,18 @@ def _scalar_classes(grid: list[list[dict]], p: int) -> list[tuple[list[dict], di
                     coeffs[e].append((i, j, c))
                 else:
                     coeffs[e] = [(i, j, c)]
-    classes: dict[tuple, tuple[list[dict], dict]] = {}
-    for e, entries in coeffs.items():  # each in row-major order
+    classes: dict[tuple, list[dict]] = {}
+    for entries in coeffs.values():  # each in row-major order
         c = entries[0][2]
         if c != 1:
             inv = pow(c, -1, p)
             entries = tuple((i, j, v * inv % p) for i, j, v in entries)
         else:
             entries = tuple(entries)
-        cls = classes.get(entries)
-        if cls is None:
-            b = [{} for _ in grid]
+        if entries not in classes:
+            b = classes[entries] = [{} for _ in grid]
             for i, j, v in entries:
                 b[i][j] = v
-            cls = classes[entries] = (b, {})
-        cls[1][e] = c
     return list(classes.values())
 
 
@@ -715,24 +704,9 @@ def _commute_pairwise(mats: list[list[dict]], p: int) -> bool:
     )
 
 
-def _constant_power(x: list[dict], n: int, p: int) -> list[dict]:
-    """x^n mod p for n >= 1 by repeated squaring, stopping at the first zero square."""
-    result = None
-    while True:
-        if n & 1:
-            result = x if result is None else _constant_product(result, x, p)
-        n >>= 1
-        if not n:
-            return result
-        x = _constant_product(x, x, p)
-        if not any(x):
-            return x
-
-
-def _pth_power_terms(terms: dict, p: int) -> dict:
+def _frobenius_terms(terms: dict, p: int) -> dict:
     """The terms of f^p = sum_e c t^(pe) for f = sum_e c t^e mod p, since
-    c^p = c in F_p, in a fresh dict: the A^p term of a rank-one p-curvature
-    and the t^(pe) of each class in Jacobson's A^p."""
+    c^p = c in F_p, in a fresh dict."""
     return {tuple(p * x for x in e): c for e, c in terms.items()}
 
 
@@ -1038,36 +1012,31 @@ class PolyMatrix:
 
     def p_curvature(self, name: str) -> "PolyMatrix":
         """(d/d(name) + A)^p applied to the identity frame, A = self a square
-        mod-p matrix: the p-curvature of the connection d + A along one
+        mod-p matrix: the p-curvature psi of the connection d + A along one
         coordinate t = name.
 
         Unrolled, the chain b -> d b + A b from b = A is a sum of products of
-        derivatives of A.  Its one-factor term is d^(p-1) A: d^(p-1) t^e
-        multiplies t^(e - p + 1) by the product of the p-1 consecutive
-        integers e, e-1, ..., e-p+2, which is (p-1)! = -1 (Wilson) when
-        e = -1 mod p and else 0.  Its p-factor term is A^p.  When A commutes
-        with all its derivatives the other terms cancel (Jacobson's formula
-        for (d + A)^p, with d^p = 0 on the chart ring), so
-
-            psi = d^(p-1) A + A^p.
-
-        The A^p term is read off the support graph of A (`support_depth`):
-        - rank one: A^p = frobenius(A), as c^p = c in F_p, with no
-          commutation test;
-        - an acyclic support of longest path L <= 1: every product of two
-          derivatives of A is zero, so psi = d^(p-1) A with no commutation
-          test;
-        - otherwise write A = sum_e t^e A_e with constant A_e = c B over a
-          representative B of its scalar class.  If the representatives
-          commute pairwise, so does A with its derivatives, and
-          A^p = sum_e t^(pe) A_e^p.  An acyclic support with L + 1 <= p
-          makes every A_e^p zero; on any other support B^p comes from
-          squarings that stop at the first zero.  If they do not commute
-          (the test stops at the first pair that differs), psi is the
-          chain `self.nabla_power(self, name, p - 1)`.
-
-        Everything runs on raw term dicts and sparse constant matrices;
-        polynomials are built only for the result.
+        derivatives of A.  Its one-factor term is the Wilson term
+        d^(p-1) A: d^(p-1) t^e multiplies t^(e - p + 1) by the product of
+        the p-1 consecutive integers e, e-1, ..., e-p+2, which is
+        (p-1)! = -1 (Wilson) when e = -1 mod p and else 0.  Its p-factor
+        term is A^p.  When A commutes with all its derivatives the other
+        terms cancel (Jacobson's formula for (d + A)^p, with d^p = 0 on the
+        chart ring; Katz 1970, section 5), so psi = d^(p-1) A + A^p.  This
+        is the one description of the dispatch, which has three outcomes:
+        - rank one: psi = d^(p-1) A + frobenius(A), as c^p = c in F_p;
+        - an acyclic support graph of A (`support_depth`) of longest path L
+          with L + 1 <= p: in a topological order A and its derivatives are
+          strictly lower triangular, so A^p = 0.  When L <= 1 every product
+          of two of them is zero and psi = d^(p-1) A; when L >= 2 the
+          constant coefficient matrices A_e of A = sum_e t^e A_e must also
+          commute, which is tested on one representative of each scalar
+          class, stopping at the first pair that differs;
+        - everything else, a cyclic support included: the chain
+          `self.nabla_power(self, name, p - 1)`, whose first step from the
+          identity frame gives A.
+        The closed forms run on raw term dicts and build polynomials only
+        for the result.
         """
         if self.rows != self.cols:
             raise RingError(f"p-curvature of a non-square {self.rows}x{self.cols} matrix")
@@ -1075,26 +1044,18 @@ class PolyMatrix:
         i = self.vars.index(name)
         grid = self.term_grid()
         if self.rows == 1:
-            powers = [([{0: 1}], grid[0][0])]  # (B^p, {e: c}) with B = 1
-        elif (depth := support_depth([self])) is not None and depth <= 1:
-            powers = []  # psi is the Wilson term alone
-        else:
-            classes = _scalar_classes(grid, p)
-            if not _commute_pairwise([b for b, _ in classes], p):
-                return self.nabla_power(self, name, p - 1)
-            powers = [] if depth is not None and depth + 1 <= p else [
-                (_constant_power(b, p, p), members) for b, members in classes]
-        out = [[_wilson_derivative_terms(x, i, p) if x else None for x in row] for row in grid]
-        for power, members in powers:
-            pth = _pth_power_terms(members, p).items()
-            for acc_row, row in zip(out, power):
-                for j, v in row.items():
-                    acc = acc_row[j]
-                    if acc is None:
-                        acc = acc_row[j] = {}
-                    for e, c in pth:
-                        acc[e] = acc.get(e, 0) + c * v
-        return PolyMatrix._from_terms(out, self.vars, p)
+            terms = grid[0][0]
+            psi = _frobenius_terms(terms, p)
+            for e, c in _wilson_derivative_terms(terms, i, p).items():
+                psi[e] = psi.get(e, 0) + c
+            return PolyMatrix._from_terms([[psi]], self.vars, p)
+        depth = support_depth([self])
+        if depth is None or depth + 1 > p or (
+                depth > 1 and not _commute_pairwise(_scalar_classes(grid, p), p)):
+            return self.nabla_power(self, name, p - 1)
+        return PolyMatrix._from_terms(
+            [[_wilson_derivative_terms(x, i, p) if x else None for x in row] for row in grid],
+            self.vars, p)
 
     @staticmethod
     def combine(pairs: Iterable[tuple]) -> "PolyMatrix":

@@ -7,8 +7,9 @@ docstring).  Matrices are row-major string arrays, transitions are keyed by
 the ordered chart pair "alpha,beta".  An overlap gives each coordinate's
 image as one mod-p**2 polynomial string (`atlas` module docstring); the
 mod-p coordinate change is its reduction.  Parsing validates every
-structural invariant (odd prime, lifting reductions, overlap round trips
-mod p**2, sheaf integrability/nilpotency/gluing) and rejects bad scenes
+structural invariant (odd prime, lifting reductions, one overlap per pair
+of distinct charts, overlap round trips mod p**2, sheaf
+integrability/nilpotency/gluing) and rejects bad scenes
 with a SceneError "<field path>: <message>"; `_at` gives that form to a
 package error raised while a field is read.  Emission is canonical, so
 emit(parse(emit(x))) == emit(x).
@@ -115,6 +116,12 @@ def parse_scene(text: str) -> Scene:
         _expect(ov, dict, where)
         with _at(where):
             alpha, beta = ov["alpha"], ov["beta"]
+            # add_overlap replaces an entry, so a pair listed again would be dropped unchecked
+            if alpha == beta:
+                raise SceneError(f"{where}: overlap {(alpha, beta)} joins a chart to itself")
+            for pair in ((alpha, beta), (beta, alpha)):
+                if pair in atlas.overlaps:
+                    raise SceneError(f"{where}: overlap {(alpha, beta)} repeats overlap {pair}")
             a_chart, b_chart = atlas.charts[alpha], atlas.charts[beta]
             a_vars = a_chart.vars.with_inverted(
                 _names(ov.get("alpha_inverted", []), f"{where}.alpha_inverted"))

@@ -4,16 +4,9 @@ Both are lambda-connections (Ogus-Vologodsky): one matrix A_i per coordinate
 dt_i.  A Higgs field is a 0-connection, a connection d + A a 1-connection,
 and the p-curvature psi (one matrix per pulled-back basis element F*dt_i,
 the p-fold application of d/dt_i + A_i to the identity frame,
-`PolyMatrix.p_curvature`) a 0-connection on the Frobenius pullback.  When
-A_i commutes with its derivatives, psi_i is the Wilson term d_i^(p-1) A_i
-plus an A_i^p term (Jacobson's formula; Katz 1970, section 5, at rank
-one).  The support graph of A_i (`support_depth`, which `nilpotent_within`
-also reads) gives the A_i^p term: frobenius(A_i) at rank one; zero on an
-acyclic support of longest path L with L+1 <= p, where L <= 1 needs no
-commutation test because every product of two derivatives of A_i is zero;
-otherwise sum_e t^(pe) A_e^p over the constant coefficient matrices A_e of
-A_i = sum_e t^e A_e, when they commute.  Every other A_i takes the
-`nabla_power` chain of p-1 steps from A_i.  `flat` is lambda throughout.
+`PolyMatrix.p_curvature`, whose docstring describes its closed forms and
+chain) a 0-connection on the Frobenius pullback.  `flat` is lambda
+throughout.
 `p_curvature` proves no invariant of psi; they are proven where psi is used
 (`transforms.descend`, `verify_p_curvature_invariants`).
 
@@ -385,16 +378,9 @@ def check_field_gluing(
 def p_curvature(H: FlatSheaf) -> PCurvature:
     """Psi_i = (d/dt_i + A_i)^p applied to the identity frame, per chart.
 
-    One `A_i.p_curvature(t_i)` per coordinate: d_i^(p-1) A_i + A_i^p, with
-    the A_i^p term read off the support graph of A_i.  It is frobenius(A_i)
-    at rank one, and zero on an acyclic support of longest path L with
-    L + 1 <= p, as on the forward images of the gallery and the Jordan
-    scenes; any other support needs commuting constant coefficient
-    matrices A_e of A_i = sum_e t^e A_e and takes sum_e t^(pe) A_e^p.
-    An A_i that fails the commutation test takes the chain
-    `A_i.nabla_power(A_i, t_i, p - 1)` of steps b -> d_i b + A_i b after
-    the first step, which takes the identity frame to A_i.
-    H must be flat: `check_flat` (in `untwist`) and `parse_scene` check it.
+    One `A_i.p_curvature(t_i)` per coordinate, whose docstring gives the
+    dispatch between its closed forms and the chain.  H must be flat:
+    `check_flat` (in `untwist`) and `parse_scene` check it.
     """
     comps = {
         chart: [a.p_curvature(t) for a, t in zip(mats, H.atlas.chart_vars(chart).names)]

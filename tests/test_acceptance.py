@@ -256,7 +256,7 @@ def test_criteria_4_and_5_fail_only_the_scenes_that_raise(monkeypatch):
     monkeypatch.setattr(transforms, "_homotopy_exp",
                         lambda vars, a, b, phi, ctx: homotopy_exp(vars, b, a, phi, ctx))
     report = acceptance.verify_all()
-    assert len(report.entries) == 111
+    assert len(report.entries) == 112
     assert not any(e.check.endswith(" raised") for e in report.entries)
     failed = {e.check: e.witness for e in report.failures() if e.check.startswith(("c4:", "c5:"))}
     g5 = [(f"image of g5_p1_uniformizing (p={p})", f"g5_p1_uniformizing (p={p})") for p in (3, 5)]
@@ -288,7 +288,7 @@ def test_verify_all_fails_a_trunc_exp_without_the_factorials(monkeypatch):
     trunc_exp = patch_everywhere(monkeypatch, "trunc_exp", lambda M, ctx: trunc_exp(
         M, SimpleNamespace(p=ctx.p, inv_factorials=(1,) * ctx.p)))
     report = acceptance.verify_all()  # never raises
-    assert len(report.entries) == 111
+    assert len(report.entries) == 112
     assert not any(e.check.endswith(" raised") for e in report.entries)
     # at p = 3 every power above the first is zero, where 1/i! = 1
     assert [e.check for e in report.failures()] == [
@@ -299,7 +299,7 @@ def test_verify_all_fails_a_wrong_sign_zeta_under_every_perturbed_lifting(monkey
     zeta_form = patch_everywhere(monkeypatch, "zeta_form", lambda vars, images: -zeta_form(
         vars, images))
     report = acceptance.verify_all()  # never raises
-    assert len(report.entries) == 111
+    assert len(report.entries) == 112
     assert not any(e.check.endswith(" raised") for e in report.entries)
     failed = {e.check: e.witness for e in report.failures() if e.check.startswith("c1:")}
     base = [f"c1: lemma identities on {name} (p={p})"
@@ -315,7 +315,7 @@ def test_verify_all_fails_a_wrong_sign_zeta_under_every_perturbed_lifting(monkey
 
 
 PURE_GAUGE = ("c3: p-curvature of the pure gauge d - dF*F^-1 is zero, "
-              "F^-1 = [[1 + t^3, t^2], [t, 1]] (p=3)")
+              "F = [[1, t, t^2 + t], [0, 1, t^2], [0, 0, 1]] (p=3)")
 SIGNS = [f"c3: p-curvature is a single sign times the pulled-back field on {label} (p={p})"
          for p in (3, 5) for label in ("g2_a1_rank2", "g3_a1_three_lifts", "g5_p1_uniformizing",
                                        "g6_a2_rank3") + (("g6_a2_rank3(exp3)",) if p == 5 else ())]
@@ -324,15 +324,33 @@ TORUS = [f"c4: {check} on g7_gm_rank1 c={c} (p=3)" for c in (1, 2) for check in 
     "p-curvature commutes with the twisted gluing",
     "descended sheaf passes all checks",
 )]
-# mutants of the p-curvature's closed form: (ring helper, replacement, criterion, its failures)
+
+
+def without_frobenius_term(p_curvature):
+    """`PolyMatrix.p_curvature` minus frobenius(A) at rank one, which leaves the
+    Wilson term alone there: the closed form without its A^p term."""
+
+    def mutant(a, name):
+        psi = p_curvature(a, name)
+        return psi - a.frobenius() if a.rows == 1 else psi
+
+    return mutant
+
+
+# mutants of the p-curvature's closed form: (owner in ring, attribute, mutant of the
+# original, criterion, its failures)
 CLOSED_FORM_MUTANTS = {
     # the forward images are nilpotent, so A^p = 0 there; the torus is rank one, where A^p is
-    # frobenius(A), and Jacobson's sum over the classes takes the same helper
-    "A_e^p dropped": ("_pth_power_terms", lambda terms, p: {}, "c4:", TORUS),
-    "d^(p-1) A dropped": ("_wilson_derivative_terms", lambda terms, i, p: {}, "c3:", SIGNS + [
-        "c3: one global sign across the whole gallery",
-        "c3: measured sign equals the rank-2 oracle value -1"]),
-    "commutation test skipped": ("_commute_pairwise", lambda mats, p: True, "c3:", [PURE_GAUGE]),
+    # frobenius(A)
+    "A_e^p dropped": ("PolyMatrix", "p_curvature", without_frobenius_term, "c4:", TORUS),
+    "d^(p-1) A dropped": (None, "_wilson_derivative_terms",
+                          lambda original: lambda terms, i, p: {}, "c3:", SIGNS + [
+                              "c3: one global sign across the whole gallery",
+                              "c3: measured sign equals the rank-2 oracle value -1"]),
+    # the unipotent pure gauge has an acyclic support of longest path 2 and non-commuting
+    # coefficient matrices; the other pure gauge has a cycle and takes the chain anyway
+    "commutation test skipped": (None, "_commute_pairwise", lambda original: lambda mats, p: True,
+                                 "c3:", [PURE_GAUGE]),
 }
 
 
@@ -340,10 +358,11 @@ CLOSED_FORM_MUTANTS = {
 def test_verify_all_fails_a_mutant_of_the_p_curvature_closed_form(monkeypatch, kind):
     from xcartier import ring
 
-    name, mutant, criterion, want = CLOSED_FORM_MUTANTS[kind]
-    monkeypatch.setattr(ring, name, mutant)
+    owner, name, mutant, criterion, want = CLOSED_FORM_MUTANTS[kind]
+    owner = getattr(ring, owner) if owner else ring
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
     report = acceptance.verify_all()  # never raises
-    assert len(report.entries) == 111
+    assert len(report.entries) == 112
     assert not any(e.check.endswith(" raised") for e in report.entries)
     assert [e.check for e in report.failures() if e.check.startswith(criterion)] == want
 
@@ -361,8 +380,8 @@ def test_verify_all_json_is_byte_identical_across_hash_seeds():
 
 # md5 of `verify-all` under every PYTHONHASHSEED; a faster criterion must not change a byte
 VERIFY_ALL_MD5 = {
-    "--json": "8926e23bf1c8ea8b0d4d799c8d874b2b",
-    "text": "734c84d949e94664b6150001e99e5f01",
+    "--json": "b6abfd43f96faa71cdbbe2b9e18ce726",
+    "text": "e8fa74369bc633f0781f1bfa4463d489",
 }
 
 

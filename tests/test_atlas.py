@@ -454,6 +454,25 @@ def test_missing_lift_rejected():
         atlas.validate()
 
 
+def test_an_overlap_of_a_chart_with_itself_or_beside_its_reverse_is_rejected():
+    from xcartier.atlas import Overlap
+
+    p = 3
+    x = VarSpec.make(["x"])
+    identity = {"x": LaurentPoly.var(x, p * p, "x")}
+    atlas = translation_atlas(p)
+    atlas.add_overlap(Overlap("V0", "V0", x, x, identity, identity))
+    with pytest.raises(AtlasError, match=r"^overlap \('V0', 'V0'\): needs two distinct charts"):
+        atlas.validate()
+    ov = translation_overlap(p, 1)
+    atlas = translation_atlas(p)
+    atlas.add_overlap(Overlap("V1", "V0", ov.beta_vars, ov.alpha_vars, ov.alpha_in_beta,
+                              ov.beta_in_alpha))
+    with pytest.raises(AtlasError, match=r"^overlap \('V0', 'V1'\): needs two distinct charts "
+                                         r"and no reverse overlap"):
+        atlas.validate()
+
+
 X, Y = VarSpec.make(["x"]), VarSpec.make(["y"])
 
 

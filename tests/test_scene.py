@@ -429,7 +429,29 @@ SCENE_FILE_ERRORS = [
     pytest.param(lambda d: d["atlas"]["overlaps"][0].update(alpha_in_beta={}),
                  "atlas: overlap ('U0', 'U1'): alpha_in_beta must cover ('s',)",
                  id="overlap-coverage"),
+    # each of the next three made `roundtrip` exit 0: no check compared the two
+    # transitions of a pair stored both ways, or saw the entry a repeated pair replaced
+    pytest.param(lambda d: (zero_fields(d), d["atlas"]["overlaps"].append(
+                     {"alpha": "U1", "beta": "U0", "alpha_inverted": ["w"], "beta_inverted": ["s"],
+                      "beta_in_alpha": {"s": "w^-1"}, "alpha_in_beta": {"w": "s^-1"}}),
+                               d["sheaf"]["transitions"].update({"U1,U0": ["1", "0", "0", "1"]})),
+                 "atlas.overlaps[1]: overlap ('U1', 'U0') repeats overlap ('U0', 'U1')",
+                 id="overlap-reversed"),
+    pytest.param(lambda d: (zero_fields(d), d["atlas"]["overlaps"].append(
+                     {"alpha": "U0", "beta": "U0", "alpha_inverted": [], "beta_inverted": [],
+                      "beta_in_alpha": {"s": "s"}, "alpha_in_beta": {"s": "s"}}),
+                               d["sheaf"]["transitions"].update({"U0,U0": ["2", "0", "0", "1"]})),
+                 "atlas.overlaps[1]: overlap ('U0', 'U0') joins a chart to itself",
+                 id="overlap-of-a-chart-with-itself"),
+    pytest.param(lambda d: d["atlas"]["overlaps"].insert(0, {
+                     **d["atlas"]["overlaps"][0], "beta_in_alpha": {"w": "s^-1 + 3*s^-2"}}),
+                 "atlas.overlaps[1]: overlap ('U0', 'U1') repeats overlap ('U0', 'U1')",
+                 id="overlap-listed-twice"),
 ]
+
+
+def zero_fields(d):
+    d["sheaf"]["matrices"] = {"U0": {"s": ["0"] * 4}, "U1": {"w": ["0"] * 4}}
 
 
 @pytest.mark.parametrize("edit, where", SCENE_FILE_ERRORS)

@@ -526,15 +526,40 @@ def test_p_curvature_of_the_pure_gauge_is_one_chain_per_coordinate(monkeypatch):
     assert psi.is_zero()
 
 
+def jacobson(a, t):
+    """Jacobson's d^(p-1) A + sum_e t^(pe) A_e^p for A = sum_e t^e A_e, from
+    public operations, or None when the constant matrices A_e do not commute
+    pairwise.  When they do, A commutes with its derivatives and this is the
+    p-curvature, an oracle that is not the chain."""
+    p, vars = a.modulus, a.vars
+    coeffs = {}
+    for i, row in enumerate(a.entries):
+        for j, f in enumerate(row):
+            for e, c in f.coefficients.items():
+                coeffs.setdefault(e, [[0] * a.cols for _ in range(a.rows)])[i][j] = c
+    mats = {e: PolyMatrix.from_int_rows(rows, vars, p) for e, rows in coeffs.items()}
+    if not all(x.commutes_with(y) for x, y in itertools.combinations(mats.values(), 2)):
+        return None
+    psi = a
+    for _ in range(p - 1):
+        psi = psi.deriv(t)
+    for e, m in mats.items():
+        power = m
+        for _ in range(p - 1):
+            power = power @ m
+        psi = psi + power.scale(LaurentPoly.monomial(vars, p, 1, [p * x for x in e]))
+    return psi
+
+
 def p_curvature_branches(monkeypatch):
     """A function (A, t) -> the branch of A.p_curvature(t) that answered, after
-    checking the answer against the chain.
+    checking the answer against the chain and, where the constant coefficient
+    matrices of A commute, against `jacobson`.
 
     The branches are read from the ring helpers each one calls: 'frobenius'
     (rank one: the p-th power terms and no scalar classes), 'wilson' (the
-    support graph alone), 'commutation' (the pairwise test, then A^p = 0 on
-    an acyclic support), 'powers' (the test, then Jacobson's squarings) and
-    'chain' (the test failed).
+    support graph alone), 'commutation' (the pairwise test, then the Wilson
+    term alone on an acyclic support) and 'chain'.
     """
     from xcartier import ring
 
@@ -549,22 +574,26 @@ def p_curvature_branches(monkeypatch):
 
         monkeypatch.setattr(ring, name, wrapper)
 
-    for name in ("_scalar_classes", "_commute_pairwise", "_constant_power", "_pth_power_terms"):
+    for name in ("_scalar_classes", "_commute_pairwise", "_frobenius_terms"):
         counted(name)
     chains = count_matrix_calls(monkeypatch, "nabla_power")
 
     def branch(a, t):
         calls.clear()
         chains.clear()
-        assert a.p_curvature(t) == CHAIN(a, a, t, a.modulus - 1)
+        psi = a.p_curvature(t)
+        assert psi == CHAIN(a, a, t, a.modulus - 1)
         if chains:
-            assert chains == [(a, t, a.modulus - 1)] and not calls["_pth_power_terms"]
-            return "chain"
-        if not calls["_scalar_classes"]:
-            assert not calls["_commute_pairwise"] and not calls["_constant_power"]
-            return "frobenius" if calls["_pth_power_terms"] else "wilson"
-        assert calls["_commute_pairwise"] == 1
-        return "powers" if calls["_constant_power"] else "commutation"
+            assert chains == [(a, t, a.modulus - 1)] and not calls["_frobenius_terms"]
+            kind = "chain"
+        elif not calls["_scalar_classes"]:
+            assert not calls["_commute_pairwise"]
+            kind = "frobenius" if calls["_frobenius_terms"] else "wilson"
+        else:
+            assert calls["_commute_pairwise"] == 1
+            kind = "commutation"
+        assert (oracle := jacobson(a, t)) is None or psi == oracle
+        return kind
 
     return branch
 
@@ -650,7 +679,10 @@ def test_p_curvature_closed_form_equals_the_chain_on_commuting_seeded_connection
         two = PolyMatrix.from_int_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]], vars, p)
         for a in (b, b.scale(LaurentPoly.var(vars, p, "t", p - 1)), b + two):
             components += [(a, t) for t in vars.names]
-    assert closed_form_count(monkeypatch, components) == len(components) == 45
+    # the rank-one connections take the closed form and the cyclic supports the chain;
+    # every A_e commutes, so the branch check also compares each psi with Jacobson's sum
+    assert all(jacobson(a, t) is not None for a, t in components)
+    assert closed_form_count(monkeypatch, components) == 12 and len(components) == 45
 
 
 def test_p_curvature_of_non_commuting_coefficients_takes_the_chain(monkeypatch):
@@ -676,7 +708,7 @@ def test_p_curvature_equals_the_chain_on_every_small_matrix_over_f3(monkeypatch)
                        for m in itertools.product(entries, repeat=4))
     # acyclic: zero, or one nonzero entry off the diagonal (support depth 1)
     assert branches["wilson"] == 1 + 2 * 8
-    assert set(branches) == {"wilson", "powers", "chain"} and sum(branches.values()) == 6561
+    assert set(branches) == {"wilson", "chain"} and sum(branches.values()) == 6561
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -736,8 +768,8 @@ def test_p_curvature_of_a_rank_p_plus_1_jordan_block_is_its_p_th_power(monkeypat
     branch = p_curvature_branches(monkeypatch)
     block = jordan_block(p + 1, T, p)
     assert support_depth([block]) == p
-    assert branch(block, "t") == "powers"
-    assert block.p_curvature("t") == e_mat(0, p, p + 1, T, p)
+    assert branch(block, "t") == "chain"
+    assert block.p_curvature("t") == jacobson(block, "t") == e_mat(0, p, p + 1, T, p)
 
 
 @pytest.mark.parametrize("rank", [2, 4, 6])
