@@ -1221,7 +1221,15 @@ class PolyMatrix:
         return PolyMatrix._make(tuple(zip(*cof)), self.vars, self.modulus)
 
     def inverse_unit_det(self) -> "PolyMatrix":
-        """Exact inverse; requires the determinant to be a ring unit."""
+        """Exact inverse; requires the determinant to be a ring unit.
+
+        An identity matrix is its own inverse and is returned as it is, with
+        no determinant, adjugate or product check; every forward image's flat
+        frame is one.  Any other matrix takes the cofactor adjugate, and the
+        product with it must be the identity.
+        """
+        if self.is_identity():
+            return self
         d = self.det()
         if not d.is_unit():
             raise NotAUnitError(f"matrix determinant '{d}' is not a unit")

@@ -392,18 +392,25 @@ def cartier(H: FlatSheaf, lift_choice: dict[str, int] | None = None) -> HiggsShe
 def descend(untwisted: FlatSheaf, psi: PCurvature) -> HiggsSheaf:
     """The Higgs sheaf of psi in the flat frames of `untwist`'s output.
 
-    Each frame S is inverted once; psi_i and the transitions T are written in
-    the frames by one conjugate-and-relabel step, which accepts S^-1 M S' only
-    when d kills it: for T that is the untwisted gluing, for psi_i its
-    horizontality (psi commutes with zeta(psi)).  Relabelling is a ring
-    isomorphism, so one `check_higgs` proves psi commutative and nilpotent and
-    checks the cocycle and the gluing of psi.
+    Each frame S is inverted once, and an identity frame is its own inverse
+    (`inverse_unit_det`): every forward image descended under its own lifting
+    has one on every chart, so only a gauged input pays for a cofactor
+    adjugate.  psi_i and the transitions T are written in the frames by one
+    conjugate-and-relabel step, which accepts S^-1 M S' only when d kills it:
+    for T that is the untwisted gluing, for psi_i its horizontality (psi
+    commutes with zeta(psi)).  Relabelling is a ring isomorphism, so one
+    `check_higgs` proves psi commutative and nilpotent and checks the cocycle
+    and the gluing of psi.
     """
     return _descend(untwisted, psi, exponent=True)
 
 
 def _descend(untwisted: FlatSheaf, psi: PCurvature, exponent: bool) -> HiggsSheaf:
-    """`descend`, proving psi's exponent on the result only if `exponent`."""
+    """`descend`, proving psi's exponent on the result only if `exponent`.
+
+    The frames' inverses are taken once per chart; an identity frame costs no
+    determinant (`inverse_unit_det`).
+    """
     atlas = untwisted.atlas
     frames = flat_sections(untwisted).frames
     inverses = {chart: s.inverse_unit_det() for chart, s in frames.items()}

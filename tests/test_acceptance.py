@@ -134,8 +134,9 @@ def test_criterion_5_names_the_round_trip_check_as_witness(monkeypatch):
     cartier = acceptance.cartier  # mutant: the round trip returns the input itself
     monkeypatch.setattr(acceptance, "cartier", lambda flat: cartier(flat).negated())
     failed = {e.check: e.witness for e in acceptance.criterion_5().failures()}
-    # every scene at p = 3, 5 but g1_trivial and g4_p1_lemma, whose fields are zero
-    assert len(failed) == 9
+    # every scene at p = 3, 5 but g1_trivial and g4_p1_lemma, whose fields are zero,
+    # and the gauged g2 image
+    assert len(failed) == 10
     assert not any(name in check for check in failed for name in ("g1_trivial", "g4_p1_lemma"))
     assert set(failed.values()) == {("round trip equals sign-flipped input exactly",)}
 
@@ -256,7 +257,7 @@ def test_criteria_4_and_5_fail_only_the_scenes_that_raise(monkeypatch):
     monkeypatch.setattr(transforms, "_homotopy_exp",
                         lambda vars, a, b, phi, ctx: homotopy_exp(vars, b, a, phi, ctx))
     report = acceptance.verify_all()
-    assert len(report.entries) == 112
+    assert len(report.entries) == 113
     assert not any(e.check.endswith(" raised") for e in report.entries)
     failed = {e.check: e.witness for e in report.failures() if e.check.startswith(("c4:", "c5:"))}
     g5 = [(f"image of g5_p1_uniformizing (p={p})", f"g5_p1_uniformizing (p={p})") for p in (3, 5)]
@@ -288,7 +289,7 @@ def test_verify_all_fails_a_trunc_exp_without_the_factorials(monkeypatch):
     trunc_exp = patch_everywhere(monkeypatch, "trunc_exp", lambda M, ctx: trunc_exp(
         M, SimpleNamespace(p=ctx.p, inv_factorials=(1,) * ctx.p)))
     report = acceptance.verify_all()  # never raises
-    assert len(report.entries) == 112
+    assert len(report.entries) == 113
     assert not any(e.check.endswith(" raised") for e in report.entries)
     # at p = 3 every power above the first is zero, where 1/i! = 1
     assert [e.check for e in report.failures()] == [
@@ -299,7 +300,7 @@ def test_verify_all_fails_a_wrong_sign_zeta_under_every_perturbed_lifting(monkey
     zeta_form = patch_everywhere(monkeypatch, "zeta_form", lambda vars, images: -zeta_form(
         vars, images))
     report = acceptance.verify_all()  # never raises
-    assert len(report.entries) == 112
+    assert len(report.entries) == 113
     assert not any(e.check.endswith(" raised") for e in report.entries)
     failed = {e.check: e.witness for e in report.failures() if e.check.startswith("c1:")}
     base = [f"c1: lemma identities on {name} (p={p})"
@@ -362,9 +363,49 @@ def test_verify_all_fails_a_mutant_of_the_p_curvature_closed_form(monkeypatch, k
     owner = getattr(ring, owner) if owner else ring
     monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
     report = acceptance.verify_all()  # never raises
-    assert len(report.entries) == 112
+    assert len(report.entries) == 113
     assert not any(e.check.endswith(" raised") for e in report.entries)
     assert [e.check for e in report.failures() if e.check.startswith(criterion)] == want
+
+
+GAUGED = "c5: round trip exactly sign-flips g2_a1_rank2 gauged by [[1, 0], [t^2, 1]] (p=3)"
+
+
+class MutantFrame(PolyMatrix):
+    """A flat frame whose `inverse_unit_det` is a matrix chosen by a mutant."""
+
+    __slots__ = ("mutant_inverse",)
+
+    def inverse_unit_det(self):
+        return self.mutant_inverse
+
+
+# mutants of descent: (the frame S, its inverse) -> (what `_descend` is handed as the
+# frame, what it takes as that frame's inverse); every gallery image has S = I
+DESCENT_MUTANTS = {
+    "frame taken as its own inverse": lambda s, s_inv: (s, s),
+    "wrong-way conjugation S psi S^-1": lambda s, s_inv: (s_inv, s),
+}
+
+
+@pytest.mark.parametrize("kind", list(DESCENT_MUTANTS))
+def test_verify_all_fails_a_descent_mutant_on_the_gauged_image(monkeypatch, kind):
+    flat_sections = transforms.flat_sections
+
+    def mutant_sections(untwisted):
+        frames = {}
+        for chart, s in flat_sections(untwisted).frames.items():
+            value, inverse = DESCENT_MUTANTS[kind](s, s.inverse_unit_det())
+            frames[chart] = MutantFrame(value.entries)
+            frames[chart].mutant_inverse = inverse
+        return transforms.DescentResult(frames)
+
+    monkeypatch.setattr(transforms, "flat_sections", mutant_sections)
+    report = acceptance.verify_all()  # never raises
+    assert not report.ok()
+    assert len(report.entries) == 113
+    # every other descent has the identity frame, where neither mutant changes anything
+    assert [e.check for e in report.failures()] == [GAUGED]
 
 
 def test_verify_all_json_is_byte_identical_across_hash_seeds():
@@ -380,8 +421,8 @@ def test_verify_all_json_is_byte_identical_across_hash_seeds():
 
 # md5 of `verify-all` under every PYTHONHASHSEED; a faster criterion must not change a byte
 VERIFY_ALL_MD5 = {
-    "--json": "b6abfd43f96faa71cdbbe2b9e18ce726",
-    "text": "e8fa74369bc633f0781f1bfa4463d489",
+    "--json": "814e8e3975768d29648b4d1fde5930c5",
+    "text": "3fe9cf3e94d7308601f33a7c6edcaf94",
 }
 
 

@@ -493,6 +493,16 @@ def test_matrix_inverse_unit_det():
     assert (inv @ m).is_identity()
 
 
+@pytest.mark.parametrize("rank", range(1, 7))
+@pytest.mark.parametrize("modulus", [5, 25])
+@pytest.mark.parametrize("vars", [VarSpec.make(["t", "u"]), VarSpec.make(["t", "u"], ["u"])],
+                         ids=["plain", "inverted"])
+def test_the_identity_is_its_own_inverse_as_the_adjugate_formula_gives(rank, modulus, vars):
+    eye = PolyMatrix.identity(rank, vars, modulus)
+    assert eye.inverse_unit_det() is eye
+    assert eye == eye.adjugate().scale(invert_poly(eye.det()))
+
+
 def test_monomial_box_respects_inversion():
     assert [monomials_in_box(T, bound) for bound in range(3)] == [
         [(0,)], [(0,), (1,)], [(0,), (1,), (2,)],

@@ -485,6 +485,30 @@ def count_matrix_calls(monkeypatch, name):
     return calls
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_descending_a_gallery_image_takes_no_adjugate(monkeypatch, p):
+    # every forward image's flat frame is the identity, its own inverse
+    adjugates = count_matrix_calls(monkeypatch, "adjugate")
+    count = 0
+    for name in GALLERY_NAMES:
+        E = gallery(name, p).sheaf
+        if isinstance(E, HiggsSheaf):
+            H = inverse_cartier(E)
+            assert cartier(H) == E.negated()
+            count += 1
+    assert count == 6 and adjugates == []
+
+
+def test_the_rank_52_round_trip_takes_no_adjugate(monkeypatch):
+    """p = 53, one variable, rank 52: the identity frame that took most of the
+    converse's time as a cofactor adjugate is returned as its own inverse."""
+    p, names, rank = 53, ["t"], 52
+    E = HiggsSheaf(affine_atlas(p, names), rank, {"A": seeded_jordan_fields(p, names, rank, 1)})
+    adjugates = count_matrix_calls(monkeypatch, "adjugate")
+    assert cartier(inverse_cartier(E)) == E.negated()
+    assert adjugates == []
+
+
 CHAIN = PolyMatrix.nabla_power  # the p-curvature's reference and its fallback
 
 

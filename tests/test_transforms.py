@@ -1074,11 +1074,12 @@ def test_roundtrip_p1():
 
 @pytest.mark.parametrize("name", ["g2_a1_rank2", "g3_a1_three_lifts"])
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_descent_is_gauge_covariant(name, p):
+def test_descent_is_gauge_covariant(monkeypatch, name, p):
     """Descending a forward image in a non-constant gauge still gives -theta.
 
     The flat frame of the gauged connection is not the identity and does not
-    commute with psi, so this pins the direction of descent's conjugation.
+    commute with psi, so this pins the direction of descent's conjugation, and
+    inverting that one frame is descent's one cofactor adjugate.
     """
     E = gallery(name, p).sheaf
     H = inverse_cartier(E)
@@ -1090,4 +1091,8 @@ def test_descent_is_gauge_covariant(name, p):
     gauged = [(g @ A - g.deriv(u)) @ g_inv for A, u in zip(mats, vars.names)]
     H_g = FlatSheaf(H.atlas, H.rank, {chart: gauged})
     assert verify_gauge_witness(H, H_g, {chart: g}, True)
+    adjugates = []
+    adjugate = PolyMatrix.adjugate
+    monkeypatch.setattr(PolyMatrix, "adjugate", lambda m: adjugates.append(m) or adjugate(m))
     assert cartier(H_g) == E.negated()
+    assert len(adjugates) == 1
